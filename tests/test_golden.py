@@ -1,0 +1,76 @@
+"""Golden output pins: SHA-256 of the simulate artifacts.
+
+Each case runs `semiosc simulate` and compares the digests of
+timeseries.csv and number_overlay.svg with the values recorded when the
+pins were introduced.  The bundled scenarios cover pinney/rk4; the short
+vacuum-kick variants cover the layouts and the method no bundled scenario
+uses.  A pin changes only with an intended numeric change, recorded in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from semiosc.cli import EXIT_OK, main
+
+VACUUM_KICK_SHORT = """\
+m = 1.0
+e = 1.0
+hbar = 1.0
+A0 = 1.0
+Adot0 = 1.0
+quantum_init = vacuum
+representation = {representation}
+method = {method}
+dt = 0.001
+t_end = 2.0
+sample_every = 10
+"""
+
+# case -> (timeseries.csv SHA-256, number_overlay.svg SHA-256)
+PINS = {
+    "vacuum-kick": (
+        "3be2603213277a588c4bfa2d78be0defa7e40accd053fd2db8a8cbf5a62f8b7e",
+        "c267c19ac697dedbcaf60822cdb76493ac5d356ef7fd0aa2afa6294748756183"),
+    "free": (
+        "e84bf82e83a780c245d997b2c3fc36103912758a9eeb181017a0749d79ef1763",
+        "9d9b44e8b3538a2836af4b3abc584408d8feeff0e123a4eb323d85e107a82641"),
+    "strong": (
+        "2c8ce6c6bbee3a4a3a2b4ce5c8edccf5f7ea0be9e2cc845ce91d7c07607e14c5",
+        "deb99ec6663caa92fea1840d74cc1d783c94bb4440ed2d8df0c4416a80ae58ca"),
+    "adiabatic": (
+        "192df63ca7ee06892eca1f64ed9375d31fd86c21bb888d7d15dd1c471804a695",
+        "8899a9bd999c0e19771450f844955a284f51796a7b030213e9ae9a32403e0393"),
+    "vacuum-kick-mode-rk4": (
+        "4b2920a13f19e08a54832c58e7969fb4a31ed61d068930a176c8138ed3a33c9d",
+        "16c8794e54829a720863ed9be404b0249cff9aace104625a9654309f7d95acc4"),
+    "vacuum-kick-moments-rk4": (
+        "dba491957cbc7e335fac9cea4d09da7a21bbb7074e31cec1592cc4a9e813bac4",
+        "16c8794e54829a720863ed9be404b0249cff9aace104625a9654309f7d95acc4"),
+    "vacuum-kick-mode-adaptive": (
+        "8a7c443aa04460a0e984923df3da4b7d1b69f6c8fc4394437453517b4ce2f9bc",
+        "936f5ebc4d49e92f16c374ba78e587e5a10a97a0df3debf1e700338338c5abb5"),
+}
+
+
+def _config_ref(case, tmp_path):
+    if not case.startswith("vacuum-kick-"):
+        return case  # a bundled scenario name
+    representation, method = case[len("vacuum-kick-"):].split("-")
+    path = tmp_path / f"{case}.cfg"
+    path.write_text(VACUUM_KICK_SHORT.format(representation=representation,
+                                             method=method))
+    return str(path)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_simulate_output_digests(case, tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", _config_ref(case, tmp_path), "-o", str(out)]) == EXIT_OK
+    assert (_sha256(out / "timeseries.csv"),
+            _sha256(out / "number_overlay.svg")) == PINS[case]
