@@ -42,10 +42,13 @@ from .diagnostics import (
 )
 from .dynamics import (
     COLUMNS,
+    Records,
     ScenarioConfig,
-    TimeSeriesRecord,
     Trajectory,
+    column,
+    columns_from_rows,
     integrate,
+    row_buffer,
     scenario_with,
 )
 from .svgplot import Curve, render_line_plot
@@ -108,14 +111,14 @@ def _csv_digits() -> int:
 def write_timeseries_csv(records, path: str) -> None:
     """Fixed column order, 17 significant digits, LF newlines."""
     digits = _csv_digits()
-    lines = [",".join(COLUMNS)]
-    for r in records:
-        lines.append(",".join(f"{v:.{digits}g}" for v in r.as_row()))
+    row_format = ",".join([f"%.{digits}g"] * len(COLUMNS)) + "\n"
+    rows = zip(*(column(records, name) for name in COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(COLUMNS) + "\n")
+        fh.writelines(map(row_format.__mod__, rows))
 
 
-def read_timeseries_csv(path: str):
+def read_timeseries_csv(path: str) -> Records:
     """Load a time-series CSV produced by this package."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln for ln in fh.read().splitlines() if ln]
@@ -124,11 +127,17 @@ def read_timeseries_csv(path: str):
     header = tuple(lines[0].split(","))
     if header != COLUMNS:
         raise UsageError(f"{path}: header does not match the time-series schema")
-    records = []
-    for ln in lines[1:]:
-        vals = [float(tok) for tok in ln.split(",")]
-        records.append(TimeSeriesRecord(*vals))
-    return records
+    rows = row_buffer()
+    for lineno, ln in enumerate(lines[1:], start=2):
+        values = ln.split(",")
+        if len(values) != len(COLUMNS):
+            raise UsageError(f"{path}:{lineno}: {len(values)} fields, "
+                             f"expected {len(COLUMNS)}")
+        try:
+            rows.extend(map(float, values))
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: not a number in {ln!r}") from None
+    return Records(columns_from_rows(rows))
 
 
 def emit_plot(records, kind: str, path: str) -> None:
@@ -138,25 +147,27 @@ def emit_plot(records, kind: str, path: str) -> None:
     if kind not in PLOT_KINDS:
         raise UsageError(f"unknown plot kind {kind!r}; choose from "
                          f"{', '.join(PLOT_KINDS)}")
-    t = [r.t for r in records]
+    t = column(records, "t")
     annotations = []
     if kind == "number-overlay":
-        curves = [Curve("N_ours", t, [r.N_ours for r in records]),
-                  Curve("N_cdms", t, [r.N_cdms for r in records])]
+        curves = [Curve("N_ours", t, column(records, "N_ours")),
+                  Curve("N_cdms", t, column(records, "N_cdms"))]
         title, xlabel, ylabel = "Occupation number", "t", "N"
     elif kind == "number-difference":
         curves = [Curve("N_ours - N_cdms", t,
-                        [r.N_ours - r.N_cdms for r in records])]
+                        [a - b for a, b in zip(column(records, "N_ours"),
+                                               column(records, "N_cdms"))])]
         title, xlabel, ylabel = "Occupation-number difference", "t", "dN"
     elif kind == "energy":
-        curves = [Curve("Etot", t, [r.Etot for r in records])]
+        etot = column(records, "Etot")
+        curves = [Curve("Etot", t, etot)]
         title, xlabel, ylabel = "Total energy", "t", "Etot"
-        if len(records) >= 2 and records[0].Etot != 0.0:
+        if len(etot) >= 2 and etot[0] != 0.0:
             annotations.append(
                 f"relative Etot drift = {_fmt(energy_drift(records))}")
     else:  # phase-A
-        curves = [Curve("trajectory", [r.A for r in records],
-                        [r.Adot for r in records])]
+        curves = [Curve("trajectory", column(records, "A"),
+                        column(records, "Adot"))]
         title, xlabel, ylabel = "Classical phase portrait", "A", "dA/dt"
     svg = render_line_plot(curves, title=title, xlabel=xlabel, ylabel=ylabel,
                            annotations=annotations, version=__version__)
@@ -173,7 +184,6 @@ def _write_json(payload: dict, path: str) -> None:
 def _light_report(config: ScenarioConfig, traj: Trajectory,
                   report: DiagnosticsReport | None = None) -> dict:
     """Diagnostics JSON payload for one run (heavy fields may be None)."""
-    recs = traj.records
     payload = {
         "version": __version__,
         "scenario": asdict(config),
@@ -189,18 +199,29 @@ def _light_report(config: ScenarioConfig, traj: Trajectory,
         "convergence_order": None,
         "discrepancy_power": None,
     }
-    if len(recs) >= 2 and recs[0].Etot != 0.0:
-        payload["energy_drift"] = energy_drift(recs)
-    if len(recs) >= 3:
-        payload["extrema_ours"] = structure_count([r.N_ours for r in recs])
-        payload["extrema_cdms"] = structure_count([r.N_cdms for r in recs])
-    if recs:
-        payload["max_abs_discrepancy"] = max_abs_discrepancy(recs)
-        payload["max_abs_remainder"] = max_abs_remainder(recs)
+    payload.update(_series_metrics(traj, None, None))
     if report is not None:
         payload.update({k: v for k, v in report.to_dict().items()
                         if v is not None})
     return payload
+
+
+def _series_metrics(traj: Trajectory, missing, count_missing) -> dict:
+    """The light per-run metrics, read off the trajectory's columns.  A
+    metric the series is too short for reads `missing`, or `count_missing`
+    for the extrema counts."""
+    recs, cols = traj.records, traj.columns
+    n = len(recs)
+    return {
+        "energy_drift": (energy_drift(recs)
+                         if n >= 2 and cols["Etot"][0] != 0.0 else missing),
+        "extrema_ours": (structure_count(cols["N_ours"])
+                         if n >= 3 else count_missing),
+        "extrema_cdms": (structure_count(cols["N_cdms"])
+                         if n >= 3 else count_missing),
+        "max_abs_discrepancy": max_abs_discrepancy(recs) if n else missing,
+        "max_abs_remainder": max_abs_remainder(recs) if n else missing,
+    }
 
 
 def _run_one(config: ScenarioConfig, source: str, outdir: str,
@@ -295,19 +316,9 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
         manifest, traj = _run_one(config, f"{sweep_path}[{spec.axis}={value}]",
                                   legdir, "sweep-leg")
         leg_outputs.append(manifest.outputs)
-        recs = traj.records
-        row = {
-            "leg": i, "axis": spec.axis, "value": value, "status": traj.status,
-            "max_abs_discrepancy": max_abs_discrepancy(recs) if recs else math.nan,
-            "max_abs_remainder": max_abs_remainder(recs) if recs else math.nan,
-            "energy_drift": (energy_drift(recs)
-                             if len(recs) >= 2 and recs[0].Etot != 0.0 else math.nan),
-            "extrema_ours": (structure_count([r.N_ours for r in recs])
-                             if len(recs) >= 3 else -1),
-            "extrema_cdms": (structure_count([r.N_cdms for r in recs])
-                             if len(recs) >= 3 else -1),
-            "lyapunov": math.nan,
-        }
+        row = {"leg": i, "axis": spec.axis, "value": value,
+               "status": traj.status, "lyapunov": math.nan,
+               **_series_metrics(traj, math.nan, -1)}
         if traj.completed:
             lyap = lyapunov_max(config)
             row["lyapunov"] = lyap.value

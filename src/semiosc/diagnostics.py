@@ -22,13 +22,17 @@ from .core import (
 )
 from .dynamics import (
     ScenarioConfig,
+    column,
     flat_from_state,
     initial_state,
     integrate,
     make_guard,
-    make_rhs,
     make_rhs_augmented,
-    rk4_step,
+    make_rk4_step,
+    make_row,
+    rk4_on,
+    run_fixed,
+    sampler,
     scenario_with,
 )
 
@@ -101,12 +105,13 @@ class DiagnosticsReport:
 
 def energy_drift(records) -> float:
     """Max over the series of |Etot(t) - Etot(0)| / |Etot(0)|."""
-    if len(records) < 2:
+    etot = column(records, "Etot")
+    if len(etot) < 2:
         raise UsageError("energy_drift needs at least two records")
-    e0 = records[0].Etot
+    e0 = etot[0]
     if e0 == 0.0:
         raise UsageError("energy_drift undefined for Etot(0) == 0")
-    return max(abs(r.Etot - e0) for r in records) / abs(e0)
+    return max(abs(v - e0) for v in etot) / abs(e0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,6 +128,15 @@ def benettin_lyapunov(rhs, y0, *, dt, renorm_interval, horizon,
     growth is recorded and the companion is pulled back to the reference.
     The first transient_fraction of segments is discarded, the rest averaged.
     """
+    return _benettin(rk4_on(rhs), y0, dt=dt, renorm_interval=renorm_interval,
+                     horizon=horizon, displacement=displacement,
+                     displacement_index=displacement_index,
+                     transient_fraction=transient_fraction, guard=guard)
+
+
+def _benettin(one, y0, *, dt, renorm_interval, horizon, displacement,
+              displacement_index, transient_fraction, guard):
+    """benettin_lyapunov with the flow given as one rk4 step(t, y, h)."""
     if not (renorm_interval > 0.0):
         raise UsageError("renorm_interval must be positive")
     if not (horizon > 0.0):
@@ -130,21 +144,22 @@ def benettin_lyapunov(rhs, y0, *, dt, renorm_interval, horizon,
     n_seg = max(1, round(horizon / renorm_interval))
     n_sub = max(1, round(renorm_interval / dt))
     h = renorm_interval / n_sub
+
+    def pair_step(t, pair, hh):
+        return one(t, pair[0], hh), one(t, pair[1], hh)
+
     y_ref = tuple(y0)
     y_cmp = tuple(v + (displacement if i == displacement_index else 0.0)
                   for i, v in enumerate(y0))
     logs = []
     t = 0.0
     for seg in range(n_seg):
-        for k in range(n_sub):
-            tk = t + k * h
-            try:
-                y_ref = rk4_step(rhs, tk, y_ref, h)
-                y_cmp = rk4_step(rhs, tk, y_cmp, h)
-            except (ZeroDivisionError, OverflowError):
-                return _finish_benettin(logs, n_seg, transient_fraction,
-                                        renorm_interval, horizon, failed=True,
-                                        note=f"singular evaluation at t={tk}")
+        (y_ref, y_cmp), abort = run_fixed(pair_step, (y_ref, y_cmp), h, n_sub,
+                                          t0=t)
+        if abort is not None:
+            return _finish_benettin(logs, n_seg, transient_fraction,
+                                    renorm_interval, horizon, failed=True,
+                                    note=f"singular evaluation at t={abort[1]}")
         t += renorm_interval
         if guard is not None:
             hit = guard(t, y_ref) or guard(t, y_cmp)
@@ -190,23 +205,25 @@ def lyapunov_max(config: ScenarioConfig, renorm_interval: float = 1.0,
     """
     pconf = replace(config, representation="pinney")
     y0 = flat_from_state(initial_state(pconf))
-    rhs = make_rhs("pinney", config.params)
     guard = make_guard("pinney", config.params, config.rho_min)
-    return benettin_lyapunov(rhs, y0, dt=config.dt,
-                             renorm_interval=renorm_interval,
-                             horizon=config.t_end if horizon is None else horizon,
-                             displacement=displacement,
-                             displacement_index=0,
-                             transient_fraction=0.1, guard=guard)
+    return _benettin(make_rk4_step("pinney", config.params), y0, dt=config.dt,
+                     renorm_interval=renorm_interval,
+                     horizon=config.t_end if horizon is None else horizon,
+                     displacement=displacement, displacement_index=0,
+                     transient_fraction=0.1, guard=guard)
 
 
 # ---------------------------------------------------------------------------
 # convergence order
 # ---------------------------------------------------------------------------
 
-def _check_dt_list(dt_list) -> None:
+def _check_dt_list(dt_list, t_end) -> None:
     if len(dt_list) < 3:
         raise UsageError("convergence study needs at least three step sizes")
+    for dt in dt_list:
+        if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t_end / dt)):
+            raise UsageError(f"dt = {dt} must be positive and finite, with a "
+                             f"finite step count for t_end = {t_end}")
     for a, b in zip(dt_list, dt_list[1:]):
         if not math.isclose(a / b, 2.0, rel_tol=1e-9):
             raise UsageError(f"step sizes must halve: got {a} then {b}")
@@ -216,18 +233,24 @@ def convergence_order(config: ScenarioConfig, dt_list) -> float:
     """Observed order from self-convergence of the final state.
 
     Runs the scenario at each step size (which must halve down the list),
-    takes Euclidean distances between successive final states, and averages
-    the log2 ratios.  Classical rk4 on a smooth trajectory sits near 4.
+    takes Euclidean distances between successive final (A, Adot, rho,
+    rhodot), and averages the log2 ratios.  Only the final sample of each run
+    is computed.  Classical rk4 on a smooth trajectory sits near 4.
     """
-    _check_dt_list(dt_list)
+    _check_dt_list(dt_list, config.t_end)
+    rep, params = config.representation, config.params
+    y0 = flat_from_state(initial_state(config))
+    step = make_rk4_step(rep, params)
+    guard = make_guard(rep, params, config.rho_min)
     finals = []
+    final_sample = sampler(make_row(rep, params),
+                           lambda row: finals.append(row[1:5]))
     for dt in dt_list:
-        traj = integrate(replace(config, method="rk4", dt=dt))
-        if not traj.completed:
-            raise DiagnosticError(
-                f"run at dt={dt} aborted: {traj.abort_reason}")
-        r = traj.records[-1]
-        finals.append((r.A, r.Adot, r.rho, r.rhodot))
+        n = max(1, round(config.t_end / dt))
+        _, abort = run_fixed(step, y0, config.t_end / n, n, n, guard,
+                             final_sample)
+        if abort is not None:
+            raise DiagnosticError(f"run at dt={dt} aborted: {abort[2]}")
     diffs = []
     for a, b in zip(finals, finals[1:]):
         diffs.append(math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))
@@ -243,18 +266,12 @@ def linear_test_order(dt_list=(0.04, 0.02, 0.01), t_end: float = 5.0) -> float:
     Uses true errors at t_end for A(0)=1, Adot(0)=0, so the estimate is
     anchored to a known solution rather than self-convergence.
     """
-    _check_dt_list(dt_list)
-
-    def rhs(t, y):
-        return (y[1], -y[0])
-
+    _check_dt_list(dt_list, t_end)
+    step = rk4_on(lambda t, y: (y[1], -y[0]))
     errs = []
     for dt in dt_list:
         n = max(1, round(t_end / dt))
-        h = t_end / n
-        y = (1.0, 0.0)
-        for i in range(n):
-            y = rk4_step(rhs, i * h, y, h)
+        y, _ = run_fixed(step, (1.0, 0.0), t_end / n, n)
         errs.append(math.hypot(y[0] - math.cos(t_end), y[1] + math.sin(t_end)))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     return sum(orders) / len(orders)
@@ -283,12 +300,15 @@ def structure_count(series, floor: float = 1e-9) -> int:
 
 def max_abs_discrepancy(records) -> float:
     """max over the series of |N_ours - N_cdms|."""
-    return max(abs(r.N_ours - r.N_cdms) for r in records)
+    return max(abs(a - b) for a, b in zip(column(records, "N_ours"),
+                                          column(records, "N_cdms")))
 
 
 def max_abs_remainder(records) -> float:
     """max over the series of |(N_ours - N_cdms) - dN_leading|."""
-    return max(abs((r.N_ours - r.N_cdms) - r.dN_leading) for r in records)
+    return max(abs((a - b) - d) for a, b, d in zip(column(records, "N_ours"),
+                                                   column(records, "N_cdms"),
+                                                   column(records, "dN_leading")))
 
 
 def discrepancy_scaling(base_config: ScenarioConfig, e_list) -> DiscrepancyScaling:
@@ -370,18 +390,18 @@ def adiabatic_invariant_drift(config: ScenarioConfig) -> float:
          0.5 * h * r0 * rd0,
          0.5 * h * (rd0 * rd0 + inv * inv),
          r0, rd0)
-    rhs = make_rhs_augmented(params)
     guard = make_guard("augmented", params, config.rho_min)
     n = max(1, round(config.t_end / config.dt))
-    step = config.t_end / n
     worst = 0.0
-    for i in range(1, n + 1):
-        y = rk4_step(rhs, (i - 1) * step, y, step)
-        hit = guard(i * step, y)
-        if hit is not None:
-            raise DiagnosticError(f"augmented run aborted: {hit[1]}")
-        if i % config.sample_every == 0 or i == n:
-            mom = GaussianMoments(x2=y[2], p2=y[4], c=y[3])
-            basis = OscBasis(W=1.0 / (y[5] * y[5]), sigma=-y[6] / y[5])
-            worst = max(worst, abs(quanta_expectation(mom, basis, h)))
+
+    def sample(t, y):
+        nonlocal worst
+        mom = GaussianMoments(x2=y[2], p2=y[4], c=y[3])
+        basis = OscBasis(W=1.0 / (y[5] * y[5]), sigma=-y[6] / y[5])
+        worst = max(worst, abs(quanta_expectation(mom, basis, h)))
+
+    _, abort = run_fixed(rk4_on(make_rhs_augmented(params)), y,
+                         config.t_end / n, n, config.sample_every, guard, sample)
+    if abort is not None:
+        raise DiagnosticError(f"augmented run aborted: {abort[2]}")
     return worst

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .core import (
+    HEISENBERG_TOL,
     DomainError,
     GaussianMoments,
     ModelParams,
@@ -25,6 +26,7 @@ from .core import (
     SemiState,
     SemiquantumError,
     UsageError,
+    ValidationError,
     energies,
     frequency,
     occupation_difference_leading,
@@ -50,9 +52,16 @@ __all__ = [
     "integrate",
     "record_observables",
     "make_rhs",
+    "make_rk4_step",
+    "rk4_on",
+    "make_row",
     "make_guard",
+    "run_fixed",
+    "sampler",
     "flat_from_state",
     "state_from_flat",
+    "Records",
+    "column",
 ]
 
 REPRESENTATIONS = ("pinney", "mode", "moments")
@@ -62,6 +71,10 @@ QUANTUM_INITS = ("vacuum", "explicit", "adiabatic")
 STATUS_COMPLETED = "completed"
 STATUS_SINGULARITY = "aborted-singularity"
 STATUS_STEPFAIL = "aborted-stepfail"
+
+# ScenarioConfig fields that must be finite floats (None where optional)
+_FINITE_KEYS = ("A0", "Adot0", "t_end", "dt", "dt_init", "rtol", "atol",
+                "rho0", "rhodot0", "rho_min")
 
 
 @dataclass(frozen=True)
@@ -104,10 +117,17 @@ class ScenarioConfig:
             raise UsageError(f"unknown method {self.method!r}")
         if self.quantum_init not in QUANTUM_INITS:
             raise UsageError(f"unknown quantum_init {self.quantum_init!r}")
+        for key in _FINITE_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{key} must be finite, got {value}")
         if not (self.t_end > 0.0):
             raise UsageError(f"t_end must be positive, got {self.t_end}")
         if not (self.dt > 0.0) or not (self.dt_init > 0.0):
             raise UsageError("dt and dt_init must be positive")
+        if not math.isfinite(self.t_end / self.dt):
+            raise UsageError(f"dt = {self.dt} is too small for t_end = "
+                             f"{self.t_end}: the step count is not finite")
         if not (self.rtol > 0.0) or not (self.atol > 0.0):
             raise UsageError("rtol and atol must be positive")
         if self.sample_every < 1:
@@ -151,11 +171,56 @@ class TimeSeriesRecord:
 COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(TimeSeriesRecord))
 
 
+class Records:
+    """Read-only row view of columnar time-series data.
+
+    Indexing builds one TimeSeriesRecord; slicing returns another view.  Bulk
+    consumers read `columns` (name -> sequence of floats) directly.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: dict):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns["t"])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Records({k: v[index] for k, v in self.columns.items()})
+        return TimeSeriesRecord(*(self.columns[k][index] for k in COLUMNS))
+
+    def __iter__(self):
+        return map(TimeSeriesRecord, *(self.columns[k] for k in COLUMNS))
+
+
+def column(records, name: str):
+    """One observable along a series: straight from a Records view, else
+    gathered from any sequence of TimeSeriesRecord."""
+    if isinstance(records, Records):
+        return records.columns[name]
+    return [getattr(r, name) for r in records]
+
+
+def columns_from_rows(flat) -> dict:
+    """Split a flat row-major float array of COLUMNS-wide rows into columns."""
+    width = len(COLUMNS)
+    return {name: flat[i::width] for i, name in enumerate(COLUMNS)}
+
+
+def row_buffer():
+    """An empty flat float64 buffer for rows (see columns_from_rows)."""
+    from array import array  # deferred: keeps the CLI's import chain as it was
+    return array("d")
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    """Result of integrate(): sampled records plus how the run ended."""
+    """Result of integrate(): sampled observables as columns (name -> array of
+    float64, in COLUMNS order) plus how the run ended."""
 
-    records: tuple[TimeSeriesRecord, ...]
+    columns: dict
     status: str
     abort_time: float | None = None
     abort_reason: str | None = None
@@ -163,6 +228,10 @@ class Trajectory:
     @property
     def completed(self) -> bool:
         return self.status == STATUS_COMPLETED
+
+    @property
+    def records(self) -> Records:
+        return Records(self.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +277,27 @@ def init_adiabatic(A0: float, Adot0: float, params: ModelParams) -> SemiState:
 
 
 def initial_state(config: ScenarioConfig) -> SemiState:
-    """Initial SemiState of a scenario, converted to its representation."""
-    if config.quantum_init == "vacuum":
-        state = init_vacuum(config.A0, config.Adot0, config.params)
-    elif config.quantum_init == "adiabatic":
-        state = init_adiabatic(config.A0, config.Adot0, config.params)
-    else:
-        state = SemiState(0.0, config.A0, config.Adot0,
-                          PinneySector(config.rho0, config.rhodot0))
-    return convert(state, config.representation, config.params)
+    """Initial SemiState of a scenario, converted to its representation.
+
+    A start so large that the frequency law overflows raises DomainError
+    naming A0 and Adot0.
+    """
+    try:
+        if config.quantum_init == "vacuum":
+            state = init_vacuum(config.A0, config.Adot0, config.params)
+        elif config.quantum_init == "adiabatic":
+            state = init_adiabatic(config.A0, config.Adot0, config.params)
+        else:
+            state = SemiState(0.0, config.A0, config.Adot0,
+                              PinneySector(config.rho0, config.rhodot0))
+        return convert(state, config.representation, config.params)
+    except OverflowError as exc:
+        raise _start_overflow(config, exc) from None
+
+
+def _start_overflow(config: ScenarioConfig, exc: ArithmeticError) -> DomainError:
+    return DomainError(f"A0 = {config.A0}, Adot0 = {config.Adot0}: the initial "
+                       f"state overflows ({exc})")
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +493,53 @@ def rkf45_step(rhs, t, y, h):
     return y5, err
 
 
+def rk4_on(rhs):
+    """step(t, y, h) for run_fixed: rk4_step on a generic right-hand side."""
+    def step(t, y, h):
+        return rk4_step(rhs, t, y, h)
+    return step
+
+
+def make_rk4_step(representation: str, params: ModelParams):
+    """rk4 step(t, y, h) -> y for one representation.
+
+    The pinney step is unrolled by hand: it performs exactly the
+    floating-point operations of rk4_step with make_rhs("pinney", params),
+    in the same order, so its result is bit-identical; it only drops the
+    tuples and the zips.  Stage states carry the suffixes 2-4 and stage rates
+    1-4; the rate of A is the stage's P = Adot, that of rho (r) is
+    s = rhodot.  The other representations step with the generic rk4_step.
+    """
+    if representation != "pinney":
+        return rk4_on(make_rhs(representation, params))
+    m2 = params.m * params.m
+    e2 = params.e * params.e
+    ne2 = -e2
+    half_hbar = 0.5 * params.hbar
+
+    def step(t, y, h):
+        A, P, r, s = y
+        hh = 0.5 * h
+        dP1 = ne2 * A * half_hbar * r * r
+        ds1 = 1.0 / (r * r * r) - (m2 + e2 * A * A) * r
+        A2, P2, r2, s2 = A + hh * P, P + hh * dP1, r + hh * s, s + hh * ds1
+        dP2 = ne2 * A2 * half_hbar * r2 * r2
+        ds2 = 1.0 / (r2 * r2 * r2) - (m2 + e2 * A2 * A2) * r2
+        A3, P3, r3, s3 = A + hh * P2, P + hh * dP2, r + hh * s2, s + hh * ds2
+        dP3 = ne2 * A3 * half_hbar * r3 * r3
+        ds3 = 1.0 / (r3 * r3 * r3) - (m2 + e2 * A3 * A3) * r3
+        A4, P4, r4, s4 = A + h * P3, P + h * dP3, r + h * s3, s + h * ds3
+        dP4 = ne2 * A4 * half_hbar * r4 * r4
+        ds4 = 1.0 / (r4 * r4 * r4) - (m2 + e2 * A4 * A4) * r4
+        six = h / 6.0
+        return (A + six * (P + 2.0 * (P2 + P3) + P4),
+                P + six * (dP1 + 2.0 * (dP2 + dP3) + dP4),
+                r + six * (s + 2.0 * (s2 + s3) + s4),
+                s + six * (ds1 + 2.0 * (ds2 + ds3) + ds4))
+
+    return step
+
+
 # ---------------------------------------------------------------------------
 # observables and the main loop
 # ---------------------------------------------------------------------------
@@ -439,45 +567,185 @@ def record_observables(state: SemiState, params: ModelParams) -> TimeSeriesRecor
         Hx=report.Hx, Etot=report.Etot, corr=report.corr)
 
 
-def integrate(config: ScenarioConfig) -> Trajectory:
-    """Run one scenario; returns sampled records plus the termination status.
+def make_row(representation: str, params: ModelParams):
+    """Flat observables row(t, y) -> tuple in COLUMNS order.
 
-    On a width collapse (rho <= rho_min) or a step failure the partial record
-    list is returned with the abort time and reason; nothing is raised.
+    The row equals record_observables(state_from_flat(t, y, representation),
+    params).as_row() bit for bit, and raises the same exception on the same
+    states: every value is computed once, by the same operations as the core
+    kernels, with their domain checks in the order the oracle meets them.
+    """
+    m, e, hbar = params.m, params.e, params.hbar
+    m2 = m * m
+    e2 = e * e
+    e4 = e2 * e2
+    half_hbar = 0.5 * hbar
+    two_hbar = 2.0 * hbar
+    neg_hbar = -hbar
+    bound = 0.25 * hbar * hbar
+    heisenberg_floor = bound * (1.0 - HEISENBERG_TOL)
+    corr_scale = (hbar * e / m) ** 2
+    leading_denom = 16.0 * m ** 6
+    sqrt, isfinite = math.sqrt, math.isfinite
+
+    def finish(t, A, Ad, rho, rhodot, Omega, Omegadot, omega, omegadot,
+               x2, p2, c):
+        # occupation_closed_form
+        if not (omega > 0.0):
+            raise DomainError(f"omega must be positive, got {omega}")
+        if not (Omega > 0.0):
+            raise DomainError(f"Omega must be positive, got {Omega}")
+        r = omega / Omega
+        d = sqrt(r) - sqrt(1.0 / r)
+        Omega3 = Omega ** 3
+        n_ours = 0.25 * d * d + Omegadot * Omegadot / (16.0 * omega * Omega3)
+        # quanta_expectation(vacuum_moments, drift_sheared_basis)
+        vx2 = half_hbar / Omega
+        vp2 = half_hbar * (Omega + Omegadot * Omegadot / (4.0 * Omega3))
+        vc = neg_hbar * Omegadot / (4.0 * Omega * Omega)
+        if not (vx2 > 0.0):
+            raise DomainError(f"<x^2> must be positive, got {vx2}")
+        if not (vp2 > 0.0):
+            raise DomainError(f"<p^2> must be positive, got {vp2}")
+        sigma = 0.5 * omegadot / omega
+        if not isfinite(omega):
+            raise DomainError(f"basis frequency W must be positive, got {omega}")
+        det = vx2 * vp2 - vc * vc
+        if det < heisenberg_floor:
+            raise ValidationError(
+                f"moments violate the Heisenberg bound: x2*p2 - c^2 = {det}"
+                f" < hbar^2/4 = {bound}")
+        n_cdms = ((omega * omega + sigma * sigma) * vx2 + vp2
+                  + 2.0 * sigma * vc) / (two_hbar * omega) - 0.5
+        # energies, occupation_difference_leading
+        hx = 0.5 * (p2 + omega * omega * x2)
+        return (t, A, Ad, rho, rhodot, Omega, Omegadot, omega, omegadot,
+                x2, p2, c, n_ours, n_cdms, e4 * (A * Ad) ** 2 / leading_denom,
+                hx, 0.5 * Ad * Ad + hx, corr_scale * n_ours)
+
+    if representation == "pinney":
+        def row(t, y):
+            A, Ad, rho, rhodot = y
+            if not (rho > 0.0):
+                raise DomainError(f"pinney width rho must be positive, got {rho}")
+            omega = sqrt(m2 + (e * A) ** 2)
+            omegadot = e2 * A * Ad / omega
+            Omega = 1.0 / (rho * rho)
+            Omegadot = -2.0 * rhodot / (rho * rho * rho) + 0.0
+            inv = 1.0 / rho
+            x2 = half_hbar * rho * rho
+            p2 = half_hbar * (rhodot * rhodot + inv * inv)
+            c = half_hbar * rho * rhodot
+            if not (x2 > 0.0):
+                raise DomainError(f"<x^2> must be positive, got {x2}")
+            if not (p2 > 0.0):
+                raise DomainError(f"<p^2> must be positive, got {p2}")
+            return finish(t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
+                          omegadot, x2, p2, c)
+    elif representation in ("mode", "moments"):
+        is_mode = representation == "mode"
+
+        def row(t, y):
+            A = y[0]
+            Ad = y[1]
+            if is_mode:
+                f = complex(y[2], y[3])
+                fdot = complex(y[4], y[5])
+            else:
+                x2, c, p2 = y[2], y[3], y[4]
+                if not (x2 > 0.0):
+                    raise DomainError(f"<x^2> must be positive, got {x2}")
+                if not (p2 > 0.0):
+                    raise DomainError(f"<p^2> must be positive, got {p2}")
+            omega = sqrt(m2 + (e * A) ** 2)
+            omegadot = e2 * A * Ad / omega
+            if is_mode:
+                x2 = abs(f) ** 2
+                if not (x2 > 0.0):
+                    raise DomainError("mode function vanished; <x^2> must be positive")
+                p2 = abs(fdot) ** 2
+                c = (f * fdot.conjugate()).real
+                if not (p2 > 0.0):
+                    raise DomainError(f"<p^2> must be positive, got {p2}")
+            Omega = half_hbar / x2
+            Omegadot = -4.0 * c * Omega * Omega / hbar
+            rho = sqrt(2.0 * x2 / hbar)
+            return finish(t, A, Ad, rho, 2.0 * c / (hbar * rho), Omega,
+                          Omegadot, omega, omegadot, x2, p2, c)
+    else:
+        raise UsageError(f"unknown representation {representation!r}")
+    return row
+
+
+def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
+              t0=0.0):
+    """The fixed-step loop: n steps y <- step(t, y, h) from t0.
+
+    Step i ends at t0 + i*h.  After each step guard(t, y) may return
+    (status, reason) to stop; after every sample_every-th step and the last
+    one so may on_sample(t, y).  A step that raises ZeroDivisionError or
+    OverflowError stops the run as a singularity at the step's start time.
+    Returns (y, abort): the last state reached and None, or the abort as
+    (status, t, reason).
+    """
+    t = t0
+    for i in range(1, n + 1):
+        try:
+            y = step(t, y, h)
+        except (ZeroDivisionError, OverflowError):
+            return y, (STATUS_SINGULARITY, t, "singular right-hand side evaluation")
+        t = t0 + i * h
+        if guard is not None:
+            hit = guard(t, y)
+            if hit is not None:
+                return y, (hit[0], t, hit[1])
+        if on_sample is not None and (i % sample_every == 0 or i == n):
+            hit = on_sample(t, y)
+            if hit is not None:
+                return y, (hit[0], t, hit[1])
+    return y, None
+
+
+def sampler(row, sink):
+    """on_sample for run_fixed: sink(row(t, y)), or a step failure when the
+    state has no valid observables."""
+    def on_sample(t, y):
+        try:
+            sink(row(t, y))
+        except SemiquantumError as exc:
+            return STATUS_STEPFAIL, f"state failed validation: {exc}"
+        except ArithmeticError as exc:
+            return STATUS_STEPFAIL, f"observables not representable: {exc}"
+        return None
+    return on_sample
+
+
+def integrate(config: ScenarioConfig) -> Trajectory:
+    """Run one scenario; returns sampled observables plus the termination status.
+
+    On a width collapse (rho <= rho_min) or a step failure the partial
+    series is returned with the abort time and reason; nothing is raised.
     """
     params = config.params
     state0 = initial_state(config)
     rep = config.representation
-    rhs = make_rhs(rep, params)
     guard = make_guard(rep, params, config.rho_min)
     y = flat_from_state(state0)
-    records = [record_observables(state0, params)]
-
-    def sample(t, yy):
-        records.append(record_observables(state_from_flat(t, yy, rep), params))
+    rows = row_buffer()
+    try:
+        rows.extend(record_observables(state0, params).as_row())
+    except ArithmeticError as exc:
+        raise _start_overflow(config, exc) from None
+    sample = sampler(make_row(rep, params), rows.extend)
 
     if config.method == "rk4":
         n = max(1, round(config.t_end / config.dt))
-        h = config.t_end / n
-        for i in range(1, n + 1):
-            t_prev = (i - 1) * h
-            try:
-                y = rk4_step(rhs, t_prev, y, h)
-            except (ZeroDivisionError, OverflowError):
-                return Trajectory(tuple(records), STATUS_SINGULARITY, t_prev,
-                                  "singular right-hand side evaluation")
-            hit = guard(i * h, y)
-            if hit is not None:
-                return Trajectory(tuple(records), hit[0], i * h, hit[1])
-            if i % config.sample_every == 0 or i == n:
-                try:
-                    sample(i * h, y)
-                except SemiquantumError as exc:
-                    return Trajectory(tuple(records), STATUS_STEPFAIL, i * h,
-                                      f"state failed validation: {exc}")
-        return Trajectory(tuple(records), STATUS_COMPLETED)
+        _, abort = run_fixed(make_rk4_step(rep, params), y, config.t_end / n, n,
+                             config.sample_every, guard, sample)
+        return _trajectory(rows, abort)
 
     # adaptive embedded 4(5)
+    rhs = make_rhs(rep, params)
     t = 0.0
     h = min(config.dt_init, config.t_end)
     accepted = 0
@@ -489,8 +757,8 @@ def integrate(config: ScenarioConfig) -> Trajectory:
         try:
             ynew, err = rkf45_step(rhs, t, y, h)
         except (ZeroDivisionError, OverflowError):
-            return Trajectory(tuple(records), STATUS_SINGULARITY, t,
-                              "singular right-hand side evaluation")
+            return _trajectory(rows, (STATUS_SINGULARITY, t,
+                                      "singular right-hand side evaluation"))
         acc = 0.0
         finite = True
         try:
@@ -506,28 +774,31 @@ def integrate(config: ScenarioConfig) -> Trajectory:
         if enorm > 1.0:
             h *= 0.2 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
             if h < 1e-14 * max(1.0, abs(t)):
-                return Trajectory(tuple(records), STATUS_STEPFAIL, t,
-                                  f"step size underflow at t={t}")
+                return _trajectory(rows, (STATUS_STEPFAIL, t,
+                                          f"step size underflow at t={t}"))
             continue
         t = config.t_end if clamped else t + h
         y = ynew
         accepted += 1
         hit = guard(t, y)
+        if hit is None and (accepted % config.sample_every == 0
+                            or t >= config.t_end) and t != last_sampled_t:
+            hit = sample(t, y)
+            last_sampled_t = t
         if hit is not None:
-            return Trajectory(tuple(records), hit[0], t, hit[1])
-        if accepted % config.sample_every == 0 or t >= config.t_end:
-            if t != last_sampled_t:
-                try:
-                    sample(t, y)
-                except SemiquantumError as exc:
-                    return Trajectory(tuple(records), STATUS_STEPFAIL, t,
-                                      f"state failed validation: {exc}")
-                last_sampled_t = t
+            return _trajectory(rows, (hit[0], t, hit[1]))
         if enorm > 0.0:
             h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         else:
             h *= 5.0
-    return Trajectory(tuple(records), STATUS_COMPLETED)
+    return _trajectory(rows, None)
+
+
+def _trajectory(rows, abort) -> Trajectory:
+    columns = columns_from_rows(rows)
+    if abort is None:
+        return Trajectory(columns, STATUS_COMPLETED)
+    return Trajectory(columns, *abort)
 
 
 def scenario_with(config: ScenarioConfig, **changes) -> ScenarioConfig:

@@ -127,6 +127,28 @@ def test_simulate_missing_key_exits_2(tmp_path, capsys):
     assert "'m'" in err["detail"]
 
 
+@pytest.mark.parametrize("changes, key", [
+    ({"t_end": "inf"}, "t_end"),
+    ({"t_end": "1e300", "dt": "1e-300"}, "dt"),
+    ({"dt": "inf"}, "dt"),
+    ({"A0": "1e200"}, "A0"),
+    ({"A0": "nan"}, "A0"),
+])
+def test_simulate_bad_numbers_exit_2_naming_the_key(tmp_path, capsys, changes, key):
+    text = SMALL
+    for name, value in changes.items():
+        text = "".join(f"{name} = {value}\n" if ln.startswith(f"{name} =") else ln
+                       for ln in text.splitlines(keepends=True))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    detail = json.loads(err.strip())["detail"]
+    assert key in detail
+    assert "rho" not in detail
+
+
 def test_simulate_missing_file_exits_4(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.cfg"),
                  "-o", str(tmp_path / "o")]) == EXIT_IO
@@ -222,6 +244,15 @@ def test_csv_header_mismatch_rejected(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(UsageError):
         read_timeseries_csv(str(path))
+
+
+@pytest.mark.parametrize("row", [["1"] * 17, ["x"] * 18])
+def test_csv_malformed_row_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(COLUMNS) + "\n" + ",".join(row) + "\n")
+    assert main(["plot", str(path), "--kind", "energy",
+                 "-o", str(tmp_path / "x.svg")]) == EXIT_CONFIG
+    assert ":2:" in json.loads(capsys.readouterr().err.strip())["detail"]
 
 
 def test_csv_precision_env_override(tmp_path, monkeypatch):

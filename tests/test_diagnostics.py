@@ -151,6 +151,10 @@ def test_convergence_usage_errors(unit_params):
         convergence_order(cfg, (0.02, 0.01))
     with pytest.raises(UsageError):
         convergence_order(cfg, (0.02, 0.015, 0.01))
+    with pytest.raises(UsageError, match="dt = -0.02"):
+        convergence_order(cfg, (-0.02, -0.01, -0.005))
+    with pytest.raises(UsageError, match="dt = 4e-320"):
+        convergence_order(cfg, (4e-320, 2e-320, 1e-320))
     with pytest.raises(UsageError):
         linear_test_order((0.02, 0.01))
 

@@ -1,0 +1,152 @@
+"""The flat hot path against its specification.
+
+The unrolled pinney rk4 step must reproduce rk4_step on make_rhs bit for bit,
+and
+the flat observable rows must reproduce record_observables bit for bit,
+raising on exactly the states where the oracle raises.
+"""
+
+import dataclasses
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semiosc import (
+    ModelParams,
+    PinneySector,
+    SemiState,
+    convert,
+    convergence_order,
+    integrate,
+    load_scenario,
+    record_observables,
+)
+from semiosc.dynamics import (
+    flat_from_state,
+    make_rhs,
+    make_rk4_step,
+    make_row,
+    rk4_step,
+    sampler,
+    state_from_flat,
+)
+
+WIDTHS = {"pinney": 4, "mode": 6, "moments": 5}
+
+params_st = st.builds(ModelParams, m=st.floats(0.5, 2.0), e=st.floats(0.0, 2.0),
+                      hbar=st.floats(0.01, 2.0))
+
+
+def _bits(values):
+    """Exact identity of a float sequence (distinguishes -0.0, keeps nan)."""
+    return tuple(float(v).hex() for v in values)
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", _bits(fn(*args))
+    except Exception as exc:  # the exception itself is the compared outcome
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# unrolled rk4 step
+# ---------------------------------------------------------------------------
+
+@given(params=params_st, A=st.floats(-2.0, 2.0), Adot=st.floats(-2.0, 2.0),
+       rho=st.floats(0.3, 3.0), rhodot=st.floats(-2.0, 2.0),
+       h=st.floats(1e-4, 1e-2))
+@settings(max_examples=40, deadline=None)
+def test_unrolled_step_matches_rk4_step(params, A, Adot, rho, rhodot, h):
+    rhs = make_rhs("pinney", params)
+    step = make_rk4_step("pinney", params)
+    y = oracle = (A, Adot, rho, rhodot)
+    for i in range(1000):
+        t = i * h
+        fast = _outcome(step, t, y, h)
+        slow = _outcome(rk4_step, rhs, t, oracle, h)
+        assert fast == slow, f"step {i}"
+        if fast[0] != "value":
+            break
+        y = step(t, y, h)
+        oracle = rk4_step(rhs, t, oracle, h)
+
+
+# ---------------------------------------------------------------------------
+# flat observable rows
+# ---------------------------------------------------------------------------
+
+def _oracle_row(t, y, representation, params):
+    return record_observables(state_from_flat(t, y, representation),
+                              params).as_row()
+
+
+@given(representation=st.sampled_from(("pinney", "mode", "moments")),
+       params=params_st, t=st.floats(0.0, 100.0),
+       A=st.floats(-3.0, 3.0), Adot=st.floats(-3.0, 3.0),
+       rho=st.floats(0.2, 5.0), rhodot=st.floats(-3.0, 3.0))
+@settings(max_examples=300, deadline=None)
+def test_flat_row_matches_record_observables(representation, params, t, A, Adot,
+                                             rho, rhodot):
+    state = convert(SemiState(t, A, Adot, PinneySector(rho, rhodot)),
+                    representation, params)
+    y = flat_from_state(state)
+    assert _bits(make_row(representation, params)(t, y)) == \
+        _bits(_oracle_row(t, y, representation, params))
+
+
+# Components that break some kernel: nonpositive widths, non-finite values,
+# and magnitudes where squares and cubes overflow or underflow.
+bad_component = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, -1.0, math.nan, math.inf, -math.inf, 1e200,
+                     -1e200, 1e155, 1e120, 1e-120, 1e-170, 1e-200, 5e-324]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(data=st.data(), representation=st.sampled_from(("pinney", "mode", "moments")),
+       params=params_st)
+@settings(max_examples=600, deadline=None)
+def test_flat_row_raises_exactly_when_oracle_raises(data, representation, params):
+    y = tuple(data.draw(bad_component) for _ in range(WIDTHS[representation]))
+    fast = _outcome(make_row(representation, params), 1.5, y)
+    slow = _outcome(_oracle_row, 1.5, y, representation, params)
+    assert fast == slow
+
+
+def test_flat_row_rejects_huge_amplitude_like_oracle(unit_params):
+    y = (1e200, 1.0, 1.0, 0.0)
+    fast = _outcome(make_row("pinney", unit_params), 0.0, y)
+    assert fast[0] is OverflowError
+    assert fast == _outcome(_oracle_row, 0.0, y, "pinney", unit_params)
+
+
+def test_sampling_overflow_is_a_step_failure(unit_params):
+    rows = []
+    on_sample = sampler(make_row("pinney", unit_params), rows.append)
+    status, reason = on_sample(1.0, (1e200, 1.0, 1.0, 0.0))
+    assert status == "aborted-stepfail"
+    assert "not representable" in reason
+    assert rows == []
+    assert on_sample(1.0, (1.0, 1.0, 1.0, 0.0)) is None
+    assert len(rows) == 1
+
+
+# ---------------------------------------------------------------------------
+# convergence order from final samples only
+# ---------------------------------------------------------------------------
+
+def test_convergence_order_matches_full_integrate_runs():
+    config = dataclasses.replace(load_scenario("vacuum-kick"), t_end=4.0,
+                                 representation="mode")
+    dts = (0.004, 0.002, 0.001)
+    finals = []
+    for dt in dts:
+        r = integrate(dataclasses.replace(config, dt=dt)).records[-1]
+        finals.append((r.A, r.Adot, r.rho, r.rhodot))
+    diffs = [math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+             for a, b in zip(finals, finals[1:])]
+    orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
+    assert convergence_order(config, dts) == sum(orders) / len(orders)
