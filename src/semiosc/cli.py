@@ -20,8 +20,6 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from . import __version__
 from .config import (
     ConfigError,
@@ -38,6 +36,7 @@ from .diagnostics import (
     lyapunov_max,
     max_abs_discrepancy,
     max_abs_remainder,
+    power_law_fit,
     structure_count,
 )
 from .dynamics import (
@@ -96,26 +95,15 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _csv_digits() -> int:
-    """CSV precision; SEMIOSC_CSV_DIGITS overrides the default 17 (debugging
-    aid only: the round-trip and reproducibility guarantees assume 17)."""
-    raw = os.environ.get("SEMIOSC_CSV_DIGITS")
-    if raw is None:
-        return 17
-    digits = int(raw)
-    if not (1 <= digits <= 17):
-        raise UsageError(f"SEMIOSC_CSV_DIGITS must be in [1, 17], got {raw!r}")
-    return digits
+_CSV_ROW = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 
 
 def write_timeseries_csv(records, path: str) -> None:
     """Fixed column order, 17 significant digits, LF newlines."""
-    digits = _csv_digits()
-    row_format = ",".join([f"%.{digits}g"] * len(COLUMNS)) + "\n"
     rows = zip(*(column(records, name) for name in COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(COLUMNS) + "\n")
-        fh.writelines(map(row_format.__mod__, rows))
+        fh.writelines(map(_CSV_ROW.__mod__, rows))
 
 
 def read_timeseries_csv(path: str) -> Records:
@@ -225,9 +213,12 @@ def _series_metrics(traj: Trajectory, missing, count_missing) -> dict:
 
 
 def _run_one(config: ScenarioConfig, source: str, outdir: str,
-             command: str, report: DiagnosticsReport | None = None
+             command: str, report: DiagnosticsReport | None = None,
+             start: float | None = None, extra_warnings=()
              ) -> tuple[RunManifest, Trajectory]:
-    start = time.perf_counter()
+    """Integrate and write one run; the manifest's duration counts from
+    `start` (default: now) and `extra_warnings` follow the abort warning."""
+    start = time.perf_counter() if start is None else start
     os.makedirs(outdir, exist_ok=True)
     traj = integrate(config)
     csv_path = os.path.join(outdir, "timeseries.csv")
@@ -243,6 +234,7 @@ def _run_one(config: ScenarioConfig, source: str, outdir: str,
     warnings = []
     if not traj.completed:
         warnings.append(f"run aborted at t={traj.abort_time}: {traj.abort_reason}")
+    warnings.extend(extra_warnings)
     manifest = RunManifest(
         command=command, config_source=source, config=asdict(config),
         version=__version__, status=traj.status,
@@ -281,11 +273,8 @@ def run_diagnose(config_ref: str, output_dir: str) -> RunManifest:
     except (SemiquantumError, DiagnosticError) as exc:
         warnings.append(f"convergence order failed: {exc}")
     report = DiagnosticsReport(lyapunov=lyap, order=order)
-    manifest, _ = _run_one(config, source, output_dir, "diagnose", report)
-    manifest = replace(manifest,
-                       duration_seconds=time.perf_counter() - start,
-                       warnings=manifest.warnings + tuple(warnings))
-    _write_json(manifest.to_dict(), manifest.outputs["manifest"])
+    manifest, _ = _run_one(config, source, output_dir, "diagnose", report,
+                           start, warnings)
     return manifest
 
 
@@ -329,20 +318,10 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
                             f"{traj.abort_reason}")
         rows.append(row)
 
-    power = None
-    note = ""
-    if spec.axis != "e":
-        note = f"no discrepancy power fit for axis {spec.axis!r}"
-    elif len(completed_values) < 3:
-        note = "insufficient legs for a power fit (need at least 3 completed)"
-    elif all(a == 0.0 for a in completed_amps):
-        note = "zero signal: no measurable discrepancy, fit rejected"
-    elif any(a <= 0.0 for a in completed_amps) or any(v <= 0.0
-                                                      for v in completed_values):
-        note = "mixed zero/nonzero discrepancy amplitudes; fit rejected"
+    if spec.axis == "e":
+        power, note = power_law_fit(completed_values, completed_amps)
     else:
-        power = float(np.polyfit(np.log(completed_values),
-                                 np.log(completed_amps), 1)[0])
+        power, note = None, f"no discrepancy power fit for axis {spec.axis!r}"
     if note:
         warnings.append(note)
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import (
     DiagnosticError,
     GaussianMoments,
@@ -46,6 +44,7 @@ __all__ = [
     "convergence_order",
     "linear_test_order",
     "structure_count",
+    "power_law_fit",
     "discrepancy_scaling",
     "max_abs_discrepancy",
     "max_abs_remainder",
@@ -83,23 +82,15 @@ class DiscrepancyScaling:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Bundle of per-run diagnostics; fields are None when not computed."""
+    """The heavy per-run diagnostics; fields are None when not computed."""
 
-    energy_drift: float | None = None
     lyapunov: LyapunovEstimate | None = None
     order: float | None = None
-    extrema_ours: int | None = None
-    extrema_cdms: int | None = None
-    discrepancy_power: float | None = None
 
     def to_dict(self) -> dict:
         return {
-            "energy_drift": self.energy_drift,
             "lyapunov": self.lyapunov.to_dict() if self.lyapunov else None,
             "convergence_order": self.order,
-            "extrema_ours": self.extrema_ours,
-            "extrema_cdms": self.extrema_cdms,
-            "discrepancy_power": self.discrepancy_power,
         }
 
 
@@ -311,6 +302,31 @@ def max_abs_remainder(records) -> float:
                                                    column(records, "dN_leading")))
 
 
+_ZERO_SIGNAL = "zero signal: no measurable discrepancy, fit rejected"
+
+
+def power_law_fit(xs, ys) -> tuple[float | None, str]:
+    """Least-squares power p of y ~ x^p: (p, "") or (None, why not).
+
+    No fit for fewer than three points, all ys zero (zero signal), a
+    non-positive x or y, or a single distinct x.  The slope of log y on
+    log x uses centred sums, as statistics.linear_regression does.
+    """
+    if len(xs) < 3:
+        return None, "insufficient legs for a power fit (need at least 3 completed)"
+    if all(y == 0.0 for y in ys):
+        return None, _ZERO_SIGNAL
+    if not all(v > 0.0 for v in (*xs, *ys)):
+        return None, "mixed zero/nonzero discrepancy amplitudes; fit rejected"
+    if len(set(xs)) < 2:
+        return None, "all values coincide; fit rejected"
+    lx, ly = [math.log(x) for x in xs], [math.log(y) for y in ys]
+    mx, my = math.fsum(lx) / len(lx), math.fsum(ly) / len(ly)
+    sxy = math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
+    sxx = math.fsum((a - mx) * (a - mx) for a in lx)
+    return sxy / sxx, ""
+
+
 def discrepancy_scaling(base_config: ScenarioConfig, e_list) -> DiscrepancyScaling:
     """Fit max|N_ours - N_cdms| against the coupling over a scenario family.
 
@@ -352,17 +368,12 @@ def discrepancy_scaling(base_config: ScenarioConfig, e_list) -> DiscrepancyScali
             raise DiagnosticError(f"scaling leg e={e} aborted: {traj.abort_reason}")
         amps.append(max_abs_discrepancy(traj.records))
         rems.append(max_abs_remainder(traj.records))
-    if all(a == 0.0 for a in amps):
-        return DiscrepancyScaling(power=None, couplings=e_list,
-                                  amplitudes=tuple(amps), remainders=tuple(rems),
-                                  zero_signal=True,
-                                  note="zero signal: no measurable discrepancy")
-    if any(a <= 0.0 for a in amps):
-        raise DiagnosticError("mixed zero/nonzero discrepancy amplitudes; "
-                              "cannot fit a power law")
-    slope = float(np.polyfit(np.log(e_list), np.log(amps), 1)[0])
-    return DiscrepancyScaling(power=slope, couplings=e_list,
-                              amplitudes=tuple(amps), remainders=tuple(rems))
+    power, note = power_law_fit(e_list, amps)
+    if power is None and note != _ZERO_SIGNAL:
+        raise DiagnosticError(note)
+    return DiscrepancyScaling(power=power, couplings=e_list,
+                              amplitudes=tuple(amps), remainders=tuple(rems),
+                              zero_signal=power is None, note=note)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,8 @@ class ScenarioConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise UsageError(f"dt = {self.dt} is too small for t_end = "
                              f"{self.t_end}: the step count is not finite")
+        if self.method == "rk4" and self.dt > self.t_end:
+            raise UsageError(f"dt = {self.dt} exceeds t_end = {self.t_end}")
         if not (self.rtol > 0.0) or not (self.atol > 0.0):
             raise UsageError("rtol and atol must be positive")
         if self.sample_every < 1:
@@ -425,28 +427,30 @@ def make_guard(representation: str, params: ModelParams, rho_min: float):
     The Pinney width floor translates to <x^2> <= hbar rho_min^2 / 2 in the
     other representations.
     """
-    x2_min = 0.5 * params.hbar * rho_min * rho_min
+    isfinite = math.isfinite
+    index, floor = 2, 0.5 * params.hbar * rho_min * rho_min
+    reason = "<x^2> fell to the width floor at t={t}"
+    if representation == "pinney" or representation == "augmented":
+        index = 2 if representation == "pinney" else 5
+        floor, reason = rho_min, "rho = {w} fell to the floor {floor} at t={t}"
 
     def guard(t, y):
         for v in y:
-            if not math.isfinite(v):
+            if not isfinite(v):
                 return (STATUS_STEPFAIL, f"non-finite state component at t={t}")
-        if representation == "pinney" or representation == "augmented":
-            r = y[2] if representation == "pinney" else y[5]
-            if r <= rho_min:
-                return (STATUS_SINGULARITY,
-                        f"rho = {r} fell to the floor {rho_min} at t={t}")
-        elif representation == "mode":
-            if y[2] * y[2] + y[3] * y[3] <= x2_min:
-                return (STATUS_SINGULARITY,
-                        f"<x^2> fell to the width floor at t={t}")
-        else:
-            if y[2] <= x2_min:
-                return (STATUS_SINGULARITY,
-                        f"<x^2> fell to the width floor at t={t}")
+        if y[index] <= floor:
+            return (STATUS_SINGULARITY, reason.format(w=y[index], floor=floor, t=t))
         return None
 
-    return guard
+    def mode_guard(t, y):
+        for v in y:
+            if not isfinite(v):
+                return (STATUS_STEPFAIL, f"non-finite state component at t={t}")
+        if y[2] * y[2] + y[3] * y[3] <= floor:
+            return (STATUS_SINGULARITY, reason.format(t=t))
+        return None
+
+    return mode_guard if representation == "mode" else guard
 
 
 # ---------------------------------------------------------------------------

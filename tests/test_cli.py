@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -133,6 +135,7 @@ def test_simulate_missing_key_exits_2(tmp_path, capsys):
     ({"dt": "inf"}, "dt"),
     ({"A0": "1e200"}, "A0"),
     ({"A0": "nan"}, "A0"),
+    ({"dt": "5", "t_end": "1"}, "dt"),
 ])
 def test_simulate_bad_numbers_exit_2_naming_the_key(tmp_path, capsys, changes, key):
     text = SMALL
@@ -255,18 +258,6 @@ def test_csv_malformed_row_exits_2(tmp_path, capsys, row):
     assert ":2:" in json.loads(capsys.readouterr().err.strip())["detail"]
 
 
-def test_csv_precision_env_override(tmp_path, monkeypatch):
-    records = integrate(load_scenario("free")).records[:2]
-    monkeypatch.setenv("SEMIOSC_CSV_DIGITS", "3")
-    low = tmp_path / "low.csv"
-    write_timeseries_csv(records, str(low))
-    monkeypatch.delenv("SEMIOSC_CSV_DIGITS")
-    full = tmp_path / "full.csv"
-    write_timeseries_csv(records, str(full))
-    assert len(low.read_text()) <= len(full.read_text())
-    assert read_timeseries_csv(str(full))[1].as_row() == records[1].as_row()
-
-
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -304,6 +295,17 @@ def test_sweep_single_leg_notes_insufficient(tmp_path, capsys):
     assert any("insufficient legs" in w for w in manifest["warnings"])
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert len(agg) == 2
+
+
+def test_sweep_zero_leg_rejects_the_fit_as_mixed(tmp_path, capsys):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("base = adiabatic\naxis = e\nvalues = 0.1, 0.05, 0.0\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]["discrepancy_power"] is None
+    assert any(w.startswith("mixed") for w in manifest["warnings"])
+    assert "warning: mixed" in capsys.readouterr().err
 
 
 def test_sweep_flags_aborted_leg_but_exits_0(tmp_path):
@@ -349,3 +351,36 @@ def test_run_scenario_api_returns_manifest(small_cfg, tmp_path):
     assert manifest.status == "completed"
     assert manifest.command == "simulate"
     assert manifest.config["params"]["m"] == 1.0
+
+
+# ---------------------------------------------------------------------------
+# runtime without numpy
+# ---------------------------------------------------------------------------
+
+def _python(code, cwd):
+    import semiosc
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(semiosc.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    proc = _python("import sys, semiosc.cli\n"
+                   "assert 'numpy' not in sys.modules, 'numpy imported'\n",
+                   tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sweep_runs_with_numpy_blocked(tmp_path):
+    (tmp_path / "e.sweep").write_text(
+        "base = adiabatic\naxis = e\nvalues = 0.2, 0.1, 0.05\n")
+    proc = _python("import sys\n"
+                   "sys.modules['numpy'] = None  # any import of numpy fails\n"
+                   "from semiosc.cli import main\n"
+                   "raise SystemExit(main(['sweep', 'e.sweep', '-o', 'sw']))\n",
+                   tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "sw" / "manifest.json").read_text())
+    assert 3.7 <= manifest["outputs"]["discrepancy_power"] <= 4.3

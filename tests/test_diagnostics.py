@@ -28,6 +28,7 @@ from semiosc import (
     max_abs_remainder,
     structure_count,
 )
+from semiosc.diagnostics import power_law_fit
 from conftest import quick_config
 
 
@@ -238,6 +239,34 @@ def test_discrepancy_scaling_short_family():
     assert 3.5 <= res.power <= 4.5
     assert len(res.amplitudes) == len(res.remainders) == 3
     assert all(a > 0 for a in res.amplitudes)
+
+
+_XS = (0.2, 0.1, 0.05, 0.025)
+
+
+@pytest.mark.parametrize("xs, ys, power, note", [
+    ((0.2, 0.1), (1.0, 0.5), None, "insufficient"),
+    ((0.2, 0.1, 0.05), (0.0, 0.0, 0.0), None, "zero signal"),
+    ((0.2, 0.1, 0.05), (1e-4, 1e-5, 0.0), None, "mixed"),
+    ((0.2, 0.1, -0.05), (1e-4, 1e-5, 1e-6), None, "mixed"),
+    ((0.2, 0.1, 0.0), (1e-4, 1e-5, 1e-6), None, "mixed"),
+    ((0.1, 0.1, 0.1), (1e-4, 1e-5, 1e-6), None, "coincide"),
+    (_XS, tuple(3.0 * x ** 4 for x in _XS), 4.0, ""),
+])
+def test_power_law_fit(xs, ys, power, note):
+    got, got_note = power_law_fit(xs, ys)
+    if power is None:
+        assert got is None
+        assert note in got_note
+    else:
+        assert got_note == ""
+        assert abs(got - power) <= 1e-12
+
+
+def test_discrepancy_scaling_rejects_coinciding_couplings():
+    base = dataclasses.replace(load_scenario("adiabatic"), t_end=0.5)
+    with pytest.raises(DiagnosticError, match="coincide"):
+        discrepancy_scaling(base, [0.1, 0.1, 0.1])
 
 
 def test_fitted_amplitude_bounded_by_remainder():
