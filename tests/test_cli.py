@@ -321,6 +321,52 @@ def test_sweep_flags_aborted_leg_but_exits_0(tmp_path):
     assert any("aborted" in w for w in manifest["warnings"])
 
 
+_AGGREGATE_HEADER = ("leg,axis,value,status,max_abs_discrepancy,"
+                     "max_abs_remainder,energy_drift,lyapunov,extrema_ours,"
+                     "extrema_cdms\n")
+
+
+@pytest.mark.parametrize("sample_every, values, rows", [
+    (1, "0.0, 0.1",
+     "0,A0,0,aborted-singularity,4.4408920985006262e-16,"
+     "4.4408920985006262e-16,7.7518315552386089e-12,nan,0,0\n"
+     "1,A0,0.10000000000000001,aborted-singularity,1.6852084988139282e-05,"
+     "1.6852486277923141e-05,7.7536448767166636e-12,nan,0,0\n"),
+    # only the initial row is sampled: no drift and no extrema to report
+    (1000, "0.0", "0,A0,0,aborted-singularity,0,0,nan,nan,-1,-1\n"),
+])
+def test_sweep_aborted_aggregate_bytes(tmp_path, sample_every, values, rows):
+    base = tmp_path / "base.cfg"
+    base.write_text(SINGULAR.replace("sample_every = 1\n",
+                                     f"sample_every = {sample_every}\n"))
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(f"base = {base.name}\naxis = A0\nvalues = {values}\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
+    assert (out / "aggregate.csv").read_text() == _AGGREGATE_HEADER + rows
+
+
+def test_main_stderr_and_exit_codes(small_cfg, tmp_path, capsys):
+    assert main(["simulate", small_cfg, "-o", str(tmp_path / "ok")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    sing = tmp_path / "sing.cfg"
+    sing.write_text(SINGULAR)
+    for command in ("simulate", "diagnose"):
+        code = main([command, str(sing), "-o", str(tmp_path / command)])
+        assert code == EXIT_ABORT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "runtime-abort"
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(f"base = {sing.name}\naxis = A0\nvalues = 0.0, 0.1\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["warnings"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {w}" for w in manifest["warnings"]]
+
+
 def test_sweep_base_resolved_relative_to_sweep_file(tmp_path):
     (tmp_path / "local.cfg").write_text(SMALL)
     sweep = tmp_path / "sweep.cfg"
