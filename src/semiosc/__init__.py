@@ -56,7 +56,6 @@ from .dynamics import (
     scenario_with,
 )
 from .diagnostics import (
-    DiagnosticsReport,
     DiscrepancyScaling,
     LyapunovEstimate,
     adiabatic_invariant_drift,

@@ -18,7 +18,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from . import __version__
 from .config import (
@@ -30,7 +30,6 @@ from .config import (
 from .core import SemiquantumError, UsageError
 from .diagnostics import (
     DiagnosticError,
-    DiagnosticsReport,
     energy_drift,
     convergence_order,
     lyapunov_max,
@@ -169,68 +168,54 @@ def _write_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
-def _light_report(config: ScenarioConfig, traj: Trajectory,
-                  report: DiagnosticsReport | None = None) -> dict:
-    """Diagnostics JSON payload for one run (heavy fields may be None)."""
-    payload = {
-        "version": __version__,
-        "scenario": asdict(config),
-        "status": traj.status,
-        "abort_time": traj.abort_time,
-        "abort_reason": traj.abort_reason,
-        "energy_drift": None,
-        "extrema_ours": None,
-        "extrema_cdms": None,
-        "max_abs_discrepancy": None,
-        "max_abs_remainder": None,
-        "lyapunov": None,
-        "convergence_order": None,
-        "discrepancy_power": None,
-    }
-    payload.update(_series_metrics(traj, None, None))
-    if report is not None:
-        payload.update({k: v for k, v in report.to_dict().items()
-                        if v is not None})
-    return payload
-
-
-def _series_metrics(traj: Trajectory, missing, count_missing) -> dict:
-    """The light per-run metrics, read off the trajectory's columns.  A
-    metric the series is too short for reads `missing`, or `count_missing`
-    for the extrema counts."""
+def _series_metrics(traj: Trajectory) -> dict:
+    """The light per-run metrics, read off the trajectory's columns; None
+    where the series is too short for one."""
     recs, cols = traj.records, traj.columns
     n = len(recs)
     return {
         "energy_drift": (energy_drift(recs)
-                         if n >= 2 and cols["Etot"][0] != 0.0 else missing),
-        "extrema_ours": (structure_count(cols["N_ours"])
-                         if n >= 3 else count_missing),
-        "extrema_cdms": (structure_count(cols["N_cdms"])
-                         if n >= 3 else count_missing),
-        "max_abs_discrepancy": max_abs_discrepancy(recs) if n else missing,
-        "max_abs_remainder": max_abs_remainder(recs) if n else missing,
+                         if n >= 2 and cols["Etot"][0] != 0.0 else None),
+        "extrema_ours": structure_count(cols["N_ours"]) if n >= 3 else None,
+        "extrema_cdms": structure_count(cols["N_cdms"]) if n >= 3 else None,
+        "max_abs_discrepancy": max_abs_discrepancy(recs),
+        "max_abs_remainder": max_abs_remainder(recs),
     }
 
 
 def _run_one(config: ScenarioConfig, source: str, outdir: str,
-             command: str, report: DiagnosticsReport | None = None,
+             command: str, heavy: dict | None = None,
              start: float | None = None, extra_warnings=()
-             ) -> tuple[RunManifest, Trajectory]:
-    """Integrate and write one run; the manifest's duration counts from
-    `start` (default: now) and `extra_warnings` follow the abort warning."""
+             ) -> tuple[RunManifest, dict]:
+    """Integrate one run and write its CSV, diagnostics.json, overlay and
+    manifest; return the manifest and the diagnostics report.  `heavy` sets
+    diagnose's `lyapunov` and `convergence_order`; the manifest's duration
+    counts from `start` (default: now) and `extra_warnings` follow the abort
+    warning."""
     start = time.perf_counter() if start is None else start
     os.makedirs(outdir, exist_ok=True)
     traj = integrate(config)
     csv_path = os.path.join(outdir, "timeseries.csv")
     write_timeseries_csv(traj.records, csv_path)
+    report = {
+        "version": __version__,
+        "scenario": asdict(config),
+        "status": traj.status,
+        "abort_time": traj.abort_time,
+        "abort_reason": traj.abort_reason,
+        **_series_metrics(traj),
+        "lyapunov": None,
+        "convergence_order": None,
+        "discrepancy_power": None,
+        **(heavy or {}),
+    }
     report_path = os.path.join(outdir, "diagnostics.json")
-    _write_json(_light_report(config, traj, report), report_path)
+    _write_json(report, report_path)
+    overlay = os.path.join(outdir, "number_overlay.svg")
+    emit_plot(traj.records, "number-overlay", overlay)
     outputs = {"timeseries_csv": csv_path, "diagnostics_json": report_path,
-               "plots": [], "manifest": os.path.join(outdir, "manifest.json")}
-    if traj.records:
-        overlay = os.path.join(outdir, "number_overlay.svg")
-        emit_plot(traj.records, "number-overlay", overlay)
-        outputs["plots"].append(overlay)
+               "plots": [overlay],
+               "manifest": os.path.join(outdir, "manifest.json")}
     warnings = []
     if not traj.completed:
         warnings.append(f"run aborted at t={traj.abort_time}: {traj.abort_reason}")
@@ -242,7 +227,7 @@ def _run_one(config: ScenarioConfig, source: str, outdir: str,
         outputs=outputs, warnings=tuple(warnings),
         abort_time=traj.abort_time, abort_reason=traj.abort_reason)
     _write_json(manifest.to_dict(), outputs["manifest"])
-    return manifest, traj
+    return manifest, report
 
 
 def run_scenario(config_ref: str, output_dir: str) -> RunManifest:
@@ -259,64 +244,65 @@ def run_diagnose(config_ref: str, output_dir: str) -> RunManifest:
     config = parse_scenario_text(text, source=source)
     start = time.perf_counter()
     warnings = []
-    lyap = None
-    order = None
+    heavy = {}
     try:
         lyap = lyapunov_max(config)
+        heavy["lyapunov"] = lyap.to_dict()
         if lyap.failed:
             warnings.append(f"lyapunov estimate flagged: {lyap.note}")
     except (SemiquantumError, DiagnosticError) as exc:
         warnings.append(f"lyapunov failed: {exc}")
     try:
-        order = convergence_order(config, (config.dt, config.dt / 2.0,
-                                           config.dt / 4.0))
+        heavy["convergence_order"] = convergence_order(
+            config, (config.dt, config.dt / 2.0, config.dt / 4.0))
     except (SemiquantumError, DiagnosticError) as exc:
         warnings.append(f"convergence order failed: {exc}")
-    report = DiagnosticsReport(lyapunov=lyap, order=order)
-    manifest, _ = _run_one(config, source, output_dir, "diagnose", report,
+    manifest, _ = _run_one(config, source, output_dir, "diagnose", heavy,
                            start, warnings)
     return manifest
 
 
-def _sweep_value_config(base: ScenarioConfig, axis: str, value: float
-                        ) -> ScenarioConfig:
-    if axis == "e":
-        return scenario_with(base, e=value)
-    return replace(base, **{axis: value})
+_AGGREGATE_HEADER = ("leg", "axis", "value", "status", "max_abs_discrepancy",
+                     "max_abs_remainder", "energy_drift", "lyapunov",
+                     "extrema_ours", "extrema_cdms")
 
 
 def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     """sweep: run every leg, aggregate metrics, fit the discrepancy power.
 
     A failed leg is recorded and skipped; the aggregate marks it and the
-    command still exits 0 (with warnings in the manifest).
+    command still exits 0 (with warnings in the manifest).  A metric a leg's
+    series is too short for reads nan, or -1 for the extrema counts.
     """
     start = time.perf_counter()
     spec, base = load_sweep(sweep_path)
     os.makedirs(output_dir, exist_ok=True)
-    rows = []
+    lines = [",".join(_AGGREGATE_HEADER)]
     warnings = []
     leg_outputs = []
     completed_values = []
     completed_amps = []
     for i, value in enumerate(spec.values):
-        legdir = os.path.join(output_dir, f"leg{i:02d}")
-        config = _sweep_value_config(base, spec.axis, value)
-        manifest, traj = _run_one(config, f"{sweep_path}[{spec.axis}={value}]",
-                                  legdir, "sweep-leg")
+        config = scenario_with(base, **{spec.axis: value})
+        manifest, report = _run_one(
+            config, f"{sweep_path}[{spec.axis}={value}]",
+            os.path.join(output_dir, f"leg{i:02d}"), "sweep-leg")
         leg_outputs.append(manifest.outputs)
-        row = {"leg": i, "axis": spec.axis, "value": value,
-               "status": traj.status, "lyapunov": math.nan,
-               **_series_metrics(traj, math.nan, -1)}
-        if traj.completed:
-            lyap = lyapunov_max(config)
-            row["lyapunov"] = lyap.value
+        lyapunov = None
+        if manifest.status == "completed":
+            lyapunov = lyapunov_max(config).value
             completed_values.append(value)
-            completed_amps.append(row["max_abs_discrepancy"])
+            completed_amps.append(report["max_abs_discrepancy"])
         else:
             warnings.append(f"leg {i} ({spec.axis}={value}) aborted: "
-                            f"{traj.abort_reason}")
-        rows.append(row)
+                            f"{manifest.abort_reason}")
+        metrics = (report["max_abs_discrepancy"], report["max_abs_remainder"],
+                   report["energy_drift"], lyapunov)
+        counts = (report["extrema_ours"], report["extrema_cdms"])
+        lines.append(",".join([
+            str(i), spec.axis, _fmt(value), manifest.status,
+            *(_fmt(math.nan if v is None else v) for v in metrics),
+            *(str(-1 if c is None else c) for c in counts)]))
 
     if spec.axis == "e":
         power, note = power_law_fit(completed_values, completed_amps)
@@ -326,16 +312,6 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
         warnings.append(note)
 
     agg_path = os.path.join(output_dir, "aggregate.csv")
-    header = ("leg", "axis", "value", "status", "max_abs_discrepancy",
-              "max_abs_remainder", "energy_drift", "lyapunov",
-              "extrema_ours", "extrema_cdms")
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([
-            str(row["leg"]), row["axis"], _fmt(row["value"]), row["status"],
-            _fmt(row["max_abs_discrepancy"]), _fmt(row["max_abs_remainder"]),
-            _fmt(row["energy_drift"]), _fmt(row["lyapunov"]),
-            str(row["extrema_ours"]), str(row["extrema_cdms"])]))
     with open(agg_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -371,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output directory")
 
     p = sub.add_parser("sweep", help="run a parameter sweep file")
-    p.add_argument("sweepfile", help="sweep file path")
+    p.add_argument("config", metavar="sweepfile", help="sweep file path")
     p.add_argument("-o", "--output", required=True, help="output directory")
 
     p = sub.add_parser("plot", help="plot an existing time-series CSV")
@@ -392,34 +368,20 @@ def _fail(kind: str, detail: str) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "simulate":
-            manifest = run_scenario(args.config, args.output)
-            if manifest.status != "completed":
-                _fail("runtime-abort",
-                      f"{manifest.status} at t={manifest.abort_time}: "
-                      f"{manifest.abort_reason}")
-                return EXIT_ABORT
-            return EXIT_OK
-        if args.command == "diagnose":
-            manifest = run_diagnose(args.config, args.output)
-            if manifest.status != "completed":
-                _fail("runtime-abort",
-                      f"{manifest.status} at t={manifest.abort_time}: "
-                      f"{manifest.abort_reason}")
-                return EXIT_ABORT
-            for w in manifest.warnings:
-                sys.stderr.write(f"warning: {w}\n")
-            return EXIT_OK
-        if args.command == "sweep":
-            manifest = run_sweep(args.sweepfile, args.output)
-            for w in manifest.warnings:
-                sys.stderr.write(f"warning: {w}\n")
-            return EXIT_OK
         if args.command == "plot":
-            records = read_timeseries_csv(args.csv)
-            emit_plot(records, args.kind, args.output)
+            emit_plot(read_timeseries_csv(args.csv), args.kind, args.output)
             return EXIT_OK
-        raise UsageError(f"unknown command {args.command!r}")
+        run = {"simulate": run_scenario, "diagnose": run_diagnose,
+               "sweep": run_sweep}[args.command]
+        manifest = run(args.config, args.output)
+        if manifest.status != "completed":
+            _fail("runtime-abort",
+                  f"{manifest.status} at t={manifest.abort_time}: "
+                  f"{manifest.abort_reason}")
+            return EXIT_ABORT
+        for w in manifest.warnings:
+            sys.stderr.write(f"warning: {w}\n")
+        return EXIT_OK
     except ConfigError as exc:
         _fail("config", str(exc))
         return EXIT_CONFIG

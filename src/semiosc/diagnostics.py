@@ -37,7 +37,6 @@ from .dynamics import (
 __all__ = [
     "LyapunovEstimate",
     "DiscrepancyScaling",
-    "DiagnosticsReport",
     "energy_drift",
     "benettin_lyapunov",
     "lyapunov_max",
@@ -80,20 +79,6 @@ class DiscrepancyScaling:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class DiagnosticsReport:
-    """The heavy per-run diagnostics; fields are None when not computed."""
-
-    lyapunov: LyapunovEstimate | None = None
-    order: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "lyapunov": self.lyapunov.to_dict() if self.lyapunov else None,
-            "convergence_order": self.order,
-        }
-
-
 def energy_drift(records) -> float:
     """Max over the series of |Etot(t) - Etot(0)| / |Etot(0)|."""
     etot = column(records, "Etot")
@@ -109,86 +94,74 @@ def energy_drift(records) -> float:
 # Lyapunov (Benettin two-trajectory renormalization)
 # ---------------------------------------------------------------------------
 
-def benettin_lyapunov(rhs, y0, *, dt, renorm_interval, horizon,
-                      displacement=1e-8, displacement_index=0,
-                      transient_fraction=0.1, guard=None) -> LyapunovEstimate:
-    """Generic Benettin estimate on an arbitrary flow.
+RENORM_INTERVAL = 1.0     # Benettin segment length
+DISPLACEMENT = 1e-8       # companion offset in the first component (A)
+TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 
-    Two copies of the system start `displacement` apart in component
-    `displacement_index`; after every renorm_interval the log separation
-    growth is recorded and the companion is pulled back to the reference.
-    The first transient_fraction of segments is discarded, the rest averaged.
+
+def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
+    """Benettin estimate on the flow of one rk4 step(t, y, h).
+
+    Two copies of the system start DISPLACEMENT apart in the first
+    component; after every RENORM_INTERVAL the log separation growth is
+    recorded and the companion is pulled back to the reference.  The first
+    TRANSIENT_FRACTION of segments is discarded, the rest averaged.
     """
-    return _benettin(rk4_on(rhs), y0, dt=dt, renorm_interval=renorm_interval,
-                     horizon=horizon, displacement=displacement,
-                     displacement_index=displacement_index,
-                     transient_fraction=transient_fraction, guard=guard)
-
-
-def _benettin(one, y0, *, dt, renorm_interval, horizon, displacement,
-              displacement_index, transient_fraction, guard):
-    """benettin_lyapunov with the flow given as one rk4 step(t, y, h)."""
-    if not (renorm_interval > 0.0):
-        raise UsageError("renorm_interval must be positive")
     if not (horizon > 0.0):
         raise UsageError("horizon must be positive")
-    n_seg = max(1, round(horizon / renorm_interval))
-    n_sub = max(1, round(renorm_interval / dt))
-    h = renorm_interval / n_sub
+    n_seg = max(1, round(horizon / RENORM_INTERVAL))
+    n_sub = max(1, round(RENORM_INTERVAL / dt))
+    h = RENORM_INTERVAL / n_sub
 
     def pair_step(t, pair, hh):
-        return one(t, pair[0], hh), one(t, pair[1], hh)
+        return step(t, pair[0], hh), step(t, pair[1], hh)
+
+    def displaced(y):
+        return tuple(v + (DISPLACEMENT if i == 0 else 0.0)
+                     for i, v in enumerate(y))
 
     y_ref = tuple(y0)
-    y_cmp = tuple(v + (displacement if i == displacement_index else 0.0)
-                  for i, v in enumerate(y0))
+    y_cmp = displaced(y_ref)
     logs = []
     t = 0.0
     for seg in range(n_seg):
         (y_ref, y_cmp), abort = run_fixed(pair_step, (y_ref, y_cmp), h, n_sub,
                                           t0=t)
         if abort is not None:
-            return _finish_benettin(logs, n_seg, transient_fraction,
-                                    renorm_interval, horizon, failed=True,
+            return _finish_benettin(logs, n_seg, horizon, failed=True,
                                     note=f"singular evaluation at t={abort[1]}")
-        t += renorm_interval
+        t += RENORM_INTERVAL
         if guard is not None:
             hit = guard(t, y_ref) or guard(t, y_cmp)
             if hit is not None:
-                return _finish_benettin(logs, n_seg, transient_fraction,
-                                        renorm_interval, horizon, failed=True,
+                return _finish_benettin(logs, n_seg, horizon, failed=True,
                                         note=f"trajectory aborted: {hit[1]}")
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(y_ref, y_cmp)))
         if d == 0.0:
             logs.append(0.0)
-            y_cmp = tuple(v + (displacement if i == displacement_index else 0.0)
-                          for i, v in enumerate(y_ref))
+            y_cmp = displaced(y_ref)
             continue
-        logs.append(math.log(d / displacement))
-        scale = displacement / d
+        logs.append(math.log(d / DISPLACEMENT))
+        scale = DISPLACEMENT / d
         y_cmp = tuple(a + (b - a) * scale for a, b in zip(y_ref, y_cmp))
-    return _finish_benettin(logs, n_seg, transient_fraction,
-                            renorm_interval, horizon)
+    return _finish_benettin(logs, n_seg, horizon)
 
 
-def _finish_benettin(logs, n_seg, transient_fraction, renorm_interval,
-                     horizon, failed=False, note=""):
-    skip = math.ceil(transient_fraction * n_seg)
+def _finish_benettin(logs, n_seg, horizon, failed=False, note=""):
+    skip = math.ceil(TRANSIENT_FRACTION * n_seg)
     kept = logs[skip:]
+    window = (skip * RENORM_INTERVAL, horizon)
     if not kept:
-        return LyapunovEstimate(value=math.nan, n_segments=0,
-                                window=(skip * renorm_interval, horizon),
+        return LyapunovEstimate(value=math.nan, n_segments=0, window=window,
                                 failed=True,
                                 note=note or "no segments survived the transient cut")
-    value = sum(kept) / (len(kept) * renorm_interval)
-    return LyapunovEstimate(value=value, n_segments=len(kept),
-                            window=(skip * renorm_interval, horizon),
+    value = sum(kept) / (len(kept) * RENORM_INTERVAL)
+    return LyapunovEstimate(value=value, n_segments=len(kept), window=window,
                             failed=failed, note=note)
 
 
-def lyapunov_max(config: ScenarioConfig, renorm_interval: float = 1.0,
-                 horizon: float | None = None,
-                 displacement: float = 1e-8) -> LyapunovEstimate:
+def lyapunov_max(config: ScenarioConfig,
+                 horizon: float | None = None) -> LyapunovEstimate:
     """Largest Lyapunov exponent of the scenario's (A, Adot, rho, rhodot) flow.
 
     Always runs in the pinney representation with the config's fixed step;
@@ -196,12 +169,10 @@ def lyapunov_max(config: ScenarioConfig, renorm_interval: float = 1.0,
     """
     pconf = replace(config, representation="pinney")
     y0 = flat_from_state(initial_state(pconf))
-    guard = make_guard("pinney", config.params, config.rho_min)
-    return _benettin(make_rk4_step("pinney", config.params), y0, dt=config.dt,
-                     renorm_interval=renorm_interval,
-                     horizon=config.t_end if horizon is None else horizon,
-                     displacement=displacement, displacement_index=0,
-                     transient_fraction=0.1, guard=guard)
+    return benettin_lyapunov(
+        make_rk4_step("pinney", config.params), y0, dt=config.dt,
+        horizon=config.t_end if horizon is None else horizon,
+        guard=make_guard("pinney", config.params, config.rho_min))
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +313,13 @@ def discrepancy_scaling(base_config: ScenarioConfig, e_list) -> DiscrepancyScali
     if any(e < 0.0 for e in e_list):
         raise UsageError("couplings must be nonnegative")
     if all(e == 0.0 for e in e_list):
-        legs = [integrate(scenario_with(base_config, e=0.0)) for _ in e_list]
-        amps = tuple(max_abs_discrepancy(t.records) for t in legs)
-        rems = tuple(max_abs_remainder(t.records) for t in legs)
-        return DiscrepancyScaling(power=None, couplings=e_list, amplitudes=amps,
-                                  remainders=rems, zero_signal=True,
+        # every leg is the same decoupled run: integrate it once
+        records = integrate(scenario_with(base_config, e=0.0)).records
+        n = len(e_list)
+        return DiscrepancyScaling(power=None, couplings=e_list,
+                                  amplitudes=(max_abs_discrepancy(records),) * n,
+                                  remainders=(max_abs_remainder(records),) * n,
+                                  zero_signal=True,
                                   note="zero signal: all couplings are zero")
     if any(e == 0.0 for e in e_list):
         raise UsageError("couplings must be all zero or a geometric progression "

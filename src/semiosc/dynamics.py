@@ -128,8 +128,11 @@ class ScenarioConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise UsageError(f"dt = {self.dt} is too small for t_end = "
                              f"{self.t_end}: the step count is not finite")
-        if self.method == "rk4" and self.dt > self.t_end:
-            raise UsageError(f"dt = {self.dt} exceeds t_end = {self.t_end}")
+        if self.method == "rk4" and not math.isclose(
+                self.t_end / max(1, round(self.t_end / self.dt)), self.dt,
+                rel_tol=1e-9):
+            raise UsageError(f"dt = {self.dt} does not divide t_end = "
+                             f"{self.t_end} into whole steps")
         if not (self.rtol > 0.0) or not (self.atol > 0.0):
             raise UsageError("rtol and atol must be positive")
         if self.sample_every < 1:

@@ -136,6 +136,7 @@ def test_simulate_missing_key_exits_2(tmp_path, capsys):
     ({"A0": "1e200"}, "A0"),
     ({"A0": "nan"}, "A0"),
     ({"dt": "5", "t_end": "1"}, "dt"),
+    ({"dt": "0.7", "t_end": "1"}, "dt"),
 ])
 def test_simulate_bad_numbers_exit_2_naming_the_key(tmp_path, capsys, changes, key):
     text = SMALL
@@ -365,6 +366,19 @@ def test_main_stderr_and_exit_codes(small_cfg, tmp_path, capsys):
     assert len(manifest["warnings"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         f"warning: {w}" for w in manifest["warnings"]]
+
+
+def test_sweep_computes_each_legs_metrics_once(tmp_path, monkeypatch):
+    import semiosc.cli as cli
+    calls = []
+    drift = cli.energy_drift
+    monkeypatch.setattr(cli, "energy_drift",
+                        lambda records: calls.append(1) or drift(records))
+    (tmp_path / "local.cfg").write_text(SMALL)
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("base = local.cfg\naxis = Adot0\nvalues = 0.5, 1.0\n")
+    assert main(["sweep", str(sweep), "-o", str(tmp_path / "sw")]) == EXIT_OK
+    assert len(calls) == 2
 
 
 def test_sweep_base_resolved_relative_to_sweep_file(tmp_path):

@@ -29,6 +29,7 @@ from semiosc import (
     structure_count,
 )
 from semiosc.diagnostics import power_law_fit
+from semiosc.dynamics import rk4_on
 from conftest import quick_config
 
 
@@ -76,8 +77,7 @@ def test_lyapunov_free_particle_flow():
     def rhs(t, y):
         return (y[1], 0.0)
 
-    est = benettin_lyapunov(rhs, (0.0, 1.0), dt=1e-2, renorm_interval=1.0,
-                            horizon=50.0)
+    est = benettin_lyapunov(rk4_on(rhs), (0.0, 1.0), dt=1e-2, horizon=50.0)
     assert not est.failed
     assert abs(est.value) <= 1e-3
 
@@ -86,8 +86,7 @@ def test_lyapunov_harmonic_self_test():
     def rhs(t, y):
         return (y[1], -y[0])
 
-    est = benettin_lyapunov(rhs, (1.0, 0.0), dt=1e-2, renorm_interval=1.0,
-                            horizon=100.0)
+    est = benettin_lyapunov(rk4_on(rhs), (1.0, 0.0), dt=1e-2, horizon=100.0)
     assert not est.failed
     assert abs(est.value) <= 1e-3
 
@@ -230,6 +229,21 @@ def test_discrepancy_scaling_zero_signal():
     assert res.power is None
     assert all(a == 0.0 for a in res.amplitudes)
     assert "zero signal" in res.note
+
+
+def test_discrepancy_scaling_zero_signal_integrates_once(monkeypatch):
+    import semiosc.diagnostics as diagnostics
+    calls = []
+
+    def counting(config):
+        calls.append(config)
+        return integrate(config)
+
+    monkeypatch.setattr(diagnostics, "integrate", counting)
+    base = dataclasses.replace(load_scenario("adiabatic"), t_end=0.5)
+    res = discrepancy_scaling(base, [0.0, 0.0, 0.0])
+    assert len(calls) == 1
+    assert len(res.amplitudes) == len(res.remainders) == 3
 
 
 def test_discrepancy_scaling_short_family():
