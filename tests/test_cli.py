@@ -271,15 +271,26 @@ def test_version_flag(capsys):
 # sweep
 # ---------------------------------------------------------------------------
 
+_AGGREGATE_HEADER = ("leg,axis,value,status,max_abs_discrepancy,"
+                     "max_abs_remainder,energy_drift,lyapunov,extrema_ours,"
+                     "extrema_cdms\n")
+
+
 def test_sweep_aggregate_and_power(tmp_path):
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text("base = adiabatic\naxis = e\nvalues = 0.2, 0.1, 0.05\n")
     out = tmp_path / "sw"
     assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
-    agg = (out / "aggregate.csv").read_text().splitlines()
-    assert agg[0].startswith("leg,axis,value,status")
-    assert len(agg) == 4
-    assert all("completed" in line for line in agg[1:])
+    assert (out / "aggregate.csv").read_text() == _AGGREGATE_HEADER + (
+        "0,e,0.20000000000000001,completed,1.0953041016548786e-05,"
+        "3.0464976356235581e-06,2.2907521681549743e-15,"
+        "-0.00042666011920946238,0,0\n"
+        "1,e,0.10000000000000001,completed,8.2457691845014246e-07,"
+        "5.3321943295131542e-08,1.5302891931076479e-15,"
+        "-8.4333122085567954e-05,0,0\n"
+        "2,e,0.050000000000000003,completed,5.405774413584916e-08,"
+        "8.5805980205539428e-10,4.2104652653039552e-15,"
+        "-1.9371803492693185e-05,0,0\n")
     for i in range(3):
         assert (out / f"leg{i:02d}" / "timeseries.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
@@ -320,11 +331,6 @@ def test_sweep_flags_aborted_leg_but_exits_0(tmp_path):
     assert any("aborted-singularity" in line for line in agg[1:])
     manifest = json.loads((out / "manifest.json").read_text())
     assert any("aborted" in w for w in manifest["warnings"])
-
-
-_AGGREGATE_HEADER = ("leg,axis,value,status,max_abs_discrepancy,"
-                     "max_abs_remainder,energy_drift,lyapunov,extrema_ours,"
-                     "extrema_cdms\n")
 
 
 @pytest.mark.parametrize("sample_every, values, rows", [

@@ -1,11 +1,12 @@
-"""Golden output pins: SHA-256 of the simulate artifacts.
+"""Golden output pins: SHA-256 of the simulate and diagnose artifacts.
 
-Each case runs `semiosc simulate` and compares the digests of
+Each simulate case runs `semiosc simulate` and compares the digests of
 timeseries.csv and number_overlay.svg with the values recorded when the
 pins were introduced.  The bundled scenarios cover pinney/rk4; the short
 vacuum-kick variants cover the layouts and the method no bundled scenario
-uses.  A pin changes only with an intended numeric change, recorded in
-CHANGES.md.
+uses.  The diagnose cases pin diagnostics.json, which carries the bits of
+the Lyapunov estimate and the convergence order.  A pin changes only with an
+intended numeric change, recorded in CHANGES.md.
 """
 
 import hashlib
@@ -74,3 +75,19 @@ def test_simulate_output_digests(case, tmp_path):
     assert main(["simulate", _config_ref(case, tmp_path), "-o", str(out)]) == EXIT_OK
     assert (_sha256(out / "timeseries.csv"),
             _sha256(out / "number_overlay.svg")) == PINS[case]
+
+
+# case -> diagnostics.json SHA-256 of `semiosc diagnose`
+DIAGNOSE_PINS = {
+    "vacuum-kick-pinney-rk4":
+        "3bc9048c55df1ed12d578a7a4ed55fd2a8713bf920fac2223047d4b5af7e463c",
+    "vacuum-kick-mode-rk4":
+        "15e8397cea1090fa210331f40d3bb961746ef12e8080af88e65c3421cfef449f",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSE_PINS))
+def test_diagnose_report_digests(case, tmp_path):
+    out = tmp_path / "out"
+    assert main(["diagnose", _config_ref(case, tmp_path), "-o", str(out)]) == EXIT_OK
+    assert _sha256(out / "diagnostics.json") == DIAGNOSE_PINS[case]
