@@ -49,7 +49,7 @@ from .dynamics import (
     row_buffer,
     scenario_with,
 )
-from .svgplot import Curve, render_line_plot
+from .svgplot import render_line_plot
 
 __all__ = [
     "RunManifest",
@@ -121,9 +121,12 @@ def read_timeseries_csv(path: str) -> Records:
             raise UsageError(f"{path}:{lineno}: {len(values)} fields, "
                              f"expected {len(COLUMNS)}")
         try:
-            rows.extend(map(float, values))
+            row = tuple(map(float, values))
         except ValueError:
             raise UsageError(f"{path}:{lineno}: not a number in {ln!r}") from None
+        if not all(map(math.isfinite, row)):
+            raise UsageError(f"{path}:{lineno}: non-finite value in {ln!r}")
+        rows.extend(row)
     return Records(columns_from_rows(rows))
 
 
@@ -137,24 +140,23 @@ def emit_plot(records, kind: str, path: str) -> None:
     t = column(records, "t")
     annotations = []
     if kind == "number-overlay":
-        curves = [Curve("N_ours", t, column(records, "N_ours")),
-                  Curve("N_cdms", t, column(records, "N_cdms"))]
+        curves = [("N_ours", t, column(records, "N_ours")),
+                  ("N_cdms", t, column(records, "N_cdms"))]
         title, xlabel, ylabel = "Occupation number", "t", "N"
     elif kind == "number-difference":
-        curves = [Curve("N_ours - N_cdms", t,
-                        [a - b for a, b in zip(column(records, "N_ours"),
-                                               column(records, "N_cdms"))])]
+        curves = [("N_ours - N_cdms", t,
+                   [a - b for a, b in zip(column(records, "N_ours"),
+                                          column(records, "N_cdms"))])]
         title, xlabel, ylabel = "Occupation-number difference", "t", "dN"
     elif kind == "energy":
         etot = column(records, "Etot")
-        curves = [Curve("Etot", t, etot)]
+        curves = [("Etot", t, etot)]
         title, xlabel, ylabel = "Total energy", "t", "Etot"
         if len(etot) >= 2 and etot[0] != 0.0:
             annotations.append(
                 f"relative Etot drift = {_fmt(energy_drift(records))}")
     else:  # phase-A
-        curves = [Curve("trajectory", column(records, "A"),
-                        column(records, "Adot"))]
+        curves = [("trajectory", column(records, "A"), column(records, "Adot"))]
         title, xlabel, ylabel = "Classical phase portrait", "A", "dA/dt"
     svg = render_line_plot(curves, title=title, xlabel=xlabel, ylabel=ylabel,
                            annotations=annotations, version=__version__)
@@ -270,20 +272,25 @@ _AGGREGATE_HEADER = ("leg", "axis", "value", "status", "max_abs_discrepancy",
 def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     """sweep: run every leg, aggregate metrics, fit the discrepancy power.
 
-    A failed leg is recorded and skipped; the aggregate marks it and the
-    command still exits 0 (with warnings in the manifest).  A metric a leg's
-    series is too short for reads nan, or -1 for the extrema counts.
+    Every leg's config is built before anything is written: a value no leg
+    can take is a ConfigError naming the sweep file and `values`.  A failed
+    leg is recorded and skipped; the aggregate marks it and the command still
+    exits 0 (with warnings in the manifest).  A metric a leg's series is too
+    short for reads nan, or -1 for the extrema counts.
     """
     start = time.perf_counter()
     spec, base = load_sweep(sweep_path)
+    try:
+        configs = [scenario_with(base, **{spec.axis: v}) for v in spec.values]
+    except SemiquantumError as exc:
+        raise ConfigError(str(exc), source=sweep_path, key="values") from exc
     os.makedirs(output_dir, exist_ok=True)
     lines = [",".join(_AGGREGATE_HEADER)]
     warnings = []
     leg_outputs = []
     completed_values = []
     completed_amps = []
-    for i, value in enumerate(spec.values):
-        config = scenario_with(base, **{spec.axis: value})
+    for i, (value, config) in enumerate(zip(spec.values, configs)):
         manifest, report = _run_one(
             config, f"{sweep_path}[{spec.axis}={value}]",
             os.path.join(output_dir, f"leg{i:02d}"), "sweep-leg")

@@ -38,7 +38,7 @@ _ENUM_KEYS = {
 SCENARIO_KEYS = frozenset(_FLOAT_KEYS) | frozenset(_INT_KEYS) | frozenset(_ENUM_KEYS)
 _REQUIRED_KEYS = ("m", "e", "hbar", "A0", "Adot0", "t_end")
 
-_SWEEP_KEYS = frozenset({"base", "axis", "values"})
+_SWEEP_KEYS = ("base", "axis", "values")  # all required
 SWEEP_AXES = ("e", "A0", "Adot0")
 
 
@@ -64,8 +64,11 @@ class SweepSpec:
     values: tuple[float, ...]
 
 
-def _split_pairs(text: str, source: str):
-    """Yield (key, value, lineno) pairs, enforcing the one-per-line format."""
+def _read_pairs(text: str, source: str, keys, required) -> dict:
+    """{key: (value, lineno)} of a one-pair-per-line text.  Raises ConfigError
+    on a malformed line, a key not in `keys`, a duplicate, or a missing key
+    of `required`."""
+    seen: dict[str, tuple[str, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,23 +82,21 @@ def _split_pairs(text: str, source: str):
             raise ConfigError("empty key", source=source, line=lineno)
         if not value:
             raise ConfigError("empty value", source=source, line=lineno, key=key)
-        yield key, value, lineno
-
-
-def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
-    """Parse a scenario config; raises ConfigError naming key and line."""
-    seen: dict[str, tuple[str, int]] = {}
-    for key, value, lineno in _split_pairs(text, source):
-        if key not in SCENARIO_KEYS:
+        if key not in keys:
             raise ConfigError("unknown key", source=source, line=lineno, key=key)
         if key in seen:
             raise ConfigError(f"duplicate (first seen on line {seen[key][1]})",
                               source=source, line=lineno, key=key)
         seen[key] = (value, lineno)
-    for key in _REQUIRED_KEYS:
+    for key in required:
         if key not in seen:
             raise ConfigError("missing required key", source=source, key=key)
+    return seen
 
+
+def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
+    """Parse a scenario config; raises ConfigError naming key and line."""
+    seen = _read_pairs(text, source, SCENARIO_KEYS, _REQUIRED_KEYS)
     kwargs: dict = {}
     for key, (value, lineno) in seen.items():
         if key in _FLOAT_KEYS:
@@ -127,16 +128,7 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
 
 def parse_sweep_text(text: str, source: str = "<sweep>") -> SweepSpec:
     """Parse a sweep file: keys base, axis, values."""
-    seen: dict[str, tuple[str, int]] = {}
-    for key, value, lineno in _split_pairs(text, source):
-        if key not in _SWEEP_KEYS:
-            raise ConfigError("unknown key", source=source, line=lineno, key=key)
-        if key in seen:
-            raise ConfigError("duplicate", source=source, line=lineno, key=key)
-        seen[key] = (value, lineno)
-    for key in ("base", "axis", "values"):
-        if key not in seen:
-            raise ConfigError("missing required key", source=source, key=key)
+    seen = _read_pairs(text, source, _SWEEP_KEYS, _SWEEP_KEYS)
     axis, axis_line = seen["axis"]
     if axis not in SWEEP_AXES:
         raise ConfigError(f"must be one of {', '.join(SWEEP_AXES)}; got {axis!r}",

@@ -21,16 +21,16 @@ from .core import (
 from .dynamics import (
     ScenarioConfig,
     column,
+    convert,
+    fixed_grid,
     flat_from_state,
     initial_state,
     integrate,
     make_guard,
     make_rhs_augmented,
     make_rk4_step,
-    make_row,
     rk4_on,
     run_fixed,
-    sampler,
     scenario_with,
 )
 
@@ -110,8 +110,7 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
     if not (horizon > 0.0):
         raise UsageError("horizon must be positive")
     n_seg = max(1, round(horizon / RENORM_INTERVAL))
-    n_sub = max(1, round(RENORM_INTERVAL / dt))
-    h = RENORM_INTERVAL / n_sub
+    n_sub, h = fixed_grid(RENORM_INTERVAL, dt)
 
     def pair_step(t, pair, hh):
         return step(t, pair[0], hh), step(t, pair[1], hh)
@@ -194,25 +193,20 @@ def _check_dt_list(dt_list, t_end) -> None:
 def convergence_order(config: ScenarioConfig, dt_list) -> float:
     """Observed order from self-convergence of the final state.
 
-    Runs the scenario at each step size (which must halve down the list),
-    takes Euclidean distances between successive final (A, Adot, rho,
-    rhodot), and averages the log2 ratios.  Only the final sample of each run
-    is computed.  Classical rk4 on a smooth trajectory sits near 4.
+    Integrates the scenario with rk4 at each step size (which must halve
+    down the list and divide t_end into whole steps), takes Euclidean
+    distances between successive final (A, Adot, rho, rhodot), and averages
+    the log2 ratios.  Each run samples only its initial and final state.
+    Classical rk4 on a smooth trajectory sits near 4.
     """
     _check_dt_list(dt_list, config.t_end)
-    rep, params = config.representation, config.params
-    y0 = flat_from_state(initial_state(config))
-    step = make_rk4_step(rep, params)
-    guard = make_guard(rep, params, config.rho_min)
     finals = []
-    final_sample = sampler(make_row(rep, params),
-                           lambda row: finals.append(row[1:5]))
     for dt in dt_list:
-        n = max(1, round(config.t_end / dt))
-        _, abort = run_fixed(step, y0, config.t_end / n, n, n, guard,
-                             final_sample)
-        if abort is not None:
-            raise DiagnosticError(f"run at dt={dt} aborted: {abort[2]}")
+        n, _ = fixed_grid(config.t_end, dt)
+        traj = integrate(replace(config, method="rk4", dt=dt, sample_every=n))
+        if not traj.completed:
+            raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
+        finals.append([traj.columns[k][-1] for k in ("A", "Adot", "rho", "rhodot")])
     diffs = []
     for a, b in zip(finals, finals[1:]):
         diffs.append(math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))
@@ -232,8 +226,8 @@ def linear_test_order(dt_list=(0.04, 0.02, 0.01), t_end: float = 5.0) -> float:
     step = rk4_on(lambda t, y: (y[1], -y[0]))
     errs = []
     for dt in dt_list:
-        n = max(1, round(t_end / dt))
-        y, _ = run_fixed(step, (1.0, 0.0), t_end / n, n)
+        n, h = fixed_grid(t_end, dt)
+        y, _ = run_fixed(step, (1.0, 0.0), h, n)
         errs.append(math.hypot(y[0] - math.cos(t_end), y[1] + math.sin(t_end)))
     orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
     return sum(orders) / len(orders)
@@ -365,17 +359,12 @@ def adiabatic_invariant_drift(config: ScenarioConfig) -> float:
     conserved quadratic operator.
     """
     params = config.params
-    state0 = initial_state(replace(config, representation="pinney"))
-    r0, rd0 = state0.quantum.rho, state0.quantum.rhodot
-    h = params.hbar
-    inv = 1.0 / r0
-    y = (state0.A, state0.Adot,
-         0.5 * h * r0 * r0,
-         0.5 * h * r0 * rd0,
-         0.5 * h * (rd0 * rd0 + inv * inv),
-         r0, rd0)
+    start = initial_state(replace(config, representation="pinney"))
+    y = (*flat_from_state(convert(start, "moments", params)),
+         start.quantum.rho, start.quantum.rhodot)
     guard = make_guard("augmented", params, config.rho_min)
-    n = max(1, round(config.t_end / config.dt))
+    h = params.hbar
+    n, dt = fixed_grid(config.t_end, config.dt)
     worst = 0.0
 
     def sample(t, y):
@@ -384,8 +373,8 @@ def adiabatic_invariant_drift(config: ScenarioConfig) -> float:
         basis = OscBasis(W=1.0 / (y[5] * y[5]), sigma=-y[6] / y[5])
         worst = max(worst, abs(quanta_expectation(mom, basis, h)))
 
-    _, abort = run_fixed(rk4_on(make_rhs_augmented(params)), y,
-                         config.t_end / n, n, config.sample_every, guard, sample)
+    _, abort = run_fixed(rk4_on(make_rhs_augmented(params)), y, dt, n,
+                         config.sample_every, guard, sample)
     if abort is not None:
         raise DiagnosticError(f"augmented run aborted: {abort[2]}")
     return worst

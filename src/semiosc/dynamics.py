@@ -49,6 +49,7 @@ __all__ = [
     "initial_state",
     "derivatives",
     "convert",
+    "fixed_grid",
     "integrate",
     "record_observables",
     "make_rhs",
@@ -129,8 +130,7 @@ class ScenarioConfig:
             raise UsageError(f"dt = {self.dt} is too small for t_end = "
                              f"{self.t_end}: the step count is not finite")
         if self.method == "rk4" and not math.isclose(
-                self.t_end / max(1, round(self.t_end / self.dt)), self.dt,
-                rel_tol=1e-9):
+                fixed_grid(self.t_end, self.dt)[1], self.dt, rel_tol=1e-9):
             raise UsageError(f"dt = {self.dt} does not divide t_end = "
                              f"{self.t_end} into whole steps")
         if not (self.rtol > 0.0) or not (self.atol > 0.0):
@@ -684,6 +684,12 @@ def make_row(representation: str, params: ModelParams):
     return row
 
 
+def fixed_grid(t_end: float, dt: float) -> tuple[int, float]:
+    """The fixed step grid over [0, t_end] nearest to step dt: (n, t_end / n)."""
+    n = max(1, round(t_end / dt))
+    return n, t_end / n
+
+
 def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
               t0=0.0):
     """The fixed-step loop: n steps y <- step(t, y, h) from t0.
@@ -746,8 +752,8 @@ def integrate(config: ScenarioConfig) -> Trajectory:
     sample = sampler(make_row(rep, params), rows.extend)
 
     if config.method == "rk4":
-        n = max(1, round(config.t_end / config.dt))
-        _, abort = run_fixed(make_rk4_step(rep, params), y, config.t_end / n, n,
+        n, h = fixed_grid(config.t_end, config.dt)
+        _, abort = run_fixed(make_rk4_step(rep, params), y, h, n,
                              config.sample_every, guard, sample)
         return _trajectory(rows, abort)
 

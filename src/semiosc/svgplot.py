@@ -11,7 +11,7 @@ import math
 
 from .core import UsageError
 
-__all__ = ["Curve", "render_line_plot"]
+__all__ = ["render_line_plot"]
 
 WIDTH = 880
 HEIGHT = 520
@@ -21,20 +21,6 @@ MARGIN_T = 46
 MARGIN_B = 58
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
-
-
-class Curve:
-    """One labeled polyline."""
-
-    def __init__(self, label: str, xs, ys, color: str | None = None):
-        if len(xs) != len(ys):
-            raise UsageError("curve x and y lengths differ")
-        if not xs:
-            raise UsageError("curve has no points")
-        self.label = label
-        self.xs = list(xs)
-        self.ys = list(ys)
-        self.color = color
 
 
 def _span(values) -> tuple[float, float]:
@@ -61,11 +47,12 @@ def _tick_label(v: float) -> str:
 
 def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
                      annotations=(), version: str = "") -> str:
-    """Render labeled curves to a standalone SVG document string."""
+    """Render (label, xs, ys) curves, each a non-empty polyline with as many
+    xs as ys, to a standalone SVG document string."""
     if not curves:
         raise UsageError("nothing to plot")
-    x_lo, x_hi = _span([x for c in curves for x in c.xs])
-    y_lo, y_hi = _span([y for c in curves for y in c.ys])
+    x_lo, x_hi = _span([x for _, xs, _ in curves for x in xs])
+    y_lo, y_hi = _span([y for _, _, ys in curves for y in ys])
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
@@ -114,22 +101,21 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
                f'transform="rotate(-90 20 {MARGIN_T + plot_h / 2:.1f})">'
                f'{_escape(ylabel)}</text>')
 
-    for i, curve in enumerate(curves):
-        color = curve.color or PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}"
-                       for x, y in zip(curve.xs, curve.ys))
+    for i, (_, xs, ys) in enumerate(curves):
+        color = PALETTE[i % len(PALETTE)]
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
                    f'points="{pts}"/>')
 
     # legend, top right inside the frame
-    for i, curve in enumerate(curves):
-        color = curve.color or PALETTE[i % len(PALETTE)]
+    for i, (label, _, _) in enumerate(curves):
+        color = PALETTE[i % len(PALETTE)]
         ly = MARGIN_T + 16 + 18 * i
         lx = WIDTH - MARGIN_R - 170
         out.append(f'<line x1="{lx}" y1="{ly}" x2="{lx + 26}" y2="{ly}" '
                    f'stroke="{color}" stroke-width="2"/>')
         out.append(f'<text x="{lx + 32}" y="{ly + 4}" font-family="sans-serif" '
-                   f'font-size="12">{_escape(curve.label)}</text>')
+                   f'font-size="12">{_escape(label)}</text>')
 
     for i, note in enumerate(annotations):
         out.append(f'<text x="{MARGIN_L + 8}" y="{MARGIN_T + 16 + 16 * i}" '

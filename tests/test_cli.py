@@ -250,7 +250,8 @@ def test_csv_header_mismatch_rejected(tmp_path):
         read_timeseries_csv(str(path))
 
 
-@pytest.mark.parametrize("row", [["1"] * 17, ["x"] * 18])
+@pytest.mark.parametrize("row", [["1"] * 17, ["x"] * 18, ["1"] * 17 + ["nan"],
+                                 ["inf"] + ["1"] * 17])
 def test_csv_malformed_row_exits_2(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
     path.write_text(",".join(COLUMNS) + "\n" + ",".join(row) + "\n")
@@ -318,6 +319,16 @@ def test_sweep_zero_leg_rejects_the_fit_as_mixed(tmp_path, capsys):
     assert manifest["outputs"]["discrepancy_power"] is None
     assert any(w.startswith("mixed") for w in manifest["warnings"])
     assert "warning: mixed" in capsys.readouterr().err
+
+
+def test_sweep_bad_value_exits_2_before_any_leg(tmp_path, capsys):
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text("base = adiabatic\naxis = e\nvalues = 0.1, nan\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_CONFIG
+    detail = json.loads(capsys.readouterr().err.strip())["detail"]
+    assert str(sweep) in detail and "'values'" in detail
+    assert not out.exists()
 
 
 def test_sweep_flags_aborted_leg_but_exits_0(tmp_path):

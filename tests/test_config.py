@@ -57,6 +57,10 @@ def test_bad_number_names_key_and_line():
 def test_duplicate_key_rejected():
     with pytest.raises(ConfigError, match="duplicate"):
         parse_scenario_text(GOOD + "m = 2.0\n")
+    with pytest.raises(ConfigError, match=r"s\.sweep:4: key 'axis': duplicate "
+                                          r"\(first seen on line 2\)"):
+        parse_sweep_text("base = free\naxis = e\nvalues = 0.1\naxis = A0\n",
+                         source="s.sweep")
 
 
 def test_bad_enum_value():

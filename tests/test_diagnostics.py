@@ -155,6 +155,9 @@ def test_convergence_usage_errors(unit_params):
         convergence_order(cfg, (-0.02, -0.01, -0.005))
     with pytest.raises(UsageError, match="dt = 4e-320"):
         convergence_order(cfg, (4e-320, 2e-320, 1e-320))
+    # 0.3 does not divide t_end = 5 into whole steps
+    with pytest.raises(UsageError, match="dt = 0.3"):
+        convergence_order(cfg, (0.3, 0.15, 0.075))
     with pytest.raises(UsageError):
         linear_test_order((0.02, 0.01))
 
