@@ -3,9 +3,10 @@
 Each simulate case runs `semiosc simulate` and compares the digests of
 timeseries.csv and number_overlay.svg with the values recorded when the
 pins were introduced.  The bundled scenarios cover pinney/rk4; the short
-vacuum-kick variants cover the layouts and the method no bundled scenario
-uses.  The diagnose cases pin diagnostics.json, which carries the bits of
-the Lyapunov estimate and the convergence order.  A pin changes only with an
+vacuum-kick variants cover the other layouts under rk4 and the adaptive
+method, which no bundled scenario uses, in every layout.  The diagnose cases
+pin diagnostics.json, which carries the bits of the Lyapunov estimate and
+the convergence order.  A pin changes only with an
 intended numeric change, recorded in CHANGES.md.
 """
 
@@ -52,6 +53,12 @@ PINS = {
     "vacuum-kick-mode-adaptive": (
         "8a7c443aa04460a0e984923df3da4b7d1b69f6c8fc4394437453517b4ce2f9bc",
         "936f5ebc4d49e92f16c374ba78e587e5a10a97a0df3debf1e700338338c5abb5"),
+    "vacuum-kick-pinney-adaptive": (
+        "ea575759e1ef7c805928f71b302dc86088c0b9cffa47d6fd05b9230b29d32895",
+        "3aac12425dcf3295490bfd54bc0a7a1e0eb715f60ddd5cb0ea9c133890e1ffcd"),
+    "vacuum-kick-moments-adaptive": (
+        "5adfca3b819d140e92bcdf9f1a8d1e257373344cf5bba557df15ecf81c531463",
+        "2ca2ba05ea55ebecb9c254bc8ca09b2fae6edc5fa506a81bbd391194805020b1"),
 }
 
 
