@@ -54,10 +54,12 @@ __all__ = [
     "record_observables",
     "make_rhs",
     "make_rk4_step",
+    "make_rkf45_step",
     "rk4_on",
     "make_row",
     "make_guard",
     "run_fixed",
+    "run_adaptive",
     "sampler",
     "flat_from_state",
     "state_from_flat",
@@ -72,6 +74,13 @@ QUANTUM_INITS = ("vacuum", "explicit", "adiabatic")
 STATUS_COMPLETED = "completed"
 STATUS_SINGULARITY = "aborted-singularity"
 STATUS_STEPFAIL = "aborted-stepfail"
+
+# Work bounds (cf. ODEPACK's MXSTEP): rk4 configs with more steps are
+# rejected, an adaptive run stops after this many step attempts.  Both are
+# over 100x the largest run of any bundled scenario, test or benchmark
+# (400,000 rk4 steps, about 2,000 attempts).
+MAX_RK4_STEPS = 10 ** 8
+MAX_STEP_ATTEMPTS = 10 ** 7
 
 # ScenarioConfig fields that must be finite floats (None where optional)
 _FINITE_KEYS = ("A0", "Adot0", "t_end", "dt", "dt_init", "rtol", "atol",
@@ -129,10 +138,14 @@ class ScenarioConfig:
         if not math.isfinite(self.t_end / self.dt):
             raise UsageError(f"dt = {self.dt} is too small for t_end = "
                              f"{self.t_end}: the step count is not finite")
-        if self.method == "rk4" and not math.isclose(
-                fixed_grid(self.t_end, self.dt)[1], self.dt, rel_tol=1e-9):
-            raise UsageError(f"dt = {self.dt} does not divide t_end = "
-                             f"{self.t_end} into whole steps")
+        if self.method == "rk4":
+            n, h = fixed_grid(self.t_end, self.dt)
+            if n > MAX_RK4_STEPS:
+                raise UsageError(f"dt = {self.dt} makes {n:.6g} steps over t_end"
+                                 f" = {self.t_end}, more than {MAX_RK4_STEPS:.6g}")
+            if not math.isclose(h, self.dt, rel_tol=1e-9):
+                raise UsageError(f"dt = {self.dt} does not divide t_end = "
+                                 f"{self.t_end} into whole steps")
         if not (self.rtol > 0.0) or not (self.atol > 0.0):
             raise UsageError("rtol and atol must be positive")
         if self.sample_every < 1:
@@ -547,6 +560,87 @@ def make_rk4_step(representation: str, params: ModelParams):
     return step
 
 
+def make_rkf45_step(representation: str, params: ModelParams):
+    """Fehlberg 4(5) step(t, y, h) -> (y5, err) for one representation.
+
+    The mode step is unrolled by hand like the pinney rk4 step: it performs
+    exactly the floating-point operations of rkf45_step with
+    make_rhs("mode", params), in the same order (bNN, cN and dN are its
+    folded coefficients), so its result is bit-identical.  Stage states carry
+    the suffixes 2-6 and stage rates 1-6: the rate of A is the stage's P =
+    Adot, that of f = (fr, fi) is g = (gr, gi) = fdot, and those of P and g
+    are a and (u, v) = -omega^2 f.  The other representations call
+    rkf45_step on make_rhs.
+    """
+    if representation != "mode":
+        rhs = make_rhs(representation, params)
+        return lambda t, y, h: rkf45_step(rhs, t, y, h)
+    m2 = params.m * params.m
+    e2 = params.e * params.e
+    ne2 = -e2
+    b41, b42, b43 = 1932.0 / 2197.0, 7200.0 / 2197.0, 7296.0 / 2197.0
+    b51, b53, b54 = 439.0 / 216.0, 3680.0 / 513.0, 845.0 / 4104.0
+    b61, b63, b64, b65 = -8.0 / 27.0, 3544.0 / 2565.0, 1859.0 / 4104.0, 11.0 / 40.0
+    c1, c3, c4, c5 = 16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, 9.0 / 50.0
+    c6, d3, d4 = 2.0 / 55.0, 128.0 / 4275.0, 2197.0 / 75240.0
+
+    def step(t, y, h):
+        A, P, fr, fi, gr, gi = y
+        w2 = m2 + e2 * A * A
+        a1, u1, v1 = ne2 * A * (fr * fr + fi * fi), -w2 * fr, -w2 * fi
+        q = 0.25 * h
+        A2, P2, fr2, fi2, gr2, gi2 = (A + q * P, P + q * a1, fr + q * gr,
+                                      fi + q * gi, gr + q * u1, gi + q * v1)
+        w2 = m2 + e2 * A2 * A2
+        a2, u2, v2 = ne2 * A2 * (fr2 * fr2 + fi2 * fi2), -w2 * fr2, -w2 * fi2
+        A3 = A + h * (0.09375 * P + 0.28125 * P2)
+        P3 = P + h * (0.09375 * a1 + 0.28125 * a2)
+        fr3 = fr + h * (0.09375 * gr + 0.28125 * gr2)
+        fi3 = fi + h * (0.09375 * gi + 0.28125 * gi2)
+        gr3 = gr + h * (0.09375 * u1 + 0.28125 * u2)
+        gi3 = gi + h * (0.09375 * v1 + 0.28125 * v2)
+        w2 = m2 + e2 * A3 * A3
+        a3, u3, v3 = ne2 * A3 * (fr3 * fr3 + fi3 * fi3), -w2 * fr3, -w2 * fi3
+        A4 = A + h * (b41 * P - b42 * P2 + b43 * P3)
+        P4 = P + h * (b41 * a1 - b42 * a2 + b43 * a3)
+        fr4 = fr + h * (b41 * gr - b42 * gr2 + b43 * gr3)
+        fi4 = fi + h * (b41 * gi - b42 * gi2 + b43 * gi3)
+        gr4 = gr + h * (b41 * u1 - b42 * u2 + b43 * u3)
+        gi4 = gi + h * (b41 * v1 - b42 * v2 + b43 * v3)
+        w2 = m2 + e2 * A4 * A4
+        a4, u4, v4 = ne2 * A4 * (fr4 * fr4 + fi4 * fi4), -w2 * fr4, -w2 * fi4
+        A5 = A + h * (b51 * P - 8.0 * P2 + b53 * P3 - b54 * P4)
+        P5 = P + h * (b51 * a1 - 8.0 * a2 + b53 * a3 - b54 * a4)
+        fr5 = fr + h * (b51 * gr - 8.0 * gr2 + b53 * gr3 - b54 * gr4)
+        fi5 = fi + h * (b51 * gi - 8.0 * gi2 + b53 * gi3 - b54 * gi4)
+        gr5 = gr + h * (b51 * u1 - 8.0 * u2 + b53 * u3 - b54 * u4)
+        gi5 = gi + h * (b51 * v1 - 8.0 * v2 + b53 * v3 - b54 * v4)
+        w2 = m2 + e2 * A5 * A5
+        a5, u5, v5 = ne2 * A5 * (fr5 * fr5 + fi5 * fi5), -w2 * fr5, -w2 * fi5
+        A6 = A + h * (b61 * P + 2.0 * P2 - b63 * P3 + b64 * P4 - b65 * P5)
+        P6 = P + h * (b61 * a1 + 2.0 * a2 - b63 * a3 + b64 * a4 - b65 * a5)
+        fr6 = fr + h * (b61 * gr + 2.0 * gr2 - b63 * gr3 + b64 * gr4 - b65 * gr5)
+        fi6 = fi + h * (b61 * gi + 2.0 * gi2 - b63 * gi3 + b64 * gi4 - b65 * gi5)
+        gr6 = gr + h * (b61 * u1 + 2.0 * u2 - b63 * u3 + b64 * u4 - b65 * u5)
+        gi6 = gi + h * (b61 * v1 + 2.0 * v2 - b63 * v3 + b64 * v4 - b65 * v5)
+        w2 = m2 + e2 * A6 * A6
+        a6, u6, v6 = ne2 * A6 * (fr6 * fr6 + fi6 * fi6), -w2 * fr6, -w2 * fi6
+        return ((A + h * (c1 * P + c3 * P3 + c4 * P4 - c5 * P5 + c6 * P6),
+                 P + h * (c1 * a1 + c3 * a3 + c4 * a4 - c5 * a5 + c6 * a6),
+                 fr + h * (c1 * gr + c3 * gr3 + c4 * gr4 - c5 * gr5 + c6 * gr6),
+                 fi + h * (c1 * gi + c3 * gi3 + c4 * gi4 - c5 * gi5 + c6 * gi6),
+                 gr + h * (c1 * u1 + c3 * u3 + c4 * u4 - c5 * u5 + c6 * u6),
+                 gi + h * (c1 * v1 + c3 * v3 + c4 * v4 - c5 * v5 + c6 * v6)),
+                (h * (P / 360.0 - d3 * P3 - d4 * P4 + P5 / 50.0 + c6 * P6),
+                 h * (a1 / 360.0 - d3 * a3 - d4 * a4 + a5 / 50.0 + c6 * a6),
+                 h * (gr / 360.0 - d3 * gr3 - d4 * gr4 + gr5 / 50.0 + c6 * gr6),
+                 h * (gi / 360.0 - d3 * gi3 - d4 * gi4 + gi5 / 50.0 + c6 * gi6),
+                 h * (u1 / 360.0 - d3 * u3 - d4 * u4 + u5 / 50.0 + c6 * u6),
+                 h * (v1 / 360.0 - d3 * v3 - d4 * v4 + v5 / 50.0 + c6 * v6)))
+
+    return step
+
+
 # ---------------------------------------------------------------------------
 # observables and the main loop
 # ---------------------------------------------------------------------------
@@ -719,9 +813,72 @@ def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
     return y, None
 
 
+def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
+                 on_sample):
+    """The adaptive loop: embedded steps (y5, err) = step(t, y, h) from
+    t = 0 to t_end, from h = h0, controlled by the rms of err against
+    atol + rtol * max|y|.
+
+    guard and on_sample work as in run_fixed, counting accepted steps; a
+    time is sampled at most once.  A step that raises stops the run as a
+    singularity; a step below 1e-14 * max(1, |t|), or MAX_STEP_ATTEMPTS
+    accepted and rejected steps short of t_end, as a step failure.  Returns
+    (y, abort) as run_fixed does.
+    """
+    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
+    width = len(y)
+    t = 0.0
+    h = min(h0, t_end)
+    accepted = attempts = 0
+    last_sampled_t = 0.0
+    while t < t_end:
+        if attempts == MAX_STEP_ATTEMPTS:
+            return y, (STATUS_STEPFAIL, t, f"{attempts} step attempts did not "
+                       f"reach t_end = {t_end}")
+        attempts += 1
+        clamped = h >= t_end - t
+        if clamped:
+            h = t_end - t
+        try:
+            ynew, err = step(t, y, h)
+        except (ZeroDivisionError, OverflowError):
+            return y, (STATUS_SINGULARITY, t, "singular right-hand side evaluation")
+        enorm = inf
+        try:
+            acc = 0.0
+            for e, a, b in zip(err, y, ynew):
+                if not (isfinite(e) and isfinite(b)):
+                    break
+                acc += (e / (atol + rtol * max(abs(a), abs(b)))) ** 2
+            else:
+                enorm = sqrt(acc / width)
+        except OverflowError:
+            pass
+        if enorm > 1.0:
+            h *= 0.2 if not isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
+            if h < 1e-14 * max(1.0, abs(t)):
+                return y, (STATUS_STEPFAIL, t, f"step size underflow at t={t}")
+            continue
+        t = t_end if clamped else t + h
+        y = ynew
+        accepted += 1
+        hit = guard(t, y)
+        if hit is None and (accepted % sample_every == 0
+                            or t >= t_end) and t != last_sampled_t:
+            hit = on_sample(t, y)
+            last_sampled_t = t
+        if hit is not None:
+            return y, (hit[0], t, hit[1])
+        if enorm > 0.0:
+            h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2))
+        else:
+            h *= 5.0
+    return y, None
+
+
 def sampler(row, sink):
-    """on_sample for run_fixed: sink(row(t, y)), or a step failure when the
-    state has no valid observables."""
+    """on_sample for run_fixed and run_adaptive: sink(row(t, y)), or a step
+    failure when the state has no valid observables."""
     def on_sample(t, y):
         try:
             sink(row(t, y))
@@ -755,56 +912,11 @@ def integrate(config: ScenarioConfig) -> Trajectory:
         n, h = fixed_grid(config.t_end, config.dt)
         _, abort = run_fixed(make_rk4_step(rep, params), y, h, n,
                              config.sample_every, guard, sample)
-        return _trajectory(rows, abort)
-
-    # adaptive embedded 4(5)
-    rhs = make_rhs(rep, params)
-    t = 0.0
-    h = min(config.dt_init, config.t_end)
-    accepted = 0
-    last_sampled_t = 0.0
-    while t < config.t_end:
-        clamped = h >= config.t_end - t
-        if clamped:
-            h = config.t_end - t
-        try:
-            ynew, err = rkf45_step(rhs, t, y, h)
-        except (ZeroDivisionError, OverflowError):
-            return _trajectory(rows, (STATUS_SINGULARITY, t,
-                                      "singular right-hand side evaluation"))
-        acc = 0.0
-        finite = True
-        try:
-            for e, a, b in zip(err, y, ynew):
-                if not (math.isfinite(e) and math.isfinite(b)):
-                    finite = False
-                    break
-                scale = config.atol + config.rtol * max(abs(a), abs(b))
-                acc += (e / scale) ** 2
-        except OverflowError:
-            finite = False
-        enorm = math.sqrt(acc / len(y)) if finite else math.inf
-        if enorm > 1.0:
-            h *= 0.2 if not math.isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)):
-                return _trajectory(rows, (STATUS_STEPFAIL, t,
-                                          f"step size underflow at t={t}"))
-            continue
-        t = config.t_end if clamped else t + h
-        y = ynew
-        accepted += 1
-        hit = guard(t, y)
-        if hit is None and (accepted % config.sample_every == 0
-                            or t >= config.t_end) and t != last_sampled_t:
-            hit = sample(t, y)
-            last_sampled_t = t
-        if hit is not None:
-            return _trajectory(rows, (hit[0], t, hit[1]))
-        if enorm > 0.0:
-            h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-        else:
-            h *= 5.0
-    return _trajectory(rows, None)
+    else:
+        _, abort = run_adaptive(make_rkf45_step(rep, params), y, config.t_end,
+                                config.dt_init, config.rtol, config.atol,
+                                config.sample_every, guard, sample)
+    return _trajectory(rows, abort)
 
 
 def _trajectory(rows, abort) -> Trajectory:

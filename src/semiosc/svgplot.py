@@ -24,10 +24,10 @@ PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
 
 
 def _span(values) -> tuple[float, float]:
+    if not all(map(math.isfinite, values)):
+        raise UsageError("cannot plot non-finite data")
     lo = min(values)
     hi = max(values)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError("cannot plot non-finite data")
     if hi == lo:
         pad = max(abs(hi) * 1e-3, 1e-12)
         return lo - pad, hi + pad

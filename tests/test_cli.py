@@ -1,6 +1,7 @@
 """End-to-end CLI tests: artifacts, schemas, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import sys
 import jsonschema
 import pytest
 
-from semiosc import COLUMNS, UsageError, integrate, load_scenario
+from semiosc import COLUMNS, UsageError, dynamics, integrate, load_scenario
 from semiosc.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -20,6 +21,7 @@ from semiosc.cli import (
     run_scenario,
     write_timeseries_csv,
 )
+from semiosc.svgplot import render_line_plot
 
 SMALL = """\
 m = 1.0
@@ -137,6 +139,7 @@ def test_simulate_missing_key_exits_2(tmp_path, capsys):
     ({"A0": "nan"}, "A0"),
     ({"dt": "5", "t_end": "1"}, "dt"),
     ({"dt": "0.7", "t_end": "1"}, "dt"),
+    ({"dt": "1e-12", "t_end": "1"}, "dt"),
 ])
 def test_simulate_bad_numbers_exit_2_naming_the_key(tmp_path, capsys, changes, key):
     text = SMALL
@@ -175,9 +178,35 @@ def test_simulate_singularity_exits_3_with_partial_csv(tmp_path, capsys):
     jsonschema.validate(report, _schema())
 
 
+def test_simulate_step_attempt_bound_exits_3_with_partial_csv(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEP_ATTEMPTS", 40)
+    cfg = tmp_path / "adaptive.cfg"
+    cfg.write_text(SMALL + "method = adaptive\n")
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == EXIT_ABORT
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "runtime-abort"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "aborted-stepfail"
+    assert manifest["abort_reason"].startswith("40 step attempts")
+    records = read_timeseries_csv(str(out / "timeseries.csv"))
+    assert 2 <= len(records)
+    assert records[-1].t < 3.0
+
+
 # ---------------------------------------------------------------------------
 # plots
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("xs, ys", [
+    ([0.0, 1.0, 2.0], [1.0, math.nan, 2.0]),
+    ([0.0, math.nan, 2.0], [1.0, 1.5, 2.0]),
+    ([0.0, 1.0, 2.0], [1.0, -math.inf, 2.0]),
+])
+def test_render_line_plot_rejects_non_finite_data(xs, ys):
+    with pytest.raises(UsageError, match="non-finite"):
+        render_line_plot([("a", xs, ys)], title="t", xlabel="x", ylabel="y")
+
 
 def test_plot_kinds(small_cfg, tmp_path):
     out = tmp_path / "out"

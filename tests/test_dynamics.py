@@ -19,6 +19,7 @@ from semiosc import (
     ValidationError,
     convert,
     derivatives,
+    dynamics,
     init_adiabatic,
     init_vacuum,
     initial_state,
@@ -325,6 +326,24 @@ def test_step_underflow_abort(unit_params):
     assert traj.status == "aborted-stepfail"
     assert "underflow" in traj.abort_reason
     assert len(traj.records) == 1  # the initial state survives
+
+
+def test_rk4_step_count_bound(unit_params, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_RK4_STEPS", 5000)
+    quick_config(unit_params)  # exactly the bound: 5000 steps
+    with pytest.raises(UsageError, match=r"dt = 0\.0005 makes 10000 steps"):
+        quick_config(unit_params, dt=5e-4)
+    quick_config(unit_params, dt=5e-4, method="adaptive")  # dt is no step here
+
+
+def test_adaptive_step_attempt_bound(unit_params, monkeypatch):
+    monkeypatch.setattr(dynamics, "MAX_STEP_ATTEMPTS", 40)
+    traj = integrate(quick_config(unit_params, method="adaptive",
+                                  sample_every=1))
+    assert traj.status == "aborted-stepfail"
+    assert traj.abort_reason.startswith("40 step attempts")
+    assert len(traj.records) >= 2
+    assert traj.records[-1].t == traj.abort_time < 5.0
 
 
 def test_config_validation():

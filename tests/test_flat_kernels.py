@@ -1,15 +1,15 @@
 """The flat hot path against its specification.
 
 The unrolled pinney rk4 step must reproduce rk4_step on make_rhs bit for bit,
-and
-the flat observable rows must reproduce record_observables bit for bit,
-raising on exactly the states where the oracle raises.
+the unrolled mode Fehlberg step must reproduce rkf45_step on make_rhs bit for
+bit, and the flat observable rows must reproduce record_observables bit for
+bit, raising on exactly the states where the oracle raises.
 """
 
 import dataclasses
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiosc import (
@@ -26,8 +26,10 @@ from semiosc.dynamics import (
     flat_from_state,
     make_rhs,
     make_rk4_step,
+    make_rkf45_step,
     make_row,
     rk4_step,
+    rkf45_step,
     sampler,
     state_from_flat,
 )
@@ -71,6 +73,28 @@ def test_unrolled_step_matches_rk4_step(params, A, Adot, rho, rhodot, h):
             break
         y = step(t, y, h)
         oracle = rk4_step(rhs, t, oracle, h)
+
+
+# Mode components: ordinary ones, and amplitudes whose squares overflow, so
+# that chained steps also carry inf and nan.
+mode_component = st.one_of(st.floats(-3.0, 3.0),
+                           st.sampled_from([1e100, -1e160, 1e200, -1e300]))
+
+
+@given(params=params_st, y=st.tuples(*[mode_component] * 6),
+       h=st.floats(1e-4, 1.0))
+@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
+         y=(1e200, -1e160, 1.0, 1e100, 0.5, -1e300), h=1.0)
+@settings(max_examples=60, deadline=None)
+def test_unrolled_rkf45_matches_rkf45_step(params, y, h):
+    rhs = make_rhs("mode", params)
+    step = make_rkf45_step("mode", params)
+    oracle = y
+    for i in range(300):
+        y5, err = step(i * h, y, h)
+        o5, oerr = rkf45_step(rhs, i * h, oracle, h)
+        assert (_bits(y5), _bits(err)) == (_bits(o5), _bits(oerr)), f"step {i}"
+        y, oracle = y5, o5
 
 
 # ---------------------------------------------------------------------------
