@@ -29,7 +29,6 @@ from .config import (
 )
 from .core import SemiquantumError, UsageError
 from .diagnostics import (
-    DiagnosticError,
     energy_drift,
     convergence_order,
     lyapunov_max,
@@ -43,7 +42,6 @@ from .dynamics import (
     Records,
     ScenarioConfig,
     Trajectory,
-    column,
     columns_from_rows,
     integrate,
     row_buffer,
@@ -97,9 +95,9 @@ def _fmt(v: float) -> str:
 _CSV_ROW = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
 
 
-def write_timeseries_csv(records, path: str) -> None:
+def write_timeseries_csv(records: Records, path: str) -> None:
     """Fixed column order, 17 significant digits, LF newlines."""
-    rows = zip(*(column(records, name) for name in COLUMNS))
+    rows = zip(*(records.columns[name] for name in COLUMNS))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(COLUMNS) + "\n")
         fh.writelines(map(_CSV_ROW.__mod__, rows))
@@ -130,36 +128,35 @@ def read_timeseries_csv(path: str) -> Records:
     return Records(columns_from_rows(rows))
 
 
-def emit_plot(records, kind: str, path: str) -> None:
+def emit_plot(records: Records, kind: str, path: str) -> None:
     """Write one standalone SVG for the given records."""
     if not records:
         raise UsageError("no records to plot")
     if kind not in PLOT_KINDS:
         raise UsageError(f"unknown plot kind {kind!r}; choose from "
                          f"{', '.join(PLOT_KINDS)}")
-    t = column(records, "t")
+    cols = records.columns
+    t = cols["t"]
     annotations = []
     if kind == "number-overlay":
-        curves = [("N_ours", t, column(records, "N_ours")),
-                  ("N_cdms", t, column(records, "N_cdms"))]
+        curves = [("N_ours", t, cols["N_ours"]), ("N_cdms", t, cols["N_cdms"])]
         title, xlabel, ylabel = "Occupation number", "t", "N"
     elif kind == "number-difference":
         curves = [("N_ours - N_cdms", t,
-                   [a - b for a, b in zip(column(records, "N_ours"),
-                                          column(records, "N_cdms"))])]
+                   [a - b for a, b in zip(cols["N_ours"], cols["N_cdms"])])]
         title, xlabel, ylabel = "Occupation-number difference", "t", "dN"
     elif kind == "energy":
-        etot = column(records, "Etot")
+        etot = cols["Etot"]
         curves = [("Etot", t, etot)]
         title, xlabel, ylabel = "Total energy", "t", "Etot"
         if len(etot) >= 2 and etot[0] != 0.0:
             annotations.append(
                 f"relative Etot drift = {_fmt(energy_drift(records))}")
     else:  # phase-A
-        curves = [("trajectory", column(records, "A"), column(records, "Adot"))]
+        curves = [("trajectory", cols["A"], cols["Adot"])]
         title, xlabel, ylabel = "Classical phase portrait", "A", "dA/dt"
     svg = render_line_plot(curves, title=title, xlabel=xlabel, ylabel=ylabel,
-                           annotations=annotations, version=__version__)
+                           annotations=annotations)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(svg)
 
@@ -252,12 +249,11 @@ def run_diagnose(config_ref: str, output_dir: str) -> RunManifest:
         heavy["lyapunov"] = lyap.to_dict()
         if lyap.failed:
             warnings.append(f"lyapunov estimate flagged: {lyap.note}")
-    except (SemiquantumError, DiagnosticError) as exc:
+    except SemiquantumError as exc:
         warnings.append(f"lyapunov failed: {exc}")
     try:
-        heavy["convergence_order"] = convergence_order(
-            config, (config.dt, config.dt / 2.0, config.dt / 4.0))
-    except (SemiquantumError, DiagnosticError) as exc:
+        heavy["convergence_order"] = convergence_order(config)
+    except SemiquantumError as exc:
         warnings.append(f"convergence order failed: {exc}")
     manifest, _ = _run_one(config, source, output_dir, "diagnose", heavy,
                            start, warnings)
@@ -389,13 +385,10 @@ def main(argv=None) -> int:
         for w in manifest.warnings:
             sys.stderr.write(f"warning: {w}\n")
         return EXIT_OK
-    except ConfigError as exc:
-        _fail("config", str(exc))
-        return EXIT_CONFIG
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except OSError as exc:
         _fail("io", str(exc))
         return EXIT_IO
-    except (SemiquantumError, DiagnosticError) as exc:
+    except SemiquantumError as exc:  # config, start and CSV errors
         _fail("config", str(exc))
         return EXIT_CONFIG
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import ModelParams, SemiquantumError, UsageError
-from .dynamics import METHODS, QUANTUM_INITS, REPRESENTATIONS, ScenarioConfig
+from .dynamics import (FLOAT_KEYS, METHODS, QUANTUM_INITS, REPRESENTATIONS,
+                       ScenarioConfig)
 
 __all__ = [
     "ConfigError",
@@ -27,8 +28,7 @@ __all__ = [
     "read_config_text",
 ]
 
-_FLOAT_KEYS = ("m", "e", "hbar", "A0", "Adot0", "t_end", "dt", "rtol", "atol",
-               "dt_init", "rho0", "rhodot0", "rho_min")
+_FLOAT_KEYS = ("m", "e", "hbar", *FLOAT_KEYS)
 _INT_KEYS = ("sample_every",)
 _ENUM_KEYS = {
     "representation": REPRESENTATIONS,

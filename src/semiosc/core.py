@@ -50,10 +50,10 @@ __all__ = [
     "validate_state",
 ]
 
-# Default tolerance for "is this Gaussian state still physical" checks.  It is
+# Tolerances of the "is this Gaussian state still physical" checks.  They are
 # deliberately much looser than the 1e-12 algebraic tolerance: integration
 # error may nibble at the Heisenberg bound, a genuinely corrupted state blows
-# straight through it.
+# straight through them.
 HEISENBERG_TOL = 1e-6
 WRONSKIAN_TOL = 1e-6
 PURITY_TOL = 1e-6
@@ -292,22 +292,22 @@ def drift_sheared_basis(omega: float, omegadot: float) -> OscBasis:
     return OscBasis(W=omega, sigma=0.5 * omegadot / omega)
 
 
-def quanta_expectation(moments: GaussianMoments, basis: OscBasis, hbar: float,
-                       heisenberg_tol: float = HEISENBERG_TOL) -> float:
+def quanta_expectation(moments: GaussianMoments, basis: OscBasis,
+                       hbar: float) -> float:
     """Expected quanta <a^dagger a> of the basis operator in a Gaussian state.
 
         N = [(W^2 + sigma^2) x2 + p2 + 2 sigma c] / (2 hbar W) - 1/2
 
     independent of basis.theta, and nonnegative whenever the moments satisfy
     the Heisenberg bound.  Moments that undercut the bound by more than
-    heisenberg_tol (relative to hbar^2/4) signal a corrupted state and raise
+    HEISENBERG_TOL (relative to hbar^2/4) signal a corrupted state and raise
     ValidationError.
     """
     if not (hbar > 0.0):
         raise DomainError(f"hbar must be positive, got {hbar}")
     bound = 0.25 * hbar * hbar
     det = moments.x2 * moments.p2 - moments.c * moments.c
-    if det < bound * (1.0 - heisenberg_tol):
+    if det < bound * (1.0 - HEISENBERG_TOL):
         raise ValidationError(
             f"moments violate the Heisenberg bound: x2*p2 - c^2 = {det}"
             f" < hbar^2/4 = {bound}")
@@ -461,27 +461,25 @@ def state_effective_frequency(state: SemiState,
     return Omega, Omegadot
 
 
-def validate_state(state: SemiState, params: ModelParams,
-                   wronskian_tol: float = WRONSKIAN_TOL,
-                   purity_tol: float = PURITY_TOL) -> None:
+def validate_state(state: SemiState, params: ModelParams) -> None:
     """Check the representation invariant of the state; raise ValidationError.
 
     pinney: rho > 0 (already enforced at construction).
-    mode:   |Wronskian - i hbar| <= wronskian_tol * hbar.
-    moments: |x2*p2 - c^2 - hbar^2/4| <= purity_tol * hbar^2/4 (pure states
+    mode:   |Wronskian - i hbar| <= WRONSKIAN_TOL * hbar.
+    moments: |x2*p2 - c^2 - hbar^2/4| <= PURITY_TOL * hbar^2/4 (pure states
     only; the dynamics in this package never leaves the pure manifold).
     """
     q = state.quantum
     if isinstance(q, ModeSector):
         defect = abs(mode_wronskian(q) - 1j * params.hbar)
-        if defect > wronskian_tol * params.hbar:
+        if defect > WRONSKIAN_TOL * params.hbar:
             raise ValidationError(
                 f"mode Wronskian off by {defect} (tolerance "
-                f"{wronskian_tol * params.hbar})")
+                f"{WRONSKIAN_TOL * params.hbar})")
     elif isinstance(q, GaussianMoments):
         bound = 0.25 * params.hbar * params.hbar
         defect = abs(q.purity_defect(params.hbar))
-        if defect > purity_tol * bound:
+        if defect > PURITY_TOL * bound:
             raise ValidationError(
                 f"moments are not a pure Gaussian state: purity defect "
-                f"{defect} exceeds {purity_tol * bound}")
+                f"{defect} exceeds {PURITY_TOL * bound}")

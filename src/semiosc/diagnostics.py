@@ -19,8 +19,9 @@ from .core import (
     quanta_expectation,
 )
 from .dynamics import (
+    MAX_RK4_STEPS,
+    Records,
     ScenarioConfig,
-    column,
     convert,
     fixed_grid,
     flat_from_state,
@@ -62,7 +63,9 @@ class LyapunovEstimate:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "n_segments": self.n_segments,
+        """JSON-ready fields; a non-finite value is written as None (null)."""
+        value = self.value if math.isfinite(self.value) else None
+        return {"value": value, "n_segments": self.n_segments,
                 "window": list(self.window), "failed": self.failed,
                 "note": self.note}
 
@@ -79,9 +82,9 @@ class DiscrepancyScaling:
     note: str = ""
 
 
-def energy_drift(records) -> float:
+def energy_drift(records: Records) -> float:
     """Max over the series of |Etot(t) - Etot(0)| / |Etot(0)|."""
-    etot = column(records, "Etot")
+    etot = records.columns["Etot"]
     if len(etot) < 2:
         raise UsageError("energy_drift needs at least two records")
     e0 = etot[0]
@@ -105,12 +108,34 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
     recorded and the companion is pulled back to the reference.  The first
-    TRANSIENT_FRACTION of segments is discarded, the rest averaged.
+    TRANSIENT_FRACTION of segments is discarded, the rest averaged.  The
+    estimate fails on more than MAX_RK4_STEPS steps per copy, and where the
+    companion equals the reference (DISPLACEMENT absorbed by rounding).
     """
     if not (horizon > 0.0):
         raise UsageError("horizon must be positive")
     n_seg = max(1, round(horizon / RENORM_INTERVAL))
+    logs = []
+
+    def finish(note=""):
+        # a note marks a failed estimate; no kept segment fails it too
+        skip = math.ceil(TRANSIENT_FRACTION * n_seg)
+        kept = logs[skip:]
+        window = (skip * RENORM_INTERVAL, horizon)
+        if not kept:
+            return LyapunovEstimate(
+                value=math.nan, n_segments=0, window=window, failed=True,
+                note=note or "no segments survived the transient cut")
+        value = sum(kept) / (len(kept) * RENORM_INTERVAL)
+        return LyapunovEstimate(value=value, n_segments=len(kept), window=window,
+                                failed=bool(note), note=note)
+
+    if not (n_seg * RENORM_INTERVAL / dt <= MAX_RK4_STEPS):
+        return finish(f"dt = {dt} makes more than {MAX_RK4_STEPS:.6g} steps "
+                      f"over {n_seg} segments")
     n_sub, h = fixed_grid(RENORM_INTERVAL, dt)
+    absorbed = (f"displacement {DISPLACEMENT} absorbed: the companion equals "
+                f"the reference at t=")
 
     def pair_step(t, pair, hh):
         return step(t, pair[0], hh), step(t, pair[1], hh)
@@ -121,42 +146,26 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
 
     y_ref = tuple(y0)
     y_cmp = displaced(y_ref)
-    logs = []
     t = 0.0
+    if y_cmp == y_ref:
+        return finish(f"{absorbed}{t}")
     for seg in range(n_seg):
         (y_ref, y_cmp), abort = run_fixed(pair_step, (y_ref, y_cmp), h, n_sub,
                                           t0=t)
         if abort is not None:
-            return _finish_benettin(logs, n_seg, horizon, failed=True,
-                                    note=f"singular evaluation at t={abort[1]}")
+            return finish(f"singular evaluation at t={abort[1]}")
         t += RENORM_INTERVAL
         if guard is not None:
             hit = guard(t, y_ref) or guard(t, y_cmp)
             if hit is not None:
-                return _finish_benettin(logs, n_seg, horizon, failed=True,
-                                        note=f"trajectory aborted: {hit[1]}")
+                return finish(f"trajectory aborted: {hit[1]}")
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(y_ref, y_cmp)))
         if d == 0.0:
-            logs.append(0.0)
-            y_cmp = displaced(y_ref)
-            continue
+            return finish(f"{absorbed}{t}")
         logs.append(math.log(d / DISPLACEMENT))
         scale = DISPLACEMENT / d
         y_cmp = tuple(a + (b - a) * scale for a, b in zip(y_ref, y_cmp))
-    return _finish_benettin(logs, n_seg, horizon)
-
-
-def _finish_benettin(logs, n_seg, horizon, failed=False, note=""):
-    skip = math.ceil(TRANSIENT_FRACTION * n_seg)
-    kept = logs[skip:]
-    window = (skip * RENORM_INTERVAL, horizon)
-    if not kept:
-        return LyapunovEstimate(value=math.nan, n_segments=0, window=window,
-                                failed=True,
-                                note=note or "no segments survived the transient cut")
-    value = sum(kept) / (len(kept) * RENORM_INTERVAL)
-    return LyapunovEstimate(value=value, n_segments=len(kept), window=window,
-                            failed=failed, note=note)
+    return finish()
 
 
 def lyapunov_max(config: ScenarioConfig,
@@ -178,32 +187,26 @@ def lyapunov_max(config: ScenarioConfig,
 # convergence order
 # ---------------------------------------------------------------------------
 
-def _check_dt_list(dt_list, t_end) -> None:
-    if len(dt_list) < 3:
-        raise UsageError("convergence study needs at least three step sizes")
-    for dt in dt_list:
-        if not (dt > 0.0 and math.isfinite(dt) and math.isfinite(t_end / dt)):
-            raise UsageError(f"dt = {dt} must be positive and finite, with a "
-                             f"finite step count for t_end = {t_end}")
-    for a, b in zip(dt_list, dt_list[1:]):
-        if not math.isclose(a / b, 2.0, rel_tol=1e-9):
-            raise UsageError(f"step sizes must halve: got {a} then {b}")
+def _ladder(dt: float) -> tuple[float, float, float]:
+    """The order study's step sizes: dt, dt/2, dt/4."""
+    return dt, dt / 2.0, dt / 4.0
 
 
-def convergence_order(config: ScenarioConfig, dt_list) -> float:
+def convergence_order(config: ScenarioConfig) -> float:
     """Observed order from self-convergence of the final state.
 
-    Integrates the scenario with rk4 at each step size (which must halve
-    down the list and divide t_end into whole steps), takes Euclidean
-    distances between successive final (A, Adot, rho, rhodot), and averages
-    the log2 ratios.  Each run samples only its initial and final state.
-    Classical rk4 on a smooth trajectory sits near 4.
+    Integrates the scenario with rk4 at each step of _ladder(config.dt),
+    takes Euclidean distances between successive final (A, Adot, rho,
+    rhodot), and averages the log2 ratios.  Each leg is a ScenarioConfig, so
+    a step that does not divide t_end into whole steps raises UsageError.
+    Each run samples only its initial and final state.  Classical rk4 on a
+    smooth trajectory sits near 4.
     """
-    _check_dt_list(dt_list, config.t_end)
     finals = []
-    for dt in dt_list:
-        n, _ = fixed_grid(config.t_end, dt)
-        traj = integrate(replace(config, method="rk4", dt=dt, sample_every=n))
+    for dt in _ladder(config.dt):
+        # no run has more than MAX_RK4_STEPS steps: only the final is sampled
+        traj = integrate(replace(config, method="rk4", dt=dt,
+                                 sample_every=MAX_RK4_STEPS))
         if not traj.completed:
             raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
         finals.append([traj.columns[k][-1] for k in ("A", "Adot", "rho", "rhodot")])
@@ -216,16 +219,17 @@ def convergence_order(config: ScenarioConfig, dt_list) -> float:
     return sum(orders) / len(orders)
 
 
-def linear_test_order(dt_list=(0.04, 0.02, 0.01), t_end: float = 5.0) -> float:
+def linear_test_order() -> float:
     """Self-test of the stepper on Addot = -A against the exact cosine.
 
-    Uses true errors at t_end for A(0)=1, Adot(0)=0, so the estimate is
-    anchored to a known solution rather than self-convergence.
+    Uses true errors at t = 5 for A(0)=1, Adot(0)=0 on _ladder(0.04), so
+    the estimate is anchored to a known solution rather than
+    self-convergence.
     """
-    _check_dt_list(dt_list, t_end)
+    t_end = 5.0
     step = rk4_on(lambda t, y: (y[1], -y[0]))
     errs = []
-    for dt in dt_list:
+    for dt in _ladder(0.04):
         n, h = fixed_grid(t_end, dt)
         y, _ = run_fixed(step, (1.0, 0.0), h, n)
         errs.append(math.hypot(y[0] - math.cos(t_end), y[1] + math.sin(t_end)))
@@ -254,17 +258,17 @@ def structure_count(series, floor: float = 1e-9) -> int:
     return count
 
 
-def max_abs_discrepancy(records) -> float:
+def max_abs_discrepancy(records: Records) -> float:
     """max over the series of |N_ours - N_cdms|."""
-    return max(abs(a - b) for a, b in zip(column(records, "N_ours"),
-                                          column(records, "N_cdms")))
+    cols = records.columns
+    return max(abs(a - b) for a, b in zip(cols["N_ours"], cols["N_cdms"]))
 
 
-def max_abs_remainder(records) -> float:
+def max_abs_remainder(records: Records) -> float:
     """max over the series of |(N_ours - N_cdms) - dN_leading|."""
-    return max(abs((a - b) - d) for a, b, d in zip(column(records, "N_ours"),
-                                                   column(records, "N_cdms"),
-                                                   column(records, "dN_leading")))
+    cols = records.columns
+    return max(abs((a - b) - d) for a, b, d in zip(cols["N_ours"], cols["N_cdms"],
+                                                   cols["dN_leading"]))
 
 
 _ZERO_SIGNAL = "zero signal: no measurable discrepancy, fit rejected"

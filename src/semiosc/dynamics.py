@@ -64,7 +64,6 @@ __all__ = [
     "flat_from_state",
     "state_from_flat",
     "Records",
-    "column",
 ]
 
 REPRESENTATIONS = ("pinney", "mode", "moments")
@@ -82,9 +81,10 @@ STATUS_STEPFAIL = "aborted-stepfail"
 MAX_RK4_STEPS = 10 ** 8
 MAX_STEP_ATTEMPTS = 10 ** 7
 
-# ScenarioConfig fields that must be finite floats (None where optional)
-_FINITE_KEYS = ("A0", "Adot0", "t_end", "dt", "dt_init", "rtol", "atol",
-                "rho0", "rhodot0", "rho_min")
+# ScenarioConfig's float fields, which must be finite (None where optional);
+# with ModelParams' m, e and hbar these are the float config keys
+FLOAT_KEYS = ("A0", "Adot0", "t_end", "dt", "dt_init", "rtol", "atol",
+              "rho0", "rhodot0", "rho_min")
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,7 @@ class ScenarioConfig:
             raise UsageError(f"unknown method {self.method!r}")
         if self.quantum_init not in QUANTUM_INITS:
             raise UsageError(f"unknown quantum_init {self.quantum_init!r}")
-        for key in _FINITE_KEYS:
+        for key in FLOAT_KEYS:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"{key} must be finite, got {value}")
@@ -213,14 +213,6 @@ class Records:
         return map(TimeSeriesRecord, *(self.columns[k] for k in COLUMNS))
 
 
-def column(records, name: str):
-    """One observable along a series: straight from a Records view, else
-    gathered from any sequence of TimeSeriesRecord."""
-    if isinstance(records, Records):
-        return records.columns[name]
-    return [getattr(r, name) for r in records]
-
-
 def columns_from_rows(flat) -> dict:
     """Split a flat row-major float array of COLUMNS-wide rows into columns."""
     width = len(COLUMNS)
@@ -297,8 +289,8 @@ def init_adiabatic(A0: float, Adot0: float, params: ModelParams) -> SemiState:
 def initial_state(config: ScenarioConfig) -> SemiState:
     """Initial SemiState of a scenario, converted to its representation.
 
-    A start so large that the frequency law overflows raises DomainError
-    naming A0 and Adot0.
+    A start on which the frequency law overflows or divides by zero raises
+    DomainError naming A0 and Adot0.
     """
     try:
         if config.quantum_init == "vacuum":
@@ -309,13 +301,13 @@ def initial_state(config: ScenarioConfig) -> SemiState:
             state = SemiState(0.0, config.A0, config.Adot0,
                               PinneySector(config.rho0, config.rhodot0))
         return convert(state, config.representation, config.params)
-    except OverflowError as exc:
-        raise _start_overflow(config, exc) from None
+    except ArithmeticError as exc:
+        raise _bad_start(config, exc) from None
 
 
-def _start_overflow(config: ScenarioConfig, exc: ArithmeticError) -> DomainError:
+def _bad_start(config: ScenarioConfig, why) -> DomainError:
     return DomainError(f"A0 = {config.A0}, Adot0 = {config.Adot0}: the initial "
-                       f"state overflows ({exc})")
+                       f"state is not representable ({why})")
 
 
 # ---------------------------------------------------------------------------
@@ -895,6 +887,8 @@ def integrate(config: ScenarioConfig) -> Trajectory:
 
     On a width collapse (rho <= rho_min) or a step failure the partial
     series is returned with the abort time and reason; nothing is raised.
+    A start whose observables overflow or are not finite raises DomainError
+    naming A0 and Adot0.
     """
     params = config.params
     state0 = initial_state(config)
@@ -903,9 +897,13 @@ def integrate(config: ScenarioConfig) -> Trajectory:
     y = flat_from_state(state0)
     rows = row_buffer()
     try:
-        rows.extend(record_observables(state0, params).as_row())
+        row0 = record_observables(state0, params).as_row()
     except ArithmeticError as exc:
-        raise _start_overflow(config, exc) from None
+        raise _bad_start(config, exc) from None
+    for name, value in zip(COLUMNS, row0):
+        if not math.isfinite(value):
+            raise _bad_start(config, f"{name} = {value}")
+    rows.extend(row0)
     sample = sampler(make_row(rep, params), rows.extend)
 
     if config.method == "rk4":

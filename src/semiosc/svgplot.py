@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from . import __version__
 from .core import UsageError
 
 __all__ = ["render_line_plot"]
@@ -46,9 +47,10 @@ def _tick_label(v: float) -> str:
 
 
 def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
-                     annotations=(), version: str = "") -> str:
+                     annotations=()) -> str:
     """Render (label, xs, ys) curves, each a non-empty polyline with as many
-    xs as ys, to a standalone SVG document string."""
+    xs as ys, to a standalone SVG document string stamped with the package
+    version."""
     if not curves:
         raise UsageError("nothing to plot")
     x_lo, x_hi = _span([x for _, xs, _ in curves for x in xs])
@@ -66,8 +68,7 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
     out.append(f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
                f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
-    if version:
-        out.append(f'<!-- semiosc {version} -->')
+    out.append(f'<!-- semiosc {__version__} -->')
     out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
                f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>')

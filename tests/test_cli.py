@@ -1,15 +1,21 @@
 """End-to-end CLI tests: artifacts, schemas, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from semiosc import COLUMNS, UsageError, dynamics, integrate, load_scenario
+from semiosc import COLUMNS, UsageError, diagnostics, dynamics, integrate, load_scenario
+from semiosc.config import SCENARIO_KEYS
 from semiosc.cli import (
     EXIT_ABORT,
     EXIT_CONFIG,
@@ -62,6 +68,14 @@ def _schema():
     root = os.path.dirname(semiosc.__file__)
     with open(os.path.join(root, "report.schema.json")) as fh:
         return json.load(fh)
+
+
+def _strict_json(path):
+    """RFC 8259 JSON only: NaN and Infinity tokens raise."""
+    def reject(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +168,21 @@ def test_simulate_bad_numbers_exit_2_naming_the_key(tmp_path, capsys, changes, k
     detail = json.loads(err.strip())["detail"]
     assert key in detail
     assert "rho" not in detail
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_non_finite_start_exits_2_naming_the_start(tmp_path, capsys, command):
+    # a finite start whose energy overflows: Etot = Adot0^2 / 2 = inf
+    cfg = tmp_path / "kick.cfg"
+    cfg.write_text("m = 1\ne = 0\nhbar = 1\nA0 = 0\nAdot0 = 1e200\n"
+                   "dt = 0.1\nt_end = 2\n")
+    out = tmp_path / "o"
+    assert main([command, str(cfg), "-o", str(out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert "A0 = 0.0, Adot0 = 1e+200" in err["detail"]
+    assert "Etot = inf" in err["detail"]
+    assert not (out / "timeseries.csv").exists()
 
 
 def test_simulate_missing_file_exits_4(tmp_path):
@@ -287,6 +316,15 @@ def test_csv_malformed_row_exits_2(tmp_path, capsys, row):
     assert main(["plot", str(path), "--kind", "energy",
                  "-o", str(tmp_path / "x.svg")]) == EXIT_CONFIG
     assert ":2:" in json.loads(capsys.readouterr().err.strip())["detail"]
+
+
+def test_empty_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    assert main(["plot", str(path), "--kind", "energy",
+                 "-o", str(tmp_path / "x.svg")]) == EXIT_CONFIG
+    assert "empty time-series file" in json.loads(
+        capsys.readouterr().err.strip())["detail"]
 
 
 def test_version_flag(capsys):
@@ -452,6 +490,19 @@ def test_diagnose_full_report(small_cfg, tmp_path):
     assert 3.5 <= report["convergence_order"] <= 4.5
 
 
+def test_diagnose_short_run_writes_null_lyapunov(tmp_path, capsys):
+    # t_end = 1 is one Benettin segment, discarded as transient: no value
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(SMALL.replace("t_end = 3.0", "t_end = 1.0"))
+    out = tmp_path / "diag"
+    assert main(["diagnose", str(cfg), "-o", str(out)]) == EXIT_OK
+    report = _strict_json(out / "diagnostics.json")
+    jsonschema.validate(report, _schema())
+    assert report["lyapunov"]["value"] is None
+    assert report["lyapunov"]["failed"]
+    assert "lyapunov estimate flagged" in capsys.readouterr().err
+
+
 def test_run_scenario_api_returns_manifest(small_cfg, tmp_path):
     manifest = run_scenario(small_cfg, str(tmp_path / "out"))
     assert manifest.status == "completed"
@@ -490,3 +541,45 @@ def test_sweep_runs_with_numpy_blocked(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "sw" / "manifest.json").read_text())
     assert 3.7 <= manifest["outputs"]["discrepancy_power"] <= 4.3
+
+
+# ---------------------------------------------------------------------------
+# the input domain of main()
+# ---------------------------------------------------------------------------
+
+PROBES = ("nan", "inf", "1e308", "1e-320", "0", "-1", "1e18", "abc", "", "0x10")
+ENUMS = {"representation": dynamics.REPRESENTATIONS, "method": dynamics.METHODS,
+         "quantum_init": dynamics.QUANTUM_INITS}
+TINY = {"m": "1.0", "e": "1.0", "hbar": "1.0", "A0": "1.0", "Adot0": "1.0",
+        "t_end": "0.01", "dt": "0.002", "sample_every": "2", "rho0": "1.0",
+        "rhodot0": "0.0"}
+
+overrides_st = st.lists(st.sampled_from(sorted(SCENARIO_KEYS)), max_size=3,
+                        unique=True).flatmap(lambda keys: st.fixed_dictionaries(
+    {k: st.sampled_from(ENUMS.get(k, PROBES)) for k in keys}))
+
+
+@given(command=st.sampled_from(["simulate", "diagnose"]), overrides=overrides_st)
+@settings(max_examples=120, deadline=None)
+def test_main_runs_or_exits_with_a_documented_code(command, overrides):
+    text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stderr(err):
+        for module in (dynamics, diagnostics):
+            mp.setattr(module, "MAX_RK4_STEPS", 2000)
+        mp.setattr(dynamics, "MAX_STEP_ATTEMPTS", 200)
+        cfg, out = os.path.join(tmp, "c.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        code = main([command, cfg, "-o", out])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ABORT, EXIT_IO), \
+            (text, err.getvalue())
+        if code == EXIT_ABORT:
+            assert os.path.isfile(os.path.join(out, "manifest.json"))
+            assert read_timeseries_csv(os.path.join(out, "timeseries.csv"))
+        if code == EXIT_OK:
+            read_timeseries_csv(os.path.join(out, "timeseries.csv"))  # finite
+            _strict_json(os.path.join(out, "manifest.json"))
+            jsonschema.validate(_strict_json(os.path.join(out, "diagnostics.json")),
+                                _schema())

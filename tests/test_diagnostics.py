@@ -7,6 +7,8 @@ regression baselines, not asserted from first principles.
 """
 
 import dataclasses
+import json
+import math
 
 import pytest
 
@@ -26,10 +28,11 @@ from semiosc import (
     lyapunov_max,
     max_abs_discrepancy,
     max_abs_remainder,
+    scenario_with,
     structure_count,
 )
-from semiosc.diagnostics import power_law_fit
-from semiosc.dynamics import rk4_on
+from semiosc.diagnostics import LyapunovEstimate, power_law_fit
+from semiosc.dynamics import COLUMNS, Records, rk4_on
 from conftest import quick_config
 
 
@@ -41,25 +44,30 @@ def _rec(t=0.0, Etot=1.0, N_ours=0.0, N_cdms=0.0, dN_leading=0.0):
                             dN_leading=dN_leading, **zeros)
 
 
+def _records(*recs):
+    """The Records view of the given rows."""
+    return Records({k: [getattr(r, k) for r in recs] for k in COLUMNS})
+
+
 # ---------------------------------------------------------------------------
 # energy drift
 # ---------------------------------------------------------------------------
 
 def test_energy_drift_constant_series():
-    recs = [_rec(t=float(i)) for i in range(5)]
+    recs = _records(*(_rec(t=float(i)) for i in range(5)))
     assert energy_drift(recs) == 0.0
 
 
 def test_energy_drift_direct_value():
-    recs = [_rec(Etot=1.0), _rec(t=1.0, Etot=1.0 + 1e-8)]
+    recs = _records(_rec(Etot=1.0), _rec(t=1.0, Etot=1.0 + 1e-8))
     assert energy_drift(recs) == pytest.approx(1e-8, rel=1e-9)
 
 
 def test_energy_drift_usage_errors():
     with pytest.raises(UsageError):
-        energy_drift([_rec()])
+        energy_drift(_records(_rec()))
     with pytest.raises(UsageError):
-        energy_drift([_rec(Etot=0.0), _rec(t=1.0, Etot=0.0)])
+        energy_drift(_records(_rec(Etot=0.0), _rec(t=1.0, Etot=0.0)))
 
 
 def test_energy_drift_halving_ratio(unit_params):
@@ -123,6 +131,42 @@ def test_lyapunov_reports_failed_runs(unit_params):
     assert "aborted" in est.note
 
 
+def test_lyapunov_flags_a_displacement_absorbed_at_the_start():
+    # A0 + DISPLACEMENT == A0 at this size: the companion is the reference
+    cfg = scenario_with(load_scenario("strong"), e=1e-9, A0=1.4142135623730951e9)
+    est = lyapunov_max(cfg)
+    assert est.failed
+    assert est.n_segments == 0 and math.isnan(est.value)
+    assert est.note == ("displacement 1e-08 absorbed: the companion equals "
+                        "the reference at t=0.0")
+
+
+def test_lyapunov_flags_a_displacement_absorbed_at_a_segment_end():
+    # a drift to 1e9 swallows the companion's 1e-8 offset in the first step
+    est = benettin_lyapunov(rk4_on(lambda t, y: (1e9,)), (0.0,), dt=0.5,
+                            horizon=3.0)
+    assert est.failed
+    assert est.note.endswith("equals the reference at t=1.0")
+
+
+def test_lyapunov_bounds_its_work(unit_params):
+    # 1e7 rk4 steps over t_end, but 1e9 per copy over one Benettin segment
+    est = lyapunov_max(quick_config(unit_params, t_end=0.01, dt=1e-9))
+    assert est.failed
+    assert est.note == "dt = 1e-09 makes more than 1e+08 steps over 1 segments"
+    est = benettin_lyapunov(rk4_on(lambda t, y: (y[1], 0.0)), (0.0, 1.0),
+                            dt=1e-320, horizon=1.0)  # 1 / dt overflows
+    assert est.failed and est.note.startswith("dt = 1e-320 makes more")
+
+
+def test_lyapunov_to_dict_writes_null_for_a_non_finite_value():
+    est = LyapunovEstimate(value=math.nan, n_segments=0, window=(1.0, 1.0),
+                           failed=True, note="no segments")
+    assert est.to_dict()["value"] is None
+    json.dumps(est.to_dict(), allow_nan=False)
+    assert math.isnan(est.value)  # the sweep's aggregate still reads nan
+
+
 # ---------------------------------------------------------------------------
 # convergence order
 # ---------------------------------------------------------------------------
@@ -133,41 +177,45 @@ def test_linear_problem_order():
 
 def test_decoupled_scenario_self_convergence(decoupled_params):
     # e = 0 with an off-vacuum width: smooth oscillatory dynamics, clean rk4
-    cfg = quick_config(decoupled_params, A0=0.0, Adot0=1.0, t_end=5.0,
+    cfg = quick_config(decoupled_params, A0=0.0, Adot0=1.0, t_end=5.0, dt=0.02,
                        quantum_init="explicit", rho0=1.2, rhodot0=0.0)
-    order = convergence_order(cfg, (0.02, 0.01, 0.005))
+    order = convergence_order(cfg)  # legs 0.02, 0.01, 0.005
     assert 3.7 <= order <= 4.3
 
 
 def test_coupled_scenario_self_convergence(unit_params):
-    cfg = quick_config(unit_params, t_end=10.0)
-    order = convergence_order(cfg, (0.002, 0.001, 0.0005))
+    cfg = quick_config(unit_params, t_end=10.0, dt=0.002)
+    order = convergence_order(cfg)  # legs 0.002, 0.001, 0.0005
     assert 3.7 <= order <= 4.3
 
 
 def test_convergence_usage_errors(unit_params):
-    cfg = quick_config(unit_params)
-    with pytest.raises(UsageError):
-        convergence_order(cfg, (0.02, 0.01))
-    with pytest.raises(UsageError):
-        convergence_order(cfg, (0.02, 0.015, 0.01))
-    with pytest.raises(UsageError, match="dt = -0.02"):
-        convergence_order(cfg, (-0.02, -0.01, -0.005))
+    # a leg's dt is the config's, halved: no config holds a dt that no leg
+    # could take, so ScenarioConfig rejects these before any study runs
+    with pytest.raises(UsageError, match="dt and dt_init must be positive"):
+        quick_config(unit_params, dt=-0.02)
     with pytest.raises(UsageError, match="dt = 4e-320"):
-        convergence_order(cfg, (4e-320, 2e-320, 1e-320))
-    # 0.3 does not divide t_end = 5 into whole steps
+        quick_config(unit_params, dt=4e-320)
+    # an adaptive config holds dt = 0.3, which does not divide t_end = 5
+    # into whole steps: its rk4 legs do not
+    cfg = quick_config(unit_params, method="adaptive", dt=0.3)
     with pytest.raises(UsageError, match="dt = 0.3"):
-        convergence_order(cfg, (0.3, 0.15, 0.075))
-    with pytest.raises(UsageError):
-        linear_test_order((0.02, 0.01))
+        convergence_order(cfg)
+
+
+def test_convergence_rejects_coinciding_runs(decoupled_params):
+    # the decoupled vacuum at rest is a fixed point of every rk4 step
+    cfg = quick_config(decoupled_params, A0=0.0, Adot0=0.0, dt=0.02)
+    with pytest.raises(DiagnosticError, match="coincide"):
+        convergence_order(cfg)
 
 
 def test_convergence_rejects_aborted_runs(unit_params):
     cfg = ScenarioConfig(params=unit_params, A0=0.0, Adot0=0.0, t_end=5.0,
-                         dt=1e-3, sample_every=1, quantum_init="explicit",
+                         dt=0.002, sample_every=1, quantum_init="explicit",
                          rho0=0.6, rhodot0=-2.0, rho_min=0.5)
     with pytest.raises(DiagnosticError):
-        convergence_order(cfg, (0.002, 0.001, 0.0005))
+        convergence_order(cfg)  # legs 0.002, 0.001, 0.0005
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +349,9 @@ def test_fitted_amplitude_bounded_by_remainder():
 
 
 def test_max_metrics():
-    recs = [_rec(N_ours=0.0, N_cdms=0.0, dN_leading=0.0),
-            _rec(t=1.0, N_ours=3.0, N_cdms=1.0, dN_leading=1.5),
-            _rec(t=2.0, N_ours=1.0, N_cdms=2.0, dN_leading=0.0)]
+    recs = _records(_rec(N_ours=0.0, N_cdms=0.0, dN_leading=0.0),
+                    _rec(t=1.0, N_ours=3.0, N_cdms=1.0, dN_leading=1.5),
+                    _rec(t=2.0, N_ours=1.0, N_cdms=2.0, dN_leading=0.0))
     assert max_abs_discrepancy(recs) == 2.0
     assert max_abs_remainder(recs) == 1.0
 

@@ -13,6 +13,7 @@ from semiosc import (
     ModeSector,
     ModelParams,
     PinneySector,
+    DomainError,
     ScenarioConfig,
     SemiState,
     UsageError,
@@ -344,6 +345,82 @@ def test_adaptive_step_attempt_bound(unit_params, monkeypatch):
     assert traj.abort_reason.startswith("40 step attempts")
     assert len(traj.records) >= 2
     assert traj.records[-1].t == traj.abort_time < 5.0
+
+
+def test_non_finite_start_is_rejected_naming_the_start(decoupled_params):
+    # every start value is finite, but Etot = Adot0^2 / 2 overflows
+    cfg = ScenarioConfig(params=decoupled_params, A0=0.0, Adot0=1e200,
+                         t_end=2.0, dt=0.1)
+    with pytest.raises(DomainError, match=r"A0 = 0\.0, Adot0 = 1e\+200: .*Etot = inf"):
+        integrate(cfg)
+
+
+def test_start_dividing_by_zero_is_rejected_naming_the_start():
+    # m^2 + (e A0)^2 underflows to 0, so omega(A0) = 0
+    params = ModelParams(m=1e-320, e=1.0, hbar=1.0)
+    cfg = ScenarioConfig(params=params, A0=1e-320, Adot0=1.0, t_end=1.0)
+    with pytest.raises(DomainError, match="A0 = 1e-320, Adot0 = 1.0"):
+        integrate(cfg)
+
+
+def test_guards_abort_non_finite_and_collapsed_states(unit_params):
+    pinney = dynamics.make_guard("pinney", unit_params, 1e-8)
+    assert pinney(1.0, (1.0, math.nan, 1.0, 0.0)) == (
+        "aborted-stepfail", "non-finite state component at t=1.0")
+    mode = dynamics.make_guard("mode", unit_params, 1e-8)
+    assert mode(2.0, (1.0, 1.0, math.inf, 0.0, 0.0, 1.0)) == (
+        "aborted-stepfail", "non-finite state component at t=2.0")
+    # |f|^2 = 1e-18 is under the floor hbar rho_min^2 / 2 = 5e-17
+    assert mode(3.0, (1.0, 1.0, 1e-9, 0.0, 0.0, 1.0)) == (
+        "aborted-singularity", "<x^2> fell to the width floor at t=3.0")
+    assert mode(3.0, (1.0, 1.0, 1.0, 0.0, 0.0, 1.0)) is None
+
+
+def _failing_after(n, value):
+    """A step that returns `value` n times, then divides by zero."""
+    calls = []
+
+    def step(t, y, h):
+        calls.append(t)
+        if len(calls) > n:
+            raise ZeroDivisionError("float division by zero")
+        return value
+    return step
+
+
+def test_drivers_stop_on_a_singular_step():
+    y, abort = dynamics.run_fixed(_failing_after(2, (1.0,)), (0.0,), 0.5, 4)
+    assert y == (1.0,)
+    assert abort == ("aborted-singularity", 1.0,
+                     "singular right-hand side evaluation")
+    y, abort = dynamics.run_adaptive(
+        _failing_after(1, ((1.0,), (0.0,))), (0.0,), 4.0, 0.5, 1e-9, 1e-9, 1,
+        lambda t, y: None, lambda t, y: None)
+    assert y == (1.0,)
+    assert abort == ("aborted-singularity", 0.5,
+                     "singular right-hand side evaluation")
+
+
+def test_drivers_stop_when_a_sample_is_refused():
+    samples = []
+
+    def on_sample(t, y):
+        samples.append(t)
+        return ("aborted-stepfail", "refused") if len(samples) == 2 else None
+
+    def step(t, y, h):
+        return (y[0] + h,)
+
+    y, abort = dynamics.run_fixed(step, (0.0,), 0.25, 8, 2, None, on_sample)
+    assert samples == [0.5, 1.0]
+    assert y == (1.0,) and abort == ("aborted-stepfail", 1.0, "refused")
+    samples.clear()
+    y, abort = dynamics.run_adaptive(
+        lambda t, y, h: (step(t, y, h), (0.0,)), (0.0,), 4.0, 0.25, 1e-9, 1e-9,
+        1, lambda t, y: None, on_sample)
+    # an exact step grows the next fivefold: t = 0.25, then 1.5
+    assert samples == [0.25, 1.5]
+    assert y == (1.5,) and abort == ("aborted-stepfail", 1.5, "refused")
 
 
 def test_config_validation():
