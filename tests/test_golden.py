@@ -14,7 +14,7 @@ import hashlib
 
 import pytest
 
-from semiosc.cli import EXIT_OK, main
+from semiosc.cli import EXIT_ABORT, EXIT_OK, main
 
 VACUUM_KICK_SHORT = """\
 m = 1.0
@@ -84,17 +84,51 @@ def test_simulate_output_digests(case, tmp_path):
             _sha256(out / "number_overlay.svg")) == PINS[case]
 
 
-# case -> diagnostics.json SHA-256 of `semiosc diagnose`
+def _short_config(tmp_path, case, **changes):
+    """VACUUM_KICK_SHORT in pinney rk4 with `changes` set, as a file path."""
+    keys = dict(ln.split(" = ") for ln in VACUUM_KICK_SHORT.format(
+        representation="pinney", method="rk4").splitlines())
+    keys.update(changes)
+    path = tmp_path / f"{case}.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    return str(path)
+
+
+# case -> (keys set on pinney rk4 VACUUM_KICK_SHORT, exit code,
+# diagnostics.json SHA-256 of `semiosc diagnose`).  The first case's grid lets
+# the order study and the Benettin estimate reuse the main run; the others
+# cannot: another layout or method, a step that differs from the Benettin
+# segment's (t_end = 2.6, dt = 0.003), a stride that does not divide a
+# segment, and an aborted main run.
 DIAGNOSE_PINS = {
-    "vacuum-kick-pinney-rk4":
-        "3bc9048c55df1ed12d578a7a4ed55fd2a8713bf920fac2223047d4b5af7e463c",
-    "vacuum-kick-mode-rk4":
-        "15e8397cea1090fa210331f40d3bb961746ef12e8080af88e65c3421cfef449f",
+    "vacuum-kick-pinney-rk4": (
+        {}, EXIT_OK,
+        "3bc9048c55df1ed12d578a7a4ed55fd2a8713bf920fac2223047d4b5af7e463c"),
+    "vacuum-kick-mode-rk4": (
+        {"representation": "mode"}, EXIT_OK,
+        "15e8397cea1090fa210331f40d3bb961746ef12e8080af88e65c3421cfef449f"),
+    "vacuum-kick-pinney-adaptive": (
+        {"method": "adaptive"}, EXIT_OK,
+        "f658eb2a546936c6b54ec931ee9b45d641e8fdb287dbb0a7d6e304a60d5f8b9c"),
+    "vacuum-kick-t_end-2.6": (
+        {"t_end": "2.6"}, EXIT_OK,
+        "45f19d86bf7ad275ff2e207799f3bc996344ed8f04f478d1c9b20f1ec26dc5fe"),
+    "vacuum-kick-dt-0.003": (
+        {"dt": "0.003", "t_end": "3.0"}, EXIT_OK,
+        "5c0168f693a82d28e219d1febd830ec041f6d11b8eb11a0a7675c4e489c02103"),
+    "vacuum-kick-sample_every-7": (
+        {"sample_every": "7"}, EXIT_OK,
+        "2f42428de4307f43602453299150b30ed944a512ac502552737a15fa1f22fd82"),
+    "vacuum-kick-rho_min-0.9": (
+        {"rho_min": "0.9"}, EXIT_ABORT,
+        "cc4a8ab2f229581b93b4a76d07d8d9ed163c746c8807d41f9fe7054070a28324"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DIAGNOSE_PINS))
 def test_diagnose_report_digests(case, tmp_path):
+    changes, code, digest = DIAGNOSE_PINS[case]
     out = tmp_path / "out"
-    assert main(["diagnose", _config_ref(case, tmp_path), "-o", str(out)]) == EXIT_OK
-    assert _sha256(out / "diagnostics.json") == DIAGNOSE_PINS[case]
+    config = _short_config(tmp_path, case, **changes)
+    assert main(["diagnose", config, "-o", str(out)]) == code
+    assert _sha256(out / "diagnostics.json") == digest
