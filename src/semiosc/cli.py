@@ -42,6 +42,7 @@ from .dynamics import (
     Records,
     ScenarioConfig,
     Trajectory,
+    checked_start,
     columns_from_rows,
     integrate,
     row_buffer,
@@ -182,18 +183,15 @@ def _series_metrics(traj: Trajectory) -> dict:
     }
 
 
-def _run_one(config: ScenarioConfig, source: str, outdir: str,
-             command: str, heavy: dict | None = None,
-             start: float | None = None, extra_warnings=()
-             ) -> tuple[RunManifest, dict]:
-    """Integrate one run and write its CSV, diagnostics.json, overlay and
-    manifest; return the manifest and the diagnostics report.  `heavy` sets
-    diagnose's `lyapunov` and `convergence_order`; the manifest's duration
-    counts from `start` (default: now) and `extra_warnings` follow the abort
-    warning."""
-    start = time.perf_counter() if start is None else start
+def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
+             source: str, outdir: str, command: str, heavy: dict | None = None,
+             extra_warnings=()) -> tuple[RunManifest, dict]:
+    """Write one run's CSV, diagnostics.json, overlay and manifest from its
+    trajectory `traj` = integrate(config); return the manifest and the
+    diagnostics report.  The manifest's duration counts from `start`, taken
+    before the run was integrated.  `heavy` sets diagnose's `lyapunov` and
+    `convergence_order`; `extra_warnings` follow the abort warning."""
     os.makedirs(outdir, exist_ok=True)
-    traj = integrate(config)
     csv_path = os.path.join(outdir, "timeseries.csv")
     write_timeseries_csv(traj.records, csv_path)
     report = {
@@ -233,30 +231,36 @@ def run_scenario(config_ref: str, output_dir: str) -> RunManifest:
     """simulate: integrate one scenario and write CSV, report, and overlay plot."""
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
-    manifest, _ = _run_one(config, source, output_dir, "simulate")
+    start = time.perf_counter()
+    manifest, _ = _run_one(config, integrate(config), start, source,
+                           output_dir, "simulate")
     return manifest
 
 
 def run_diagnose(config_ref: str, output_dir: str) -> RunManifest:
-    """diagnose: like simulate plus Lyapunov and observed convergence order."""
+    """diagnose: like simulate plus Lyapunov and observed convergence order.
+
+    The main run is integrated once; both studies read it where it is one
+    of their own runs (see lyapunov_max and convergence_order)."""
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
     start = time.perf_counter()
+    traj = integrate(config)
     warnings = []
     heavy = {}
     try:
-        lyap = lyapunov_max(config)
+        lyap = lyapunov_max(config, main=traj)
         heavy["lyapunov"] = lyap.to_dict()
         if lyap.failed:
             warnings.append(f"lyapunov estimate flagged: {lyap.note}")
     except SemiquantumError as exc:
         warnings.append(f"lyapunov failed: {exc}")
     try:
-        heavy["convergence_order"] = convergence_order(config)
+        heavy["convergence_order"] = convergence_order(config, main=traj)
     except SemiquantumError as exc:
         warnings.append(f"convergence order failed: {exc}")
-    manifest, _ = _run_one(config, source, output_dir, "diagnose", heavy,
-                           start, warnings)
+    manifest, _ = _run_one(config, traj, start, source, output_dir,
+                           "diagnose", heavy, warnings)
     return manifest
 
 
@@ -268,16 +272,19 @@ _AGGREGATE_HEADER = ("leg", "axis", "value", "status", "max_abs_discrepancy",
 def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     """sweep: run every leg, aggregate metrics, fit the discrepancy power.
 
-    Every leg's config is built before anything is written: a value no leg
-    can take is a ConfigError naming the sweep file and `values`.  A failed
-    leg is recorded and skipped; the aggregate marks it and the command still
-    exits 0 (with warnings in the manifest).  A metric a leg's series is too
-    short for reads nan, or -1 for the extrema counts.
+    Every leg's config and start (checked_start) are checked before anything
+    is written: a value no leg can take or start from is a ConfigError naming
+    the sweep file and `values`.  A failed leg is recorded and skipped; the
+    aggregate marks it and the command still exits 0 (with warnings in the
+    manifest).  A metric a leg's series is too short for reads nan, or -1
+    for the extrema counts.
     """
     start = time.perf_counter()
     spec, base = load_sweep(sweep_path)
     try:
         configs = [scenario_with(base, **{spec.axis: v}) for v in spec.values]
+        for config in configs:
+            checked_start(config)
     except SemiquantumError as exc:
         raise ConfigError(str(exc), source=sweep_path, key="values") from exc
     os.makedirs(output_dir, exist_ok=True)
@@ -287,13 +294,15 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     completed_values = []
     completed_amps = []
     for i, (value, config) in enumerate(zip(spec.values, configs)):
+        leg_start = time.perf_counter()
+        traj = integrate(config)
         manifest, report = _run_one(
-            config, f"{sweep_path}[{spec.axis}={value}]",
+            config, traj, leg_start, f"{sweep_path}[{spec.axis}={value}]",
             os.path.join(output_dir, f"leg{i:02d}"), "sweep-leg")
         leg_outputs.append(manifest.outputs)
         lyapunov = None
         if manifest.status == "completed":
-            lyapunov = lyapunov_max(config).value
+            lyapunov = lyapunov_max(config, main=traj).value
             completed_values.append(value)
             completed_amps.append(report["max_abs_discrepancy"])
         else:

@@ -102,26 +102,33 @@ DISPLACEMENT = 1e-8       # companion offset in the first component (A)
 TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 
 
-def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
+def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
+                      reference=None) -> LyapunovEstimate:
     """Benettin estimate on the flow of one rk4 step(t, y, h).
 
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
     recorded and the companion is pulled back to the reference.  The first
     TRANSIENT_FRACTION of segments is discarded, the rest averaged.  The
-    estimate fails on more than MAX_RK4_STEPS steps per copy, and where the
+    estimate fails on more than MAX_RK4_STEPS steps per copy, when no
+    segment survives the transient cut (before any step), and where the
     companion equals the reference (DISPLACEMENT absorbed by rounding).
+
+    `reference(n_seg, n_sub, h)`, when given, returns the reference state at
+    the end of each of the n_seg segments of n_sub steps h, read off a run
+    already made, or None when that run did not pass them; only the
+    companion is stepped then.
     """
     if not (horizon > 0.0):
         raise UsageError("horizon must be positive")
     n_seg = max(1, round(horizon / RENORM_INTERVAL))
+    skip = math.ceil(TRANSIENT_FRACTION * n_seg)
     logs = []
 
     def finish(note=""):
         # a note marks a failed estimate; no kept segment fails it too
-        skip = math.ceil(TRANSIENT_FRACTION * n_seg)
         kept = logs[skip:]
-        window = (skip * RENORM_INTERVAL, horizon)
+        window = (min(skip * RENORM_INTERVAL, horizon), horizon)
         if not kept:
             return LyapunovEstimate(
                 value=math.nan, n_segments=0, window=window, failed=True,
@@ -133,7 +140,10 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
     if not (n_seg * RENORM_INTERVAL / dt <= MAX_RK4_STEPS):
         return finish(f"dt = {dt} makes more than {MAX_RK4_STEPS:.6g} steps "
                       f"over {n_seg} segments")
+    if skip >= n_seg:
+        return finish()
     n_sub, h = fixed_grid(RENORM_INTERVAL, dt)
+    ref_ends = None if reference is None else reference(n_seg, n_sub, h)
     absorbed = (f"displacement {DISPLACEMENT} absorbed: the companion equals "
                 f"the reference at t=")
 
@@ -150,8 +160,12 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
     if y_cmp == y_ref:
         return finish(f"{absorbed}{t}")
     for seg in range(n_seg):
-        (y_ref, y_cmp), abort = run_fixed(pair_step, (y_ref, y_cmp), h, n_sub,
-                                          t0=t)
+        if ref_ends is None:
+            (y_ref, y_cmp), abort = run_fixed(pair_step, (y_ref, y_cmp), h,
+                                              n_sub, t0=t)
+        else:
+            y_ref = ref_ends[seg]
+            y_cmp, abort = run_fixed(step, y_cmp, h, n_sub, t0=t)
         if abort is not None:
             return finish(f"singular evaluation at t={abort[1]}")
         t += RENORM_INTERVAL
@@ -168,19 +182,50 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None) -> LyapunovEstimate:
     return finish()
 
 
-def lyapunov_max(config: ScenarioConfig,
-                 horizon: float | None = None) -> LyapunovEstimate:
+_FLOW = ("A", "Adot", "rho", "rhodot")  # the pinney state, as CSV columns
+
+
+def _main_reference(config: ScenarioConfig, main):
+    """benettin_lyapunov's `reference`, read off `main`, the completed
+    pinney rk4 run of `config`; None for any other run.
+
+    The Benettin reference is that run, step for step, when the segment's
+    step equals the run's (the pinney step never reads t), the segments end
+    within the run, and its stride divides a segment: the end of segment k
+    is then row k * n_sub / sample_every, whose first columns are the state.
+    """
+    if (main is None or not main.completed or config.method != "rk4"
+            or config.representation != "pinney"):
+        return None
+    n, h_main = fixed_grid(config.t_end, config.dt)
+    every = config.sample_every
+    cols = [main.columns[k] for k in _FLOW]
+
+    def reference(n_seg, n_sub, h):
+        if h != h_main or n_seg * n_sub > n or n_sub % every:
+            return None
+        stride = n_sub // every
+        return [tuple(c[k * stride] for c in cols) for k in range(1, n_seg + 1)]
+
+    return reference
+
+
+def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
+                 main=None) -> LyapunovEstimate:
     """Largest Lyapunov exponent of the scenario's (A, Adot, rho, rhodot) flow.
 
     Always runs in the pinney representation with the config's fixed step;
-    the initial displacement is applied to A.
+    the initial displacement is applied to A.  `main`, integrate(config)
+    when the caller has it, supplies the reference copy where it is that
+    copy (see _main_reference); the estimate is the same either way.
     """
     pconf = replace(config, representation="pinney")
     y0 = flat_from_state(initial_state(pconf))
     return benettin_lyapunov(
         make_rk4_step("pinney", config.params), y0, dt=config.dt,
         horizon=config.t_end if horizon is None else horizon,
-        guard=make_guard("pinney", config.params, config.rho_min))
+        guard=make_guard("pinney", config.params, config.rho_min),
+        reference=_main_reference(config, main))
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +237,30 @@ def _ladder(dt: float) -> tuple[float, float, float]:
     return dt, dt / 2.0, dt / 4.0
 
 
-def convergence_order(config: ScenarioConfig) -> float:
+def convergence_order(config: ScenarioConfig, main=None) -> float:
     """Observed order from self-convergence of the final state.
 
     Integrates the scenario with rk4 at each step of _ladder(config.dt),
     takes Euclidean distances between successive final (A, Adot, rho,
     rhodot), and averages the log2 ratios.  Each leg is a ScenarioConfig, so
     a step that does not divide t_end into whole steps raises UsageError.
-    Each run samples only its initial and final state.  Classical rk4 on a
-    smooth trajectory sits near 4.
+    Each run samples only its initial and final state.  When config is rk4,
+    `main`, a completed integrate(config), is the dt leg: the same steps,
+    sampled more often, so its last row is that leg's final state.  Classical
+    rk4 on a smooth trajectory sits near 4.
     """
+    reuse = config.method == "rk4" and main is not None and main.completed
     finals = []
     for dt in _ladder(config.dt):
-        # no run has more than MAX_RK4_STEPS steps: only the final is sampled
-        traj = integrate(replace(config, method="rk4", dt=dt,
-                                 sample_every=MAX_RK4_STEPS))
+        if reuse and dt == config.dt:
+            traj = main
+        else:
+            # no run has more than MAX_RK4_STEPS steps: only the final is sampled
+            traj = integrate(replace(config, method="rk4", dt=dt,
+                                     sample_every=MAX_RK4_STEPS))
         if not traj.completed:
             raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
-        finals.append([traj.columns[k][-1] for k in ("A", "Adot", "rho", "rhodot")])
+        finals.append([traj.columns[k][-1] for k in _FLOW])
     diffs = []
     for a, b in zip(finals, finals[1:]):
         diffs.append(math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))

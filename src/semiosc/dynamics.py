@@ -47,6 +47,7 @@ __all__ = [
     "init_vacuum",
     "init_adiabatic",
     "initial_state",
+    "checked_start",
     "derivatives",
     "convert",
     "fixed_grid",
@@ -286,11 +287,16 @@ def init_adiabatic(A0: float, Adot0: float, params: ModelParams) -> SemiState:
     return SemiState(0.0, A0, Adot0, PinneySector(rho0, rhodot0))
 
 
+# what the start's kernels raise on values outside their domain
+_START_ERRORS = (ArithmeticError, DomainError, ValidationError)
+
+
 def initial_state(config: ScenarioConfig) -> SemiState:
     """Initial SemiState of a scenario, converted to its representation.
 
-    A start on which the frequency law overflows or divides by zero raises
-    DomainError naming A0 and Adot0.
+    A start the frequency law cannot evaluate (an overflow, a division by
+    zero, a width or moments out of their domain) raises DomainError naming
+    every key the start depends on.
     """
     try:
         if config.quantum_init == "vacuum":
@@ -301,13 +307,37 @@ def initial_state(config: ScenarioConfig) -> SemiState:
             state = SemiState(0.0, config.A0, config.Adot0,
                               PinneySector(config.rho0, config.rhodot0))
         return convert(state, config.representation, config.params)
-    except ArithmeticError as exc:
+    except _START_ERRORS as exc:
         raise _bad_start(config, exc) from None
 
 
+def checked_start(config: ScenarioConfig):
+    """(initial state, its observables row) of a run that can start.
+
+    Raises DomainError naming every key the start depends on when the
+    initial state or its row cannot be computed, or the row holds a
+    non-finite value.
+    """
+    state0 = initial_state(config)
+    try:
+        row0 = record_observables(state0, config.params).as_row()
+    except _START_ERRORS as exc:
+        raise _bad_start(config, exc) from None
+    for name, value in zip(COLUMNS, row0):
+        if not math.isfinite(value):
+            raise _bad_start(config, f"{name} = {value}")
+    return state0, row0
+
+
 def _bad_start(config: ScenarioConfig, why) -> DomainError:
-    return DomainError(f"A0 = {config.A0}, Adot0 = {config.Adot0}: the initial "
-                       f"state is not representable ({why})")
+    params = config.params
+    keys = {"m": params.m, "e": params.e, "hbar": params.hbar,
+            "A0": config.A0, "Adot0": config.Adot0}
+    if config.quantum_init == "explicit":
+        keys.update(rho0=config.rho0, rhodot0=config.rhodot0)
+    named = ", ".join(f"{k} = {v}" for k, v in keys.items())
+    return DomainError(f"{named}: the initial state is not representable "
+                       f"({why})")
 
 
 # ---------------------------------------------------------------------------
@@ -887,22 +917,14 @@ def integrate(config: ScenarioConfig) -> Trajectory:
 
     On a width collapse (rho <= rho_min) or a step failure the partial
     series is returned with the abort time and reason; nothing is raised.
-    A start whose observables overflow or are not finite raises DomainError
-    naming A0 and Adot0.
+    A start checked_start rejects raises its DomainError.
     """
     params = config.params
-    state0 = initial_state(config)
+    state0, row0 = checked_start(config)
     rep = config.representation
     guard = make_guard(rep, params, config.rho_min)
     y = flat_from_state(state0)
     rows = row_buffer()
-    try:
-        row0 = record_observables(state0, params).as_row()
-    except ArithmeticError as exc:
-        raise _bad_start(config, exc) from None
-    for name, value in zip(COLUMNS, row0):
-        if not math.isfinite(value):
-            raise _bad_start(config, f"{name} = {value}")
     rows.extend(row0)
     sample = sampler(make_row(rep, params), rows.extend)
 

@@ -185,6 +185,17 @@ def test_non_finite_start_exits_2_naming_the_start(tmp_path, capsys, command):
     assert not (out / "timeseries.csv").exists()
 
 
+
+def test_start_error_exits_2_naming_every_key_of_the_start(tmp_path, capsys):
+    # m * m overflows, so the vacuum width is 0: m is named with the rest
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text(SMALL.replace("m = 1.0", "m = 1e308"))
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
+    detail = json.loads(capsys.readouterr().err.strip())["detail"]
+    assert detail.startswith("m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, "
+                             "Adot0 = 1.0: the initial state is not "
+                             "representable (")
+
 def test_simulate_missing_file_exits_4(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.cfg"),
                  "-o", str(tmp_path / "o")]) == EXIT_IO
@@ -397,6 +408,20 @@ def test_sweep_bad_value_exits_2_before_any_leg(tmp_path, capsys):
     assert str(sweep) in detail and "'values'" in detail
     assert not out.exists()
 
+
+
+def test_sweep_leg_that_cannot_start_exits_2_before_any_leg(tmp_path, capsys):
+    base = tmp_path / "base.cfg"
+    base.write_text(SMALL.replace("t_end = 3.0", "t_end = 0.5")
+                    .replace("dt = 0.002", "dt = 0.01"))
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(f"base = {base.name}\naxis = A0\nvalues = 0.5, 1e200\n")
+    out = tmp_path / "sw"
+    assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_CONFIG
+    detail = json.loads(capsys.readouterr().err.strip())["detail"]
+    assert str(sweep) in detail and "'values'" in detail
+    assert "A0 = 1e+200" in detail
+    assert not out.exists()
 
 def test_sweep_flags_aborted_leg_but_exits_0(tmp_path):
     base = tmp_path / "base.cfg"

@@ -11,9 +11,12 @@ import json
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from semiosc import (
     DiagnosticError,
+    ModelParams,
     ScenarioConfig,
     TimeSeriesRecord,
     UsageError,
@@ -31,6 +34,8 @@ from semiosc import (
     scenario_with,
     structure_count,
 )
+from semiosc import diagnostics
+from semiosc.core import SemiquantumError
 from semiosc.diagnostics import LyapunovEstimate, power_law_fit
 from semiosc.dynamics import COLUMNS, Records, rk4_on
 from conftest import quick_config
@@ -165,6 +170,99 @@ def test_lyapunov_to_dict_writes_null_for_a_non_finite_value():
     assert est.to_dict()["value"] is None
     json.dumps(est.to_dict(), allow_nan=False)
     assert math.isnan(est.value)  # the sweep's aggregate still reads nan
+
+
+@pytest.mark.parametrize("horizon, window", [(0.01, (0.01, 0.01)),
+                                             (1.2, (1.0, 1.2))])
+def test_lyapunov_fails_before_stepping_when_no_segment_survives(horizon,
+                                                                 window):
+    # one segment, discarded as transient: no step is worth taking
+    calls = []
+    step = rk4_on(lambda t, y: (y[1], -y[0]))
+    est = benettin_lyapunov(lambda t, y, h: calls.append(1) or step(t, y, h),
+                            (1.0, 0.0), dt=1e-3, horizon=horizon)
+    assert est.failed and est.n_segments == 0 and math.isnan(est.value)
+    assert est.note == "no segments survived the transient cut"
+    assert est.window == window  # never running backwards
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# studies that read the main run
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("changes, copies", [
+    ({}, 1),                               # the main run is the reference
+    ({"t_end": 2.6}, 2),                   # its step differs from 1.0 / 1000
+    ({"dt": 0.003, "t_end": 3.0}, 2),      # 333 steps of 1.0 / 333
+    ({"sample_every": 7}, 2),              # 7 does not divide 1000
+    ({"method": "adaptive"}, 2),
+    ({"representation": "mode"}, 2),
+    ({"rho_min": 0.9}, 2),                 # the main run aborts
+])
+def test_lyapunov_steps_only_the_companion_on_the_main_runs_grid(
+        unit_params, monkeypatch, changes, copies):
+    cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 1e-3, **changes})
+    main = integrate(cfg)
+    calls = []
+    make = diagnostics.make_rk4_step
+
+    def counting(representation, params):
+        step = make(representation, params)
+        return lambda t, y, h: calls.append(1) or step(t, y, h)
+
+    monkeypatch.setattr(diagnostics, "make_rk4_step", counting)
+    est = lyapunov_max(cfg, main=main)
+    stepped = len(calls)
+    assert est == lyapunov_max(cfg)
+    if main.completed:
+        assert stepped == copies * round(cfg.t_end) * round(1.0 / cfg.dt)
+
+
+def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(
+        unit_params, monkeypatch):
+    legs = []
+    run = diagnostics.integrate
+    monkeypatch.setattr(diagnostics, "integrate",
+                        lambda config: legs.append(config.dt) or run(config))
+    for changes, reused in [({}, True), ({"t_end": 2.6}, True),
+                            ({"method": "adaptive"}, False)]:
+        cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 2e-3, **changes})
+        main = run(cfg)
+        legs.clear()
+        assert convergence_order(cfg, main) == convergence_order(cfg)
+        with_main = [1e-3, 5e-4] if reused else [2e-3, 1e-3, 5e-4]
+        assert legs == with_main + [2e-3, 1e-3, 5e-4]
+
+
+@given(A0=st.floats(0.5, 1.5), Adot0=st.floats(0.5, 1.5),
+       dt=st.sampled_from((0.01, 0.02, 0.025, 0.03, 0.05)),
+       t_end=st.sampled_from((1.0, 2.0, 2.6, 3.0, 4.2)),
+       sample_every=st.integers(1, 12),
+       rho_min=st.sampled_from((1e-8, 0.6, 0.8)))
+@settings(max_examples=100, deadline=None)
+@example(A0=1.0, Adot0=1.0, dt=0.01, t_end=3.0, sample_every=10, rho_min=1e-8)
+@example(A0=1.0, Adot0=1.0, dt=0.03, t_end=3.0, sample_every=1, rho_min=1e-8)
+def test_studies_reading_the_main_run_match_their_own_runs(
+        A0, Adot0, dt, t_end, sample_every, rho_min):
+    # the first example shares the Benettin grid (1.0 / 100 == 3.0 / 300),
+    # the second does not (1.0 / 33 != 3.0 / 100)
+    try:
+        cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
+                             A0=A0, Adot0=Adot0, t_end=t_end, dt=dt,
+                             sample_every=sample_every, rho_min=rho_min)
+    except UsageError:
+        assume(False)  # dt does not divide t_end into whole steps
+    main = integrate(cfg)
+    assert (lyapunov_max(cfg, main=main).to_dict()
+            == lyapunov_max(cfg).to_dict())
+    outcomes = []
+    for reused in (main, None):
+        try:
+            outcomes.append(convergence_order(cfg, reused))
+        except SemiquantumError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,31 @@ def test_start_dividing_by_zero_is_rejected_naming_the_start():
         integrate(cfg)
 
 
+
+@pytest.mark.parametrize("params, init, named", [
+    # m * m overflows: omega = inf and the vacuum width omega ** -0.5 = 0
+    (dict(m=1e308, e=1.0, hbar=1.0), {},
+     "m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: "),
+    (dict(m=1.0, e=1e308, hbar=1.0), {},
+     "m = 1.0, e = 1e+308, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: "),
+    (dict(m=1.0, e=1.0, hbar=1e308), {},
+     "m = 1.0, e = 1.0, hbar = 1e+308, A0 = 1.0, Adot0 = 1.0: "),
+    (dict(m=1e308, e=1.0, hbar=1.0),
+     dict(quantum_init="explicit", rho0=1.0, rhodot0=0.0),
+     "m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, Adot0 = 1.0, rho0 = 1.0, "
+     "rhodot0 = 0.0: "),
+])
+def test_start_error_names_every_key_of_the_start(params, init, named):
+    cfg = ScenarioConfig(params=ModelParams(**params), A0=1.0, Adot0=1.0,
+                         t_end=1.0, dt=0.01, **init)
+    with pytest.raises(DomainError) as exc:
+        integrate(cfg)
+    assert str(exc.value).startswith(
+        named + "the initial state is not representable (")
+    with pytest.raises(DomainError) as again:
+        dynamics.checked_start(cfg)
+    assert str(again.value) == str(exc.value)
+
 def test_guards_abort_non_finite_and_collapsed_states(unit_params):
     pinney = dynamics.make_guard("pinney", unit_params, 1e-8)
     assert pinney(1.0, (1.0, math.nan, 1.0, 0.0)) == (
