@@ -311,7 +311,8 @@ def initial_state(config: ScenarioConfig) -> SemiState:
         raise _bad_start(config, exc) from None
 
 
-def checked_start(config: ScenarioConfig):
+def checked_start(config: ScenarioConfig
+                  ) -> tuple[SemiState, tuple[float, ...]]:
     """(initial state, its observables row) of a run that can start.
 
     Raises DomainError naming every key the start depends on when the
