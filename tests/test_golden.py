@@ -15,6 +15,7 @@ import hashlib
 import pytest
 
 from semiosc.cli import EXIT_ABORT, EXIT_OK, main
+from semiosc.svgplot import render_line_plot
 
 VACUUM_KICK_SHORT = """\
 m = 1.0
@@ -132,3 +133,33 @@ def test_diagnose_report_digests(case, tmp_path):
     config = _short_config(tmp_path, case, **changes)
     assert main(["diagnose", config, "-o", str(out)]) == code
     assert _sha256(out / "diagnostics.json") == digest
+
+
+def _unbinned_curves():
+    """Two curves every renderer draws point by point: a time series of
+    exactly 4 points per pixel column (778 columns), and a 5,000-point
+    curve whose x is not monotone, like the phase-A portrait."""
+    n = 4 * 778
+    series = ([0.01 * i for i in range(n)],
+              [(i * i % 997) / 997.0 - 0.5 for i in range(n)])
+    portrait = ([((i * 7919) % 5003) / 5003.0 - 0.5 for i in range(5000)],
+                [(i % 101) / 50.0 - 1.0 for i in range(5000)])
+    return series, portrait
+
+
+# case -> SHA-256 of render_line_plot's output
+RENDER_PINS = {
+    "series-3112":
+        "306a2d0b5ef1a6eae143de13fcd05fd99c6119aa3bff70a207e41d8561a10723",
+    "portrait-5000":
+        "5045850d6ab778beefaaea0d03e209655a93ea23ea18d2783c73f9dc3abe07ed",
+}
+
+
+@pytest.mark.parametrize("case", sorted(RENDER_PINS))
+def test_unbinned_render_digests(case):
+    series, portrait = _unbinned_curves()
+    xs, ys = series if case.startswith("series") else portrait
+    svg = render_line_plot([(case, xs, ys)], title=case, xlabel="x",
+                           ylabel="y")
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == RENDER_PINS[case]
