@@ -338,7 +338,15 @@ def _bad_start(config: ScenarioConfig, why) -> DomainError:
         keys.update(rho0=config.rho0, rhodot0=config.rhodot0)
     named = ", ".join(f"{k} = {v}" for k, v in keys.items())
     return DomainError(f"{named}: the initial state is not representable "
-                       f"({why})")
+                       f"({_error_text(why)})")
+
+
+def _error_text(why) -> str:
+    """An error as text: an OverflowError, whose str() is often an errno
+    tuple, reads 'overflow: <message>'; anything else keeps str()."""
+    if isinstance(why, OverflowError) and why.args:
+        return f"overflow: {why.args[-1]}"
+    return str(why)
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +916,8 @@ def sampler(row, sink):
         except SemiquantumError as exc:
             return STATUS_STEPFAIL, f"state failed validation: {exc}"
         except ArithmeticError as exc:
-            return STATUS_STEPFAIL, f"observables not representable: {exc}"
+            return (STATUS_STEPFAIL,
+                    f"observables not representable: {_error_text(exc)}")
         return None
     return on_sample
 

@@ -242,10 +242,30 @@ def test_simulate_step_attempt_bound_exits_3_with_partial_csv(
     ([0.0, 1.0, 2.0], [1.0, math.nan, 2.0]),
     ([0.0, math.nan, 2.0], [1.0, 1.5, 2.0]),
     ([0.0, 1.0, 2.0], [1.0, -math.inf, 2.0]),
+    # finite values whose span overflows
+    ([1e308, -1e308, 0.0], [1.0, 1.5, 2.0]),
+    ([0.0, 1.0, 2.0], [1.7e308, 1.0, 0.0]),
 ])
 def test_render_line_plot_rejects_non_finite_data(xs, ys):
     with pytest.raises(UsageError, match="non-finite"):
         render_line_plot([("a", xs, ys)], title="t", xlabel="x", ylabel="y")
+
+
+def test_plot_of_an_overflowing_span_exits_2(tmp_path, capsys):
+    path = tmp_path / "ts.csv"
+    write_timeseries_csv(integrate(load_scenario("free")).records, str(path))
+    lines = path.read_text().splitlines()
+    col = COLUMNS.index("A")
+    for lineno, value in ((1, "1e308"), (2, "-1e308")):
+        fields = lines[lineno].split(",")
+        fields[col] = value
+        lines[lineno] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    dest = tmp_path / "phase.svg"
+    assert main(["plot", str(path), "--kind", "phase-A",
+                 "-o", str(dest)]) == EXIT_CONFIG
+    assert "non-finite span" in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_plot_kinds(small_cfg, tmp_path):

@@ -364,26 +364,31 @@ def test_start_dividing_by_zero_is_rejected_naming_the_start():
 
 
 
-@pytest.mark.parametrize("params, init, named", [
+@pytest.mark.parametrize("params, init, named, why", [
     # m * m overflows: omega = inf and the vacuum width omega ** -0.5 = 0
     (dict(m=1e308, e=1.0, hbar=1.0), {},
-     "m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: "),
+     "m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: ",
+     "pinney width rho must be positive, got 0.0"),
+    # an OverflowError reads as text, not as its errno tuple
     (dict(m=1.0, e=1e308, hbar=1.0), {},
-     "m = 1.0, e = 1e+308, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: "),
+     "m = 1.0, e = 1e+308, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: ",
+     "overflow: Numerical result out of range"),
     (dict(m=1.0, e=1.0, hbar=1e308), {},
-     "m = 1.0, e = 1.0, hbar = 1e+308, A0 = 1.0, Adot0 = 1.0: "),
+     "m = 1.0, e = 1.0, hbar = 1e+308, A0 = 1.0, Adot0 = 1.0: ",
+     "overflow: Numerical result out of range"),
     (dict(m=1e308, e=1.0, hbar=1.0),
      dict(quantum_init="explicit", rho0=1.0, rhodot0=0.0),
      "m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, Adot0 = 1.0, rho0 = 1.0, "
-     "rhodot0 = 0.0: "),
+     "rhodot0 = 0.0: ",
+     "basis frequency W must be positive, got inf"),
 ])
-def test_start_error_names_every_key_of_the_start(params, init, named):
+def test_start_error_names_every_key_of_the_start(params, init, named, why):
     cfg = ScenarioConfig(params=ModelParams(**params), A0=1.0, Adot0=1.0,
                          t_end=1.0, dt=0.01, **init)
     with pytest.raises(DomainError) as exc:
         integrate(cfg)
-    assert str(exc.value).startswith(
-        named + "the initial state is not representable (")
+    assert str(exc.value) == (
+        named + f"the initial state is not representable ({why})")
     with pytest.raises(DomainError) as again:
         dynamics.checked_start(cfg)
     assert str(again.value) == str(exc.value)

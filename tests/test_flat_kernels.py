@@ -152,7 +152,8 @@ def test_sampling_overflow_is_a_step_failure(unit_params):
     on_sample = sampler(make_row("pinney", unit_params), rows.append)
     status, reason = on_sample(1.0, (1e200, 1.0, 1.0, 0.0))
     assert status == "aborted-stepfail"
-    assert "not representable" in reason
+    assert reason == ("observables not representable: "
+                      "overflow: Numerical result out of range")
     assert rows == []
     assert on_sample(1.0, (1.0, 1.0, 1.0, 0.0)) is None
     assert len(rows) == 1

@@ -6,8 +6,9 @@ pins were introduced.  The bundled scenarios cover pinney/rk4; the short
 vacuum-kick variants cover the other layouts under rk4 and the adaptive
 method, which no bundled scenario uses, in every layout.  The diagnose cases
 pin diagnostics.json, which carries the bits of the Lyapunov estimate and
-the convergence order.  A pin changes only with an
-intended numeric change, recorded in CHANGES.md.
+the convergence order.  The render cases pin curves that render_line_plot
+draws through every point.  A pin changes only with an intended output
+change, recorded in CHANGES.md.
 """
 
 import hashlib
@@ -35,13 +36,13 @@ sample_every = 10
 PINS = {
     "vacuum-kick": (
         "3be2603213277a588c4bfa2d78be0defa7e40accd053fd2db8a8cbf5a62f8b7e",
-        "c267c19ac697dedbcaf60822cdb76493ac5d356ef7fd0aa2afa6294748756183"),
+        "ce33234678cec92730a486f695720136e9692115481b9221f1c6c09ff261f64c"),
     "free": (
         "e84bf82e83a780c245d997b2c3fc36103912758a9eeb181017a0749d79ef1763",
         "9d9b44e8b3538a2836af4b3abc584408d8feeff0e123a4eb323d85e107a82641"),
     "strong": (
         "2c8ce6c6bbee3a4a3a2b4ce5c8edccf5f7ea0be9e2cc845ce91d7c07607e14c5",
-        "deb99ec6663caa92fea1840d74cc1d783c94bb4440ed2d8df0c4416a80ae58ca"),
+        "f392178a4c8b8828eac90e2f2d1df7a41eda744ce93fe09dbea3957a8bbf4ae7"),
     "adiabatic": (
         "192df63ca7ee06892eca1f64ed9375d31fd86c21bb888d7d15dd1c471804a695",
         "8899a9bd999c0e19771450f844955a284f51796a7b030213e9ae9a32403e0393"),
