@@ -101,13 +101,12 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
         raise UsageError("nothing to plot")
     x_lo, x_hi = _span([_extent(xs) for _, xs, _ in curves])
     y_lo, y_hi = _span([_extent(ys) for _, _, ys in curves])
-    plot_w, plot_h = PLOT_W, PLOT_H
 
     def px(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * PLOT_W
 
     def py(y: float) -> float:
-        return MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_T + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -115,8 +114,8 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
                f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">')
     out.append(f'<!-- semiosc {__version__} -->')
     out.append(f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
-    out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" '
-               f'height="{plot_h}" fill="none" stroke="#333333" stroke-width="1"/>')
+    out.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{PLOT_W}" '
+               f'height="{PLOT_H}" fill="none" stroke="#333333" stroke-width="1"/>')
     out.append(f'<text x="{WIDTH / 2:.1f}" y="24" text-anchor="middle" '
                f'font-family="sans-serif" font-size="15">{_escape(title)}</text>')
 
@@ -124,10 +123,10 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
     for i in range(5):
         xv = x_lo + i * (x_hi - x_lo) / 4.0
         xp = px(xv)
-        out.append(f'<line x1="{_fmt(xp)}" y1="{MARGIN_T + plot_h}" '
-                   f'x2="{_fmt(xp)}" y2="{MARGIN_T + plot_h + 5}" '
+        out.append(f'<line x1="{_fmt(xp)}" y1="{MARGIN_T + PLOT_H}" '
+                   f'x2="{_fmt(xp)}" y2="{MARGIN_T + PLOT_H + 5}" '
                    f'stroke="#333333" stroke-width="1"/>')
-        out.append(f'<text x="{_fmt(xp)}" y="{MARGIN_T + plot_h + 20}" '
+        out.append(f'<text x="{_fmt(xp)}" y="{MARGIN_T + PLOT_H + 20}" '
                    f'text-anchor="middle" font-family="sans-serif" '
                    f'font-size="11">{_tick_label(xv)}</text>')
         yv = y_lo + i * (y_hi - y_lo) / 4.0
@@ -139,18 +138,18 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
                    f'text-anchor="end" font-family="sans-serif" '
                    f'font-size="11">{_tick_label(yv)}</text>')
 
-    out.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 14}" '
+    out.append(f'<text x="{MARGIN_L + PLOT_W / 2:.1f}" y="{HEIGHT - 14}" '
                f'text-anchor="middle" font-family="sans-serif" '
                f'font-size="13">{_escape(xlabel)}</text>')
-    out.append(f'<text x="20" y="{MARGIN_T + plot_h / 2:.1f}" '
+    out.append(f'<text x="20" y="{MARGIN_T + PLOT_H / 2:.1f}" '
                f'text-anchor="middle" font-family="sans-serif" font-size="13" '
-               f'transform="rotate(-90 20 {MARGIN_T + plot_h / 2:.1f})">'
+               f'transform="rotate(-90 20 {MARGIN_T + PLOT_H / 2:.1f})">'
                f'{_escape(ylabel)}</text>')
 
     for i, (_, xs, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
-        if len(xs) > 4 * plot_w and all(map(le, xs, islice(xs, 1, None))):
-            keep = _m4(xs, ys, x_lo, x_hi, plot_w)
+        if len(xs) > 4 * PLOT_W and all(map(le, xs, islice(xs, 1, None))):
+            keep = _m4(xs, ys, x_lo, x_hi, PLOT_W)
             xs, ys = [xs[j] for j in keep], [ys[j] for j in keep]
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '

@@ -245,6 +245,9 @@ def test_simulate_step_attempt_bound_exits_3_with_partial_csv(
     # finite values whose span overflows
     ([1e308, -1e308, 0.0], [1.0, 1.5, 2.0]),
     ([0.0, 1.0, 2.0], [1.7e308, 1.0, 0.0]),
+    # a curve long enough to bin, with a nan at an index no column keeps
+    ([float(i) for i in range(5000)],
+     [math.nan if i == 2501 else float(i % 10) for i in range(5000)]),
 ])
 def test_render_line_plot_rejects_non_finite_data(xs, ys):
     with pytest.raises(UsageError, match="non-finite"):
