@@ -187,6 +187,22 @@ def test_lyapunov_fails_before_stepping_when_no_segment_survives(horizon,
     assert calls == []
 
 
+@pytest.mark.parametrize("fails_ref, fails_cmp", [(2.5, 2.25), (2.25, 2.5),
+                                                  (2.25, 2.25)])
+def test_lyapunov_note_names_the_earlier_failing_step(fails_ref, fails_cmp):
+    # a still flow whose step raises from a time set per copy: the reference
+    # sits at 0.0, the companion DISPLACEMENT off it; both fail inside the
+    # segment [2, 3), and the note gives the step time of the earlier
+    def step(t, y, h):
+        if t >= (fails_ref if y[0] == 0.0 else fails_cmp):
+            raise ZeroDivisionError
+        return y
+
+    est = benettin_lyapunov(step, (0.0,), dt=0.25, horizon=5.0)
+    assert est.failed and est.n_segments == 1
+    assert est.note == f"singular evaluation at t={min(fails_ref, fails_cmp)}"
+
+
 # ---------------------------------------------------------------------------
 # studies that read the main run
 # ---------------------------------------------------------------------------
@@ -461,6 +477,12 @@ def test_max_metrics():
 def test_adiabatic_invariant_smoke(unit_params):
     cfg = quick_config(unit_params, t_end=10.0)
     assert adiabatic_invariant_drift(cfg) <= 1e-6
+
+
+def test_adiabatic_invariant_drift_is_pinned():
+    # bit for bit: the augmented flow is the moments and pinney flows
+    cfg = dataclasses.replace(load_scenario("vacuum-kick"), t_end=2.0)
+    assert adiabatic_invariant_drift(cfg) == 7.66053886991358e-15
 
 
 def test_adiabatic_invariant_rejects_collapse(unit_params):
