@@ -114,10 +114,10 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
     segment survives the transient cut (before any step), and where the
     companion equals the reference (DISPLACEMENT absorbed by rounding).
 
-    `reference(n_seg, n_sub, h)`, when given, returns the reference state at
-    the end of each of the n_seg segments of n_sub steps h, read off a run
-    already made, or None when that run did not pass them; only the
-    companion is stepped then.
+    `reference(n_sub, h)`, when given, returns the reference's states at
+    the ends of the segments of n_sub steps h that a run already made
+    covers; the reference is stepped on from the last of them.  When both
+    copies fail inside one segment, the note names the earlier step.
     """
     if not (horizon > 0.0):
         raise UsageError("horizon must be positive")
@@ -143,12 +143,9 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
     if skip >= n_seg:
         return finish()
     n_sub, h = fixed_grid(RENORM_INTERVAL, dt)
-    ref_ends = None if reference is None else reference(n_seg, n_sub, h)
+    ref_ends = [] if reference is None else reference(n_sub, h)
     absorbed = (f"displacement {DISPLACEMENT} absorbed: the companion equals "
                 f"the reference at t=")
-
-    def pair_step(t, pair, hh):
-        return step(t, pair[0], hh), step(t, pair[1], hh)
 
     def displaced(y):
         return tuple(v + (DISPLACEMENT if i == 0 else 0.0)
@@ -160,14 +157,14 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
     if y_cmp == y_ref:
         return finish(f"{absorbed}{t}")
     for seg in range(n_seg):
-        if ref_ends is None:
-            (y_ref, y_cmp), abort = run_fixed(pair_step, (y_ref, y_cmp), h,
-                                              n_sub, t0=t)
+        if seg < len(ref_ends):
+            y_ref, ref_abort = ref_ends[seg], None
         else:
-            y_ref = ref_ends[seg]
-            y_cmp, abort = run_fixed(step, y_cmp, h, n_sub, t0=t)
-        if abort is not None:
-            return finish(f"singular evaluation at t={abort[1]}")
+            y_ref, ref_abort = run_fixed(step, y_ref, h, n_sub, t0=t)
+        y_cmp, cmp_abort = run_fixed(step, y_cmp, h, n_sub, t0=t)
+        stops = [a[1] for a in (ref_abort, cmp_abort) if a is not None]
+        if stops:
+            return finish(f"singular evaluation at t={min(stops)}")
         t += RENORM_INTERVAL
         if guard is not None:
             hit = guard(t, y_ref) or guard(t, y_cmp)
@@ -190,9 +187,9 @@ def _main_reference(config: ScenarioConfig, main):
     pinney rk4 run of `config`; None for any other run.
 
     The Benettin reference is that run, step for step, when the segment's
-    step equals the run's (the pinney step never reads t), the segments end
-    within the run, and its stride divides a segment: the end of segment k
-    is then row k * n_sub / sample_every, whose first columns are the state.
+    step equals the run's (the pinney step never reads t) and its stride
+    divides a segment: the end of segment k, for each k the run reaches, is
+    then row k * n_sub / sample_every, whose first columns are the state.
     """
     if (main is None or not main.completed or config.method != "rk4"
             or config.representation != "pinney"):
@@ -201,11 +198,11 @@ def _main_reference(config: ScenarioConfig, main):
     every = config.sample_every
     cols = [main.columns[k] for k in _FLOW]
 
-    def reference(n_seg, n_sub, h):
-        if h != h_main or n_seg * n_sub > n or n_sub % every:
-            return None
+    def reference(n_sub, h):
+        if h != h_main or n_sub % every:
+            return []
         stride = n_sub // every
-        return [tuple(c[k * stride] for c in cols) for k in range(1, n_seg + 1)]
+        return list(zip(*(c[stride:n // every + 1:stride] for c in cols)))
 
     return reference
 

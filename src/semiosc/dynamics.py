@@ -452,18 +452,15 @@ def make_rhs(representation: str, params: ModelParams):
 def make_rhs_augmented(params: ModelParams):
     """Moments flow co-integrated with an independent Pinney width.
 
-    Layout (A, Adot, x2, c, p2, rho, rhodot); the back-reaction uses the
-    moments' x2, the width just rides along on the same omega(A(t)).  Used by
-    the adiabatic-invariant diagnostic.
+    Layout (A, Adot, x2, c, p2, rho, rhodot): make_rhs("moments") on the
+    first five, and the width part of make_rhs("pinney"), which rides along
+    on the same omega(A(t)).  Used by the adiabatic-invariant diagnostic.
     """
-    m2 = params.m * params.m
-    e2 = params.e * params.e
+    moments = make_rhs("moments", params)
+    pinney = make_rhs("pinney", params)
 
     def rhs(t, y):
-        A, Ad, x2, c, p2, r, rd = y
-        w2 = m2 + e2 * A * A
-        return (Ad, -e2 * A * x2, 2.0 * c, p2 - w2 * x2, -2.0 * w2 * c,
-                rd, 1.0 / (r * r * r) - w2 * r)
+        return moments(t, y[:5]) + pinney(t, (y[0], y[1], y[5], y[6]))[2:]
 
     return rhs
 

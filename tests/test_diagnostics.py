@@ -207,17 +207,19 @@ def test_lyapunov_note_names_the_earlier_failing_step(fails_ref, fails_cmp):
 # studies that read the main run
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("changes, copies", [
-    ({}, 1),                               # the main run is the reference
-    ({"t_end": 2.6}, 2),                   # its step differs from 1.0 / 1000
-    ({"dt": 0.003, "t_end": 3.0}, 2),      # 333 steps of 1.0 / 333
-    ({"sample_every": 7}, 2),              # 7 does not divide 1000
-    ({"method": "adaptive"}, 2),
-    ({"representation": "mode"}, 2),
-    ({"rho_min": 0.9}, 2),                 # the main run aborts
+@pytest.mark.parametrize("changes, steps", [
+    ({}, 2000),                    # the main run is the reference
+    ({"t_end": 2.6}, 4000),        # the same step, 1.0 / 1000, but the third
+                                   # segment runs past the run: both copies
+                                   # are stepped over it
+    ({"dt": 0.003, "t_end": 3.0}, 1998),   # 333 steps of 1.0 / 333
+    ({"sample_every": 7}, 4000),   # 7 does not divide 1000
+    ({"method": "adaptive"}, 4000),
+    ({"representation": "mode"}, 4000),
+    ({"rho_min": 0.9}, None),      # the main run aborts
 ])
 def test_lyapunov_steps_only_the_companion_on_the_main_runs_grid(
-        unit_params, monkeypatch, changes, copies):
+        unit_params, monkeypatch, changes, steps):
     cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 1e-3, **changes})
     main = integrate(cfg)
     calls = []
@@ -231,8 +233,9 @@ def test_lyapunov_steps_only_the_companion_on_the_main_runs_grid(
     est = lyapunov_max(cfg, main=main)
     stepped = len(calls)
     assert est == lyapunov_max(cfg)
+    assert main.completed == (steps is not None)
     if main.completed:
-        assert stepped == copies * round(cfg.t_end) * round(1.0 / cfg.dt)
+        assert stepped == steps
 
 
 def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(

@@ -98,10 +98,12 @@ def _short_config(tmp_path, case, **changes):
 
 # case -> (keys set on pinney rk4 VACUUM_KICK_SHORT, exit code,
 # diagnostics.json SHA-256 of `semiosc diagnose`).  The first case's grid lets
-# the order study and the Benettin estimate reuse the main run; the others
-# cannot: another layout or method, a step that differs from the Benettin
-# segment's (t_end = 2.6, dt = 0.003), a stride that does not divide a
-# segment, and an aborted main run.
+# the order study and the Benettin estimate reuse the main run.  t_end = 2.6
+# has the Benettin segment's step too (2.6 / 2600 == 1.0 / 1000), but its
+# third segment runs past the run, so the reference is stepped over that
+# one.  The others cannot reuse it: another layout or method, a step that
+# differs from the Benettin segment's (dt = 0.003), a stride that does not
+# divide a segment, and an aborted main run.
 DIAGNOSE_PINS = {
     "vacuum-kick-pinney-rk4": (
         {}, EXIT_OK,
