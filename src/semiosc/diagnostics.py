@@ -108,11 +108,14 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
 
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
-    recorded and the companion is pulled back to the reference.  The first
-    TRANSIENT_FRACTION of segments is discarded, the rest averaged.  The
-    estimate fails on more than MAX_RK4_STEPS steps per copy, when no
-    segment survives the transient cut (before any step), and where the
-    companion equals the reference (DISPLACEMENT absorbed by rounding).
+    recorded and the companion is pulled back to the reference, over the
+    whole segments within the horizon.  The first TRANSIENT_FRACTION of
+    segments is discarded, the rest averaged; the window is the span
+    averaged, or, when no segment is kept, (first kept start, horizon)
+    clamped to the horizon.  The estimate fails on more than MAX_RK4_STEPS
+    steps per copy, when no segment survives the transient cut (before any
+    step), and where the companion equals the reference (DISPLACEMENT
+    absorbed by rounding).
 
     `reference(n_sub, h)`, when given, returns the reference's states at
     the ends of the segments of n_sub steps h that a run already made
@@ -121,19 +124,20 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
     """
     if not (horizon > 0.0):
         raise UsageError("horizon must be positive")
-    n_seg = max(1, round(horizon / RENORM_INTERVAL))
+    n_seg = max(1, math.floor(horizon / RENORM_INTERVAL))
     skip = math.ceil(TRANSIENT_FRACTION * n_seg)
     logs = []
 
     def finish(note=""):
         # a note marks a failed estimate; no kept segment fails it too
         kept = logs[skip:]
-        window = (min(skip * RENORM_INTERVAL, horizon), horizon)
         if not kept:
             return LyapunovEstimate(
-                value=math.nan, n_segments=0, window=window, failed=True,
+                value=math.nan, n_segments=0, failed=True,
+                window=(min(skip * RENORM_INTERVAL, horizon), horizon),
                 note=note or "no segments survived the transient cut")
         value = sum(kept) / (len(kept) * RENORM_INTERVAL)
+        window = (skip * RENORM_INTERVAL, len(logs) * RENORM_INTERVAL)
         return LyapunovEstimate(value=value, n_segments=len(kept), window=window,
                                 failed=bool(note), note=note)
 

@@ -104,12 +104,15 @@ def test_lyapunov_harmonic_self_test():
     assert abs(est.value) <= 1e-3
 
 
-def test_lyapunov_integrable_scenario():
+@pytest.mark.parametrize("horizon", [50.0, 50.6])
+def test_lyapunov_integrable_scenario(horizon):
     free = load_scenario("free")
-    est = lyapunov_max(free, horizon=50.0)
+    est = lyapunov_max(free, horizon=horizon)
     assert not est.failed
     assert abs(est.value) <= 1e-3
-    assert est.window[0] == pytest.approx(5.0)  # 10% transient discard
+    # whole segments within the horizon, 10% of them discarded as transient
+    assert est.n_segments == 45
+    assert est.window == (5.0, 50.0)
 
 
 def test_lyapunov_deterministic():
@@ -209,9 +212,8 @@ def test_lyapunov_note_names_the_earlier_failing_step(fails_ref, fails_cmp):
 
 @pytest.mark.parametrize("changes, steps", [
     ({}, 2000),                    # the main run is the reference
-    ({"t_end": 2.6}, 4000),        # the same step, 1.0 / 1000, but the third
-                                   # segment runs past the run: both copies
-                                   # are stepped over it
+    ({"t_end": 2.6}, 2000),        # the same step, 1.0 / 1000; the two
+                                   # whole segments end within the run
     ({"dt": 0.003, "t_end": 3.0}, 1998),   # 333 steps of 1.0 / 333
     ({"sample_every": 7}, 4000),   # 7 does not divide 1000
     ({"method": "adaptive"}, 4000),

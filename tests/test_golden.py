@@ -98,12 +98,12 @@ def _short_config(tmp_path, case, **changes):
 
 # case -> (keys set on pinney rk4 VACUUM_KICK_SHORT, exit code,
 # diagnostics.json SHA-256 of `semiosc diagnose`).  The first case's grid lets
-# the order study and the Benettin estimate reuse the main run.  t_end = 2.6
-# has the Benettin segment's step too (2.6 / 2600 == 1.0 / 1000), but its
-# third segment runs past the run, so the reference is stepped over that
-# one.  The others cannot reuse it: another layout or method, a step that
-# differs from the Benettin segment's (dt = 0.003), a stride that does not
-# divide a segment, and an aborted main run.
+# the order study and the Benettin estimate reuse the main run, and so does
+# t_end = 2.6's: its step is the Benettin segment's (2.6 / 2600 ==
+# 1.0 / 1000), and its two whole segments end within the run.  The others
+# cannot reuse it: another layout or method, a step that differs from the
+# Benettin segment's (dt = 0.003), a stride that does not divide a segment,
+# and an aborted main run.
 DIAGNOSE_PINS = {
     "vacuum-kick-pinney-rk4": (
         {}, EXIT_OK,
@@ -116,7 +116,7 @@ DIAGNOSE_PINS = {
         "f658eb2a546936c6b54ec931ee9b45d641e8fdb287dbb0a7d6e304a60d5f8b9c"),
     "vacuum-kick-t_end-2.6": (
         {"t_end": "2.6"}, EXIT_OK,
-        "45f19d86bf7ad275ff2e207799f3bc996344ed8f04f478d1c9b20f1ec26dc5fe"),
+        "ee21332f91d43cc15055e89698c8477becd4c19423a471b7d8e182bebce6dc1e"),
     "vacuum-kick-dt-0.003": (
         {"dt": "0.003", "t_end": "3.0"}, EXIT_OK,
         "5c0168f693a82d28e219d1febd830ec041f6d11b8eb11a0a7675c4e489c02103"),
