@@ -189,8 +189,9 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     """Write one run's CSV, diagnostics.json, overlay and manifest from its
     trajectory `traj` = integrate(config); return the manifest and the
     diagnostics report.  The manifest's duration counts from `start`, taken
-    before the run was integrated.  `heavy` sets diagnose's `lyapunov` and
-    `convergence_order`; `extra_warnings` follow the abort warning."""
+    before the run was integrated.  `heavy` sets `lyapunov` (diagnose and
+    completed sweep legs) and diagnose's `convergence_order`;
+    `extra_warnings` follow the abort warning."""
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "timeseries.csv")
     write_timeseries_csv(traj.records, csv_path)
@@ -276,8 +277,10 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     is written: a value no leg can take or start from is a ConfigError naming
     the sweep file and `values`.  A failed leg is recorded and skipped; the
     aggregate marks it and the command still exits 0 (with warnings in the
-    manifest).  A metric a leg's series is too short for reads nan, or -1
-    for the extrema counts.
+    manifest).  A completed leg's diagnostics.json carries its Lyapunov
+    estimate, whose value the aggregate shows.  A metric a leg's series is
+    too short for, or a value that does not exist, reads nan, or -1 for the
+    extrema counts.
     """
     start = time.perf_counter()
     spec, base = load_sweep(sweep_path)
@@ -296,20 +299,22 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     for i, (value, config) in enumerate(zip(spec.values, configs)):
         leg_start = time.perf_counter()
         traj = integrate(config)
+        heavy = None
+        if traj.completed:
+            heavy = {"lyapunov": lyapunov_max(config, main=traj).to_dict()}
         manifest, report = _run_one(
             config, traj, leg_start, f"{sweep_path}[{spec.axis}={value}]",
-            os.path.join(output_dir, f"leg{i:02d}"), "sweep-leg")
+            os.path.join(output_dir, f"leg{i:02d}"), "sweep-leg", heavy)
         leg_outputs.append(manifest.outputs)
-        lyapunov = None
         if manifest.status == "completed":
-            lyapunov = lyapunov_max(config, main=traj).value
             completed_values.append(value)
             completed_amps.append(report["max_abs_discrepancy"])
         else:
             warnings.append(f"leg {i} ({spec.axis}={value}) aborted: "
                             f"{manifest.abort_reason}")
+        lyapunov = report["lyapunov"]
         metrics = (report["max_abs_discrepancy"], report["max_abs_remainder"],
-                   report["energy_drift"], lyapunov)
+                   report["energy_drift"], lyapunov and lyapunov["value"])
         counts = (report["extrema_ours"], report["extrema_cdms"])
         lines.append(",".join([
             str(i), spec.axis, _fmt(value), manifest.status,

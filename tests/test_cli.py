@@ -1,5 +1,6 @@
 """End-to-end CLI tests: artifacts, schemas, exit codes, reproducibility."""
 
+import csv
 import contextlib
 import io
 import json
@@ -395,6 +396,13 @@ def test_sweep_aggregate_and_power(tmp_path):
         "-1.9371803492693185e-05,0,0\n")
     for i in range(3):
         assert (out / f"leg{i:02d}" / "timeseries.csv").exists()
+    # each leg's report carries the Lyapunov estimate its row shows
+    rows = list(csv.DictReader((out / "aggregate.csv").open()))
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
+        report = json.loads((out / f"leg{i:02d}" / "diagnostics.json").read_text())
+        assert row["status"] == "completed"
+        assert report["lyapunov"]["value"] == float(row["lyapunov"])
     manifest = json.loads((out / "manifest.json").read_text())
     assert 3.7 <= manifest["outputs"]["discrepancy_power"] <= 4.3
 
