@@ -189,9 +189,8 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     """Write one run's CSV, diagnostics.json, overlay and manifest from its
     trajectory `traj` = integrate(config); return the manifest and the
     diagnostics report.  The manifest's duration counts from `start`, taken
-    before the run was integrated.  `heavy` sets `lyapunov` (diagnose and
-    completed sweep legs) and diagnose's `convergence_order`;
-    `extra_warnings` follow the abort warning."""
+    before the run was integrated.  `heavy` sets `lyapunov` and diagnose's
+    `convergence_order`; `extra_warnings` follow the abort warning."""
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "timeseries.csv")
     write_timeseries_csv(traj.records, csv_path)
@@ -277,10 +276,9 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     is written: a value no leg can take or start from is a ConfigError naming
     the sweep file and `values`.  A failed leg is recorded and skipped; the
     aggregate marks it and the command still exits 0 (with warnings in the
-    manifest).  A completed leg's diagnostics.json carries its Lyapunov
-    estimate, whose value the aggregate shows.  A metric a leg's series is
-    too short for, or a value that does not exist, reads nan, or -1 for the
-    extrema counts.
+    manifest).  A completed leg's report carries its Lyapunov estimate.  A
+    metric a leg's series is too short for reads nan, or -1 for the extrema
+    counts.
     """
     start = time.perf_counter()
     spec, base = load_sweep(sweep_path)

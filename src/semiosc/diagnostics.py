@@ -108,14 +108,13 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
 
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
-    recorded and the companion is pulled back to the reference, over the
-    whole segments within the horizon.  The first TRANSIENT_FRACTION of
-    segments is discarded, the rest averaged; the window is the span
-    averaged, or, when no segment is kept, (first kept start, horizon)
-    clamped to the horizon.  The estimate fails on more than MAX_RK4_STEPS
-    steps per copy, when no segment survives the transient cut (before any
-    step), and where the companion equals the reference (DISPLACEMENT
-    absorbed by rounding).
+    recorded and the companion is pulled back to the reference.  Of the
+    whole segments within the horizon the first TRANSIENT_FRACTION is
+    discarded, the rest averaged over the window they span (none kept: from
+    the cut to the horizon, clamped).  The estimate fails on more than
+    MAX_RK4_STEPS steps per copy, when no segment survives the transient cut
+    (before any step), and where the companion equals the reference
+    (DISPLACEMENT absorbed by rounding).
 
     `reference(n_sub, h)`, when given, returns the reference's states at
     the ends of the segments of n_sub steps h that a run already made
@@ -131,13 +130,13 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
     def finish(note=""):
         # a note marks a failed estimate; no kept segment fails it too
         kept = logs[skip:]
+        end = len(logs) * RENORM_INTERVAL if kept else horizon
+        window = (min(skip * RENORM_INTERVAL, end), end)
         if not kept:
             return LyapunovEstimate(
-                value=math.nan, n_segments=0, failed=True,
-                window=(min(skip * RENORM_INTERVAL, horizon), horizon),
+                value=math.nan, n_segments=0, window=window, failed=True,
                 note=note or "no segments survived the transient cut")
         value = sum(kept) / (len(kept) * RENORM_INTERVAL)
-        window = (skip * RENORM_INTERVAL, len(logs) * RENORM_INTERVAL)
         return LyapunovEstimate(value=value, n_segments=len(kept), window=window,
                                 failed=bool(note), note=note)
 
@@ -151,12 +150,9 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
     absorbed = (f"displacement {DISPLACEMENT} absorbed: the companion equals "
                 f"the reference at t=")
 
-    def displaced(y):
-        return tuple(v + (DISPLACEMENT if i == 0 else 0.0)
-                     for i, v in enumerate(y))
-
     y_ref = tuple(y0)
-    y_cmp = displaced(y_ref)
+    y_cmp = tuple(v + (DISPLACEMENT if i == 0 else 0.0)
+                  for i, v in enumerate(y_ref))
     t = 0.0
     if y_cmp == y_ref:
         return finish(f"{absorbed}{t}")
