@@ -400,7 +400,8 @@ def test_sweep_aggregate_and_power(tmp_path):
     rows = list(csv.DictReader((out / "aggregate.csv").open()))
     assert len(rows) == 3
     for i, row in enumerate(rows):
-        report = json.loads((out / f"leg{i:02d}" / "diagnostics.json").read_text())
+        leg = out / f"leg{i:02d}"
+        report = json.loads((leg / "diagnostics.json").read_text())
         assert row["status"] == "completed"
         assert report["lyapunov"]["value"] == float(row["lyapunov"])
     manifest = json.loads((out / "manifest.json").read_text())
