@@ -1,7 +1,7 @@
 """End-to-end CLI tests: artifacts, schemas, exit codes, reproducibility."""
 
-import csv
 import contextlib
+import csv
 import io
 import json
 import math

@@ -195,7 +195,7 @@ def test_lyapunov_fails_before_stepping_when_no_segment_survives(horizon,
 def test_lyapunov_note_names_the_earlier_failing_step(fails_ref, fails_cmp):
     # a still flow whose step raises from a time set per copy: the reference
     # sits at 0.0, the companion DISPLACEMENT off it; both fail inside the
-    # segment [2, 3), and the note gives the step time of the earlier
+    # segment [2, 3), and the note gives the earlier failure's step time
     def step(t, y, h):
         if t >= (fails_ref if y[0] == 0.0 else fails_cmp):
             raise ZeroDivisionError
@@ -263,10 +263,12 @@ def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(
 @settings(max_examples=100, deadline=None)
 @example(A0=1.0, Adot0=1.0, dt=0.01, t_end=3.0, sample_every=10, rho_min=1e-8)
 @example(A0=1.0, Adot0=1.0, dt=0.03, t_end=3.0, sample_every=1, rho_min=1e-8)
+@example(A0=1.0, Adot0=1.0, dt=0.05, t_end=2.6, sample_every=10, rho_min=1e-8)
 def test_studies_reading_the_main_run_match_their_own_runs(
         A0, Adot0, dt, t_end, sample_every, rho_min):
     # the first example shares the Benettin grid (1.0 / 100 == 3.0 / 300),
-    # the second does not (1.0 / 33 != 3.0 / 100)
+    # the second does not (1.0 / 33 != 3.0 / 100); in the third the run's
+    # last row (step 52, sampled off the stride of 10) is no segment's end
     try:
         cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
                              A0=A0, Adot0=Adot0, t_end=t_end, dt=dt,
@@ -276,6 +278,9 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     main = integrate(cfg)
     assert (lyapunov_max(cfg, main=main).to_dict()
             == lyapunov_max(cfg).to_dict())
+    beyond = t_end + 2.0  # the reference is stepped on past the run
+    assert (lyapunov_max(cfg, beyond, main).to_dict()
+            == lyapunov_max(cfg, beyond).to_dict())
     outcomes = []
     for reused in (main, None):
         try:
