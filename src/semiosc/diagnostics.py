@@ -28,8 +28,7 @@ from .dynamics import (
     initial_state,
     integrate,
     make_guard,
-    make_rhs_augmented,
-    make_rk4_step,
+    make_rk4_run,
     rk4_on,
     run_fixed,
     scenario_with,
@@ -102,9 +101,10 @@ DISPLACEMENT = 1e-8       # companion offset in the first component (A)
 TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 
 
-def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
+def benettin_lyapunov(run, y0, *, dt, horizon, guard=None,
                       reference=None) -> LyapunovEstimate:
-    """Benettin estimate on the flow of one rk4 step(t, y, h).
+    """Benettin estimate on the flow of an rk4 run(y, h, n, t0=t0) -> (y,
+    abort): make_rk4_run's protocol, or partial(run_fixed, rk4_on(rhs)).
 
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
@@ -160,8 +160,8 @@ def benettin_lyapunov(step, y0, *, dt, horizon, guard=None,
         if seg < len(ref_ends):
             y_ref, ref_abort = ref_ends[seg], None
         else:
-            y_ref, ref_abort = run_fixed(step, y_ref, h, n_sub, t0=t)
-        y_cmp, cmp_abort = run_fixed(step, y_cmp, h, n_sub, t0=t)
+            y_ref, ref_abort = run(y_ref, h, n_sub, t0=t)
+        y_cmp, cmp_abort = run(y_cmp, h, n_sub, t0=t)
         stops = [a[1] for a in (ref_abort, cmp_abort) if a is not None]
         if stops:
             return finish(f"singular evaluation at t={min(stops)}")
@@ -219,7 +219,7 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
     pconf = replace(config, representation="pinney")
     y0 = flat_from_state(initial_state(pconf))
     return benettin_lyapunov(
-        make_rk4_step("pinney", config.params), y0, dt=config.dt,
+        make_rk4_run("pinney", config.params), y0, dt=config.dt,
         horizon=config.t_end if horizon is None else horizon,
         guard=make_guard("pinney", config.params, config.rho_min),
         reference=_main_reference(config, main))
@@ -414,7 +414,6 @@ def adiabatic_invariant_drift(config: ScenarioConfig) -> float:
     start = initial_state(replace(config, representation="pinney"))
     y = (*flat_from_state(convert(start, "moments", params)),
          start.quantum.rho, start.quantum.rhodot)
-    guard = make_guard("augmented", params, config.rho_min)
     h = params.hbar
     n, dt = fixed_grid(config.t_end, config.dt)
     worst = 0.0
@@ -425,8 +424,8 @@ def adiabatic_invariant_drift(config: ScenarioConfig) -> float:
         basis = OscBasis(W=1.0 / (y[5] * y[5]), sigma=-y[6] / y[5])
         worst = max(worst, abs(quanta_expectation(mom, basis, h)))
 
-    _, abort = run_fixed(rk4_on(make_rhs_augmented(params)), y, dt, n,
-                         config.sample_every, guard, sample)
+    run = make_rk4_run("augmented", params, config.rho_min)
+    _, abort = run(y, dt, n, config.sample_every, sample)
     if abort is not None:
         raise DiagnosticError(f"augmented run aborted: {abort[2]}")
     return worst

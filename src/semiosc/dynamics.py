@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 from .core import (
     HEISENBERG_TOL,
@@ -54,7 +55,7 @@ __all__ = [
     "integrate",
     "record_observables",
     "make_rhs",
-    "make_rk4_step",
+    "make_rk4_run",
     "make_rkf45_step",
     "rk4_on",
     "make_row",
@@ -444,24 +445,13 @@ def make_rhs(representation: str, params: ModelParams):
             A, Ad, x2, c, p2 = y
             w2 = m2 + e2 * A * A
             return (Ad, -e2 * A * x2, 2.0 * c, p2 - w2 * x2, -2.0 * w2 * c)
+    elif representation == "augmented":  # moments + a pinney (rho, rhodot)
+        moments, pinney = make_rhs("moments", params), make_rhs("pinney", params)
+
+        def rhs(t, y):
+            return moments(t, y[:5]) + pinney(t, (y[0], y[1], y[5], y[6]))[2:]
     else:
         raise UsageError(f"unknown representation {representation!r}")
-    return rhs
-
-
-def make_rhs_augmented(params: ModelParams):
-    """Moments flow co-integrated with an independent Pinney width.
-
-    Layout (A, Adot, x2, c, p2, rho, rhodot): make_rhs("moments") on the
-    first five, and the width part of make_rhs("pinney"), which rides along
-    on the same omega(A(t)).  Used by the adiabatic-invariant diagnostic.
-    """
-    moments = make_rhs("moments", params)
-    pinney = make_rhs("pinney", params)
-
-    def rhs(t, y):
-        return moments(t, y[:5]) + pinney(t, (y[0], y[1], y[5], y[6]))[2:]
-
     return rhs
 
 
@@ -543,55 +533,72 @@ def rkf45_step(rhs, t, y, h):
 
 def rk4_on(rhs):
     """step(t, y, h) for run_fixed: rk4_step on a generic right-hand side."""
-    def step(t, y, h):
-        return rk4_step(rhs, t, y, h)
-    return step
+    return partial(rk4_step, rhs)
 
 
-def make_rk4_step(representation: str, params: ModelParams):
-    """rk4 step(t, y, h) -> y for one representation.
+def make_rk4_run(representation: str, params: ModelParams, rho_min=None):
+    """rk4 run(y, h, n, sample_every=1, on_sample=None, t0=0.0) -> (y, abort)
+    with run_fixed's contract, guarded by make_guard when rho_min is given.
 
-    The pinney step is unrolled by hand: it performs exactly the
-    floating-point operations of rk4_step with make_rhs("pinney", params),
-    in the same order, so its result is bit-identical; it only drops the
-    tuples and the zips.  Stage states carry the suffixes 2-4 and stage rates
-    1-4; the rate of A is the stage's P = Adot, that of rho (r) is
-    s = rhodot.  The other representations step with the generic rk4_step.
+    For pinney it is one loop with the step and the guard inlined.  The step
+    performs rk4_step's floating-point operations on make_rhs("pinney") in
+    the same order (stages 1-4; P = Adot, r = rho, s = rhodot), so its
+    states are bit-identical.  The guard tests finiteness with one isfinite
+    (x * 0.0 is nan exactly when x is not finite) and asks make_guard for
+    the abort.  Other layouts run run_fixed on rk4_on(make_rhs(...)).
     """
+    guard = None if rho_min is None else make_guard(representation, params, rho_min)
     if representation != "pinney":
-        return rk4_on(make_rhs(representation, params))
-    m2 = params.m * params.m
-    e2 = params.e * params.e
-    ne2 = -e2
-    half_hbar = 0.5 * params.hbar
+        step = rk4_on(make_rhs(representation, params))
 
-    def step(t, y, h):
+        def run(y, h, n, sample_every=1, on_sample=None, t0=0.0):
+            return run_fixed(step, y, h, n, sample_every, guard, on_sample, t0)
+        return run
+    m2, e2, half_hbar = params.m * params.m, params.e * params.e, 0.5 * params.hbar
+    ne2, isfinite = -e2, math.isfinite
+
+    def run(y, h, n, sample_every=1, on_sample=None, t0=0.0):
         A, P, r, s = y
-        hh = 0.5 * h
-        dP1 = ne2 * A * half_hbar * r * r
-        ds1 = 1.0 / (r * r * r) - (m2 + e2 * A * A) * r
-        A2, P2, r2, s2 = A + hh * P, P + hh * dP1, r + hh * s, s + hh * ds1
-        dP2 = ne2 * A2 * half_hbar * r2 * r2
-        ds2 = 1.0 / (r2 * r2 * r2) - (m2 + e2 * A2 * A2) * r2
-        A3, P3, r3, s3 = A + hh * P2, P + hh * dP2, r + hh * s2, s + hh * ds2
-        dP3 = ne2 * A3 * half_hbar * r3 * r3
-        ds3 = 1.0 / (r3 * r3 * r3) - (m2 + e2 * A3 * A3) * r3
-        A4, P4, r4, s4 = A + h * P3, P + h * dP3, r + h * s3, s + h * ds3
-        dP4 = ne2 * A4 * half_hbar * r4 * r4
-        ds4 = 1.0 / (r4 * r4 * r4) - (m2 + e2 * A4 * A4) * r4
-        six = h / 6.0
-        return (A + six * (P + 2.0 * (P2 + P3) + P4),
-                P + six * (dP1 + 2.0 * (dP2 + dP3) + dP4),
-                r + six * (s + 2.0 * (s2 + s3) + s4),
-                s + six * (ds1 + 2.0 * (ds2 + ds3) + ds4))
+        hh, six = 0.5 * h, h / 6.0
+        for i in range(1, n + 1):
+            try:
+                dP1 = ne2 * A * half_hbar * r * r
+                ds1 = 1.0 / (r * r * r) - (m2 + e2 * A * A) * r
+                A2, P2, r2, s2 = A + hh * P, P + hh * dP1, r + hh * s, s + hh * ds1
+                dP2 = ne2 * A2 * half_hbar * r2 * r2
+                ds2 = 1.0 / (r2 * r2 * r2) - (m2 + e2 * A2 * A2) * r2
+                A3, P3, r3, s3 = A + hh * P2, P + hh * dP2, r + hh * s2, s + hh * ds2
+                dP3 = ne2 * A3 * half_hbar * r3 * r3
+                ds3 = 1.0 / (r3 * r3 * r3) - (m2 + e2 * A3 * A3) * r3
+                A4, P4, r4, s4 = A + h * P3, P + h * dP3, r + h * s3, s + h * ds3
+                dP4 = ne2 * A4 * half_hbar * r4 * r4
+                ds4 = 1.0 / (r4 * r4 * r4) - (m2 + e2 * A4 * A4) * r4
+            except (ZeroDivisionError, OverflowError):
+                return (A, P, r, s), (STATUS_SINGULARITY, t0 + (i - 1) * h if i > 1
+                                      else t0, "singular right-hand side evaluation")
+            A, P, r, s = (A + six * (P + 2.0 * (P2 + P3) + P4),
+                          P + six * (dP1 + 2.0 * (dP2 + dP3) + dP4),
+                          r + six * (s + 2.0 * (s2 + s3) + s4),
+                          s + six * (ds1 + 2.0 * (ds2 + ds3) + ds4))
+            if guard is not None and (
+                    not isfinite(A * 0.0 + P * 0.0 + r * 0.0 + s * 0.0) or r <= rho_min):
+                t = t0 + i * h
+                status, reason = guard(t, (A, P, r, s))
+                return (A, P, r, s), (status, t, reason)
+            if on_sample is not None and (i % sample_every == 0 or i == n):
+                t = t0 + i * h
+                hit = on_sample(t, (A, P, r, s))
+                if hit is not None:
+                    return (A, P, r, s), (hit[0], t, hit[1])
+        return (A, P, r, s), None
 
-    return step
+    return run
 
 
 def make_rkf45_step(representation: str, params: ModelParams):
     """Fehlberg 4(5) step(t, y, h) -> (y5, err) for one representation.
 
-    The mode step is unrolled by hand like the pinney rk4 step: it performs
+    The mode step is unrolled by hand like the pinney rk4 run: it performs
     exactly the floating-point operations of rkf45_step with
     make_rhs("mode", params), in the same order (bNN, cN and dN are its
     folded coefficients), so its result is bit-identical.  Stage states carry
@@ -929,7 +936,6 @@ def integrate(config: ScenarioConfig) -> Trajectory:
     params = config.params
     state0, row0 = checked_start(config)
     rep = config.representation
-    guard = make_guard(rep, params, config.rho_min)
     y = flat_from_state(state0)
     rows = row_buffer()
     rows.extend(row0)
@@ -937,20 +943,14 @@ def integrate(config: ScenarioConfig) -> Trajectory:
 
     if config.method == "rk4":
         n, h = fixed_grid(config.t_end, config.dt)
-        _, abort = run_fixed(make_rk4_step(rep, params), y, h, n,
-                             config.sample_every, guard, sample)
+        run = make_rk4_run(rep, params, config.rho_min)
+        _, abort = run(y, h, n, config.sample_every, sample)
     else:
         _, abort = run_adaptive(make_rkf45_step(rep, params), y, config.t_end,
                                 config.dt_init, config.rtol, config.atol,
-                                config.sample_every, guard, sample)
-    return _trajectory(rows, abort)
-
-
-def _trajectory(rows, abort) -> Trajectory:
-    columns = columns_from_rows(rows)
-    if abort is None:
-        return Trajectory(columns, STATUS_COMPLETED)
-    return Trajectory(columns, *abort)
+                                config.sample_every,
+                                make_guard(rep, params, config.rho_min), sample)
+    return Trajectory(columns_from_rows(rows), *(abort or (STATUS_COMPLETED,)))
 
 
 def scenario_with(config: ScenarioConfig, **changes) -> ScenarioConfig:

@@ -9,6 +9,7 @@ regression baselines, not asserted from first principles.
 import dataclasses
 import json
 import math
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -37,7 +38,7 @@ from semiosc import (
 from semiosc import diagnostics
 from semiosc.core import SemiquantumError
 from semiosc.diagnostics import LyapunovEstimate, power_law_fit
-from semiosc.dynamics import COLUMNS, Records, rk4_on
+from semiosc.dynamics import COLUMNS, Records, rk4_on, run_fixed
 from conftest import quick_config
 
 
@@ -52,6 +53,11 @@ def _rec(t=0.0, Etot=1.0, N_ours=0.0, N_cdms=0.0, dN_leading=0.0):
 def _records(*recs):
     """The Records view of the given rows."""
     return Records({k: [getattr(r, k) for r in recs] for k in COLUMNS})
+
+
+def _run(rhs):
+    """benettin_lyapunov's run on a toy right-hand side."""
+    return partial(run_fixed, rk4_on(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +96,7 @@ def test_lyapunov_free_particle_flow():
     def rhs(t, y):
         return (y[1], 0.0)
 
-    est = benettin_lyapunov(rk4_on(rhs), (0.0, 1.0), dt=1e-2, horizon=50.0)
+    est = benettin_lyapunov(_run(rhs), (0.0, 1.0), dt=1e-2, horizon=50.0)
     assert not est.failed
     assert abs(est.value) <= 1e-3
 
@@ -99,7 +105,7 @@ def test_lyapunov_harmonic_self_test():
     def rhs(t, y):
         return (y[1], -y[0])
 
-    est = benettin_lyapunov(rk4_on(rhs), (1.0, 0.0), dt=1e-2, horizon=100.0)
+    est = benettin_lyapunov(_run(rhs), (1.0, 0.0), dt=1e-2, horizon=100.0)
     assert not est.failed
     assert abs(est.value) <= 1e-3
 
@@ -151,7 +157,7 @@ def test_lyapunov_flags_a_displacement_absorbed_at_the_start():
 
 def test_lyapunov_flags_a_displacement_absorbed_at_a_segment_end():
     # a drift to 1e9 swallows the companion's 1e-8 offset in the first step
-    est = benettin_lyapunov(rk4_on(lambda t, y: (1e9,)), (0.0,), dt=0.5,
+    est = benettin_lyapunov(_run(lambda t, y: (1e9,)), (0.0,), dt=0.5,
                             horizon=3.0)
     assert est.failed
     assert est.note.endswith("equals the reference at t=1.0")
@@ -162,7 +168,7 @@ def test_lyapunov_bounds_its_work(unit_params):
     est = lyapunov_max(quick_config(unit_params, t_end=0.01, dt=1e-9))
     assert est.failed
     assert est.note == "dt = 1e-09 makes more than 1e+08 steps over 1 segments"
-    est = benettin_lyapunov(rk4_on(lambda t, y: (y[1], 0.0)), (0.0, 1.0),
+    est = benettin_lyapunov(_run(lambda t, y: (y[1], 0.0)), (0.0, 1.0),
                             dt=1e-320, horizon=1.0)  # 1 / dt overflows
     assert est.failed and est.note.startswith("dt = 1e-320 makes more")
 
@@ -179,10 +185,10 @@ def test_lyapunov_to_dict_writes_null_for_a_non_finite_value():
                                              (1.2, (1.0, 1.2))])
 def test_lyapunov_fails_before_stepping_when_no_segment_survives(horizon,
                                                                  window):
-    # one segment, discarded as transient: no step is worth taking
+    # one segment, discarded as transient: no run is worth making
     calls = []
-    step = rk4_on(lambda t, y: (y[1], -y[0]))
-    est = benettin_lyapunov(lambda t, y, h: calls.append(1) or step(t, y, h),
+    run = _run(lambda t, y: (y[1], -y[0]))
+    est = benettin_lyapunov(lambda *a, **kw: calls.append(1) or run(*a, **kw),
                             (1.0, 0.0), dt=1e-3, horizon=horizon)
     assert est.failed and est.n_segments == 0 and math.isnan(est.value)
     assert est.note == "no segments survived the transient cut"
@@ -201,7 +207,8 @@ def test_lyapunov_note_names_the_earlier_failing_step(fails_ref, fails_cmp):
             raise ZeroDivisionError
         return y
 
-    est = benettin_lyapunov(step, (0.0,), dt=0.25, horizon=5.0)
+    est = benettin_lyapunov(partial(run_fixed, step), (0.0,), dt=0.25,
+                            horizon=5.0)
     assert est.failed and est.n_segments == 1
     assert est.note == f"singular evaluation at t={min(fails_ref, fails_cmp)}"
 
@@ -225,15 +232,15 @@ def test_lyapunov_steps_only_the_companion_on_the_main_runs_grid(
     cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 1e-3, **changes})
     main = integrate(cfg)
     calls = []
-    make = diagnostics.make_rk4_step
+    make = diagnostics.make_rk4_run
 
-    def counting(representation, params):
-        step = make(representation, params)
-        return lambda t, y, h: calls.append(1) or step(t, y, h)
+    def counting(representation, params, rho_min=None):
+        run = make(representation, params, rho_min)
+        return lambda y, h, n, **kw: calls.append(n) or run(y, h, n, **kw)
 
-    monkeypatch.setattr(diagnostics, "make_rk4_step", counting)
+    monkeypatch.setattr(diagnostics, "make_rk4_run", counting)
     est = lyapunov_max(cfg, main=main)
-    stepped = len(calls)
+    stepped = sum(calls)
     assert est == lyapunov_max(cfg)
     if main.completed:  # copies of the whole segments within t_end
         assert stepped == copies * math.floor(cfg.t_end) * round(1.0 / cfg.dt)

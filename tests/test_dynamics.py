@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semiosc import (
@@ -301,6 +301,66 @@ def test_rk4_halving_shrinks_energy_drift(unit_params):
     d1 = energy_drift(integrate(cfg).records)
     d2 = energy_drift(integrate(dataclasses.replace(cfg, dt=1e-3)).records)
     assert 10.0 <= d1 / d2 <= 22.0
+
+
+# ---------------------------------------------------------------------------
+# run-level relations (metamorphic), every representation and method
+# ---------------------------------------------------------------------------
+
+LAYOUTS = [(rep, method) for rep in ("pinney", "mode", "moments")
+           for method in ("rk4", "adaptive")]
+
+
+@st.composite
+def short_runs(draw, representation, method):
+    """A completed one-second run on drawn couplings and start, sampled at
+    every step."""
+    params = ModelParams(m=draw(st.floats(0.5, 2.0)), e=draw(st.floats(0.0, 1.0)),
+                         hbar=draw(st.floats(0.1, 2.0)))
+    config = ScenarioConfig(
+        params=params, A0=draw(st.floats(-1.5, 1.5)),
+        Adot0=draw(st.floats(-1.5, 1.5)), t_end=1.0, dt=0.02, dt_init=0.02,
+        sample_every=1, representation=representation, method=method,
+        quantum_init=draw(st.sampled_from(("vacuum", "adiabatic"))))
+    try:
+        traj = integrate(config)
+    except DomainError:  # an adiabatic start that is not slowly driven
+        traj = None
+    assume(traj is not None and traj.completed)
+    return config, traj
+
+
+@pytest.mark.parametrize("representation, method", LAYOUTS)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_parity_negates_A_and_Adot_only(representation, method, data):
+    # the equations hold A only through A^2, e^2 A x^2 and A Adot; rounding
+    # is sign-symmetric, so the mirrored run is exact, not approximate
+    config, traj = data.draw(short_runs(representation, method))
+    mirror = integrate(dataclasses.replace(config, A0=-config.A0,
+                                           Adot0=-config.Adot0))
+    assert mirror.completed
+    for name in COLUMNS:
+        sign = -1.0 if name in ("A", "Adot") else 1.0
+        assert list(mirror.columns[name]) == \
+            [sign * v for v in traj.columns[name]], name
+
+
+@pytest.mark.parametrize("representation, method", LAYOUTS)
+@given(data=st.data(), k=st.integers(2, 9))
+@settings(max_examples=25, deadline=None)
+def test_sampling_stride_selects_rows_of_every_step(representation, method,
+                                                    data, k):
+    # sampling never touches the step: a stride-k run's rows are the
+    # stride-1 run's rows 0, k, 2k, ... and its last row
+    config, traj = data.draw(short_runs(representation, method))
+    strided = integrate(dataclasses.replace(config, sample_every=k))
+    rows = len(traj.columns["t"])
+    keep = [*range(0, rows - 1, k), rows - 1]
+    assert strided.completed
+    for name in COLUMNS:
+        assert list(strided.columns[name]) == \
+            [traj.columns[name][i] for i in keep], name
 
 
 # ---------------------------------------------------------------------------

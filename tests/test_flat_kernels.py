@@ -1,15 +1,17 @@
 """The flat hot path against its specification.
 
-The unrolled pinney rk4 step must reproduce rk4_step on make_rhs bit for bit,
-the unrolled mode Fehlberg step must reproduce rkf45_step on make_rhs bit for
-bit, and the flat observable rows must reproduce record_observables bit for
-bit, raising on exactly the states where the oracle raises.
+The fused pinney rk4 run (make_rk4_run) must reproduce run_fixed on
+rk4_on(make_rhs) and make_guard bit for bit: its states, its abort and every
+sample it hands over.  The unrolled mode Fehlberg step must reproduce
+rkf45_step on make_rhs bit for bit, and the flat observable rows must
+reproduce record_observables bit for bit, raising on exactly the states
+where the oracle raises.
 """
 
 import dataclasses
 import math
 
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from semiosc import (
@@ -24,12 +26,14 @@ from semiosc import (
 )
 from semiosc.dynamics import (
     flat_from_state,
+    make_guard,
     make_rhs,
-    make_rk4_step,
+    make_rk4_run,
     make_rkf45_step,
     make_row,
-    rk4_step,
+    rk4_on,
     rkf45_step,
+    run_fixed,
     sampler,
     state_from_flat,
 )
@@ -53,26 +57,70 @@ def _outcome(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# unrolled rk4 step
+# fused pinney rk4 run
 # ---------------------------------------------------------------------------
 
-@given(params=params_st, A=st.floats(-2.0, 2.0), Adot=st.floats(-2.0, 2.0),
-       rho=st.floats(0.3, 3.0), rhodot=st.floats(-2.0, 2.0),
-       h=st.floats(1e-4, 1e-2))
-@settings(max_examples=40, deadline=None)
-def test_unrolled_step_matches_rk4_step(params, A, Adot, rho, rhodot, h):
-    rhs = make_rhs("pinney", params)
-    step = make_rk4_step("pinney", params)
-    y = oracle = (A, Adot, rho, rhodot)
-    for i in range(1000):
-        t = i * h
-        fast = _outcome(step, t, y, h)
-        slow = _outcome(rk4_step, rhs, t, oracle, h)
-        assert fast == slow, f"step {i}"
-        if fast[0] != "value":
-            break
-        y = step(t, y, h)
-        oracle = rk4_step(rhs, t, oracle, h)
+# Pinney components: ordinary ones and amplitudes whose squares overflow, so
+# that runs carry inf and nan; widths also at or near zero, where 1 / rho^3
+# divides by zero (rho^3 underflows below about 1.7e-108).
+pinney_component = st.one_of(st.floats(-3.0, 3.0),
+                             st.sampled_from([1e100, -1e160, 1e200, -1e300]))
+pinney_width = st.one_of(st.floats(0.3, 3.0),
+                         st.sampled_from([0.0, -0.0, 1e-110, 1e-300, 1e-40,
+                                          0.05, 1e200]))
+
+
+def _run_outcome(run, y, h, n, sample_every, t0, refuse):
+    """Bits of (final y, abort, every (t, y) sampled); the refuse-th sample
+    is refused (0: none is)."""
+    seen = []
+
+    def on_sample(t, y):
+        seen.append((t.hex(), _bits(y)))
+        if len(seen) == refuse:
+            return "refused", f"sample {refuse}"
+        return None
+
+    y, abort = run(y, h, n, sample_every, on_sample, t0)
+    if abort is not None:
+        abort = (abort[0], abort[1].hex(), abort[2])
+    return _bits(y), abort, seen
+
+
+@given(params=params_st,
+       y=st.tuples(pinney_component, pinney_component, pinney_width,
+                   pinney_component),
+       h=st.floats(1e-4, 0.5), n=st.integers(1, 400),
+       sample_every=st.integers(1, 30),
+       t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+       refuse=st.integers(0, 12),
+       rho_min=st.one_of(st.none(), st.floats(1e-8, 1.0)))
+@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(1.0, 1.0, 1e-110, 0.0),
+         h=0.01, n=10, sample_every=3, t0=2.5, refuse=0, rho_min=None)
+@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(1e200, 1.0, 1.0, 0.0),
+         h=0.01, n=10, sample_every=3, t0=0.0, refuse=0, rho_min=1e-8)
+@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(0.0, 0.0, 0.6, -2.0),
+         h=0.01, n=100, sample_every=7, t0=1.0, refuse=0, rho_min=0.5)
+@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(1.0, 1.0, 1.0, 0.0),
+         h=0.01, n=1000, sample_every=7, t0=0.0, refuse=0, rho_min=1e-8)
+@settings(max_examples=80, deadline=None)
+def test_fused_pinney_run_matches_run_fixed(params, y, h, n, sample_every, t0,
+                                            refuse, rho_min):
+    if rho_min is None:
+        fused = make_rk4_run("pinney", params)
+        guard = None
+    else:
+        fused = make_rk4_run("pinney", params, rho_min)
+        guard = make_guard("pinney", params, rho_min)
+    step = rk4_on(make_rhs("pinney", params))
+
+    def oracle(y, h, n, sample_every, on_sample, t0):
+        return run_fixed(step, y, h, n, sample_every, guard, on_sample, t0)
+
+    outcome = _run_outcome(fused, y, h, n, sample_every, t0, refuse)
+    assert outcome == _run_outcome(oracle, y, h, n, sample_every, t0, refuse)
+    event("completed" if outcome[1] is None else f"{outcome[1][0]}: "
+          f"{outcome[1][2].split(' ')[0]}")
 
 
 # Mode components: ordinary ones, and amplitudes whose squares overflow, so
