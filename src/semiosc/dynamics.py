@@ -540,12 +540,10 @@ def make_rk4_run(representation: str, params: ModelParams, rho_min=None):
     """rk4 run(y, h, n, sample_every=1, on_sample=None, t0=0.0) -> (y, abort)
     with run_fixed's contract, guarded by make_guard when rho_min is given.
 
-    For pinney it is one loop with the step and the guard inlined.  The step
-    performs rk4_step's floating-point operations on make_rhs("pinney") in
-    the same order (stages 1-4; P = Adot, r = rho, s = rhodot), so its
-    states are bit-identical.  The guard tests finiteness with one isfinite
-    (x * 0.0 is nan exactly when x is not finite) and asks make_guard for
-    the abort.  Other layouts run run_fixed on rk4_on(make_rhs(...)).
+    For pinney, one loop with the step and the guard inlined: rk4_step's
+    operations on make_rhs("pinney") in order (P = Adot, r = rho, s = rhodot;
+    in pairs, as wider tuple assignments build tuples), one isfinite (x * 0.0
+    is nan exactly when x is not finite).  Else run_fixed on rk4_on(make_rhs).
     """
     guard = None if rho_min is None else make_guard(representation, params, rho_min)
     if representation != "pinney":
@@ -564,22 +562,25 @@ def make_rk4_run(representation: str, params: ModelParams, rho_min=None):
             try:
                 dP1 = ne2 * A * half_hbar * r * r
                 ds1 = 1.0 / (r * r * r) - (m2 + e2 * A * A) * r
-                A2, P2, r2, s2 = A + hh * P, P + hh * dP1, r + hh * s, s + hh * ds1
+                A2, P2 = A + hh * P, P + hh * dP1
+                r2, s2 = r + hh * s, s + hh * ds1
                 dP2 = ne2 * A2 * half_hbar * r2 * r2
                 ds2 = 1.0 / (r2 * r2 * r2) - (m2 + e2 * A2 * A2) * r2
-                A3, P3, r3, s3 = A + hh * P2, P + hh * dP2, r + hh * s2, s + hh * ds2
+                A3, P3 = A + hh * P2, P + hh * dP2
+                r3, s3 = r + hh * s2, s + hh * ds2
                 dP3 = ne2 * A3 * half_hbar * r3 * r3
                 ds3 = 1.0 / (r3 * r3 * r3) - (m2 + e2 * A3 * A3) * r3
-                A4, P4, r4, s4 = A + h * P3, P + h * dP3, r + h * s3, s + h * ds3
+                A4, P4 = A + h * P3, P + h * dP3
+                r4, s4 = r + h * s3, s + h * ds3
                 dP4 = ne2 * A4 * half_hbar * r4 * r4
                 ds4 = 1.0 / (r4 * r4 * r4) - (m2 + e2 * A4 * A4) * r4
             except (ZeroDivisionError, OverflowError):
                 return (A, P, r, s), (STATUS_SINGULARITY, t0 + (i - 1) * h if i > 1
                                       else t0, "singular right-hand side evaluation")
-            A, P, r, s = (A + six * (P + 2.0 * (P2 + P3) + P4),
-                          P + six * (dP1 + 2.0 * (dP2 + dP3) + dP4),
-                          r + six * (s + 2.0 * (s2 + s3) + s4),
-                          s + six * (ds1 + 2.0 * (ds2 + ds3) + ds4))
+            A, P = (A + six * (P + 2.0 * (P2 + P3) + P4),
+                    P + six * (dP1 + 2.0 * (dP2 + dP3) + dP4))
+            r, s = (r + six * (s + 2.0 * (s2 + s3) + s4),
+                    s + six * (ds1 + 2.0 * (ds2 + ds3) + ds4))
             if guard is not None and (
                     not isfinite(A * 0.0 + P * 0.0 + r * 0.0 + s * 0.0) or r <= rho_min):
                 t = t0 + i * h
@@ -608,8 +609,7 @@ def make_rkf45_step(representation: str, params: ModelParams):
     rkf45_step on make_rhs.
     """
     if representation != "mode":
-        rhs = make_rhs(representation, params)
-        return lambda t, y, h: rkf45_step(rhs, t, y, h)
+        return partial(rkf45_step, make_rhs(representation, params))
     m2 = params.m * params.m
     e2 = params.e * params.e
     ne2 = -e2

@@ -103,6 +103,8 @@ def _run_outcome(run, y, h, n, sample_every, t0, refuse):
          h=0.01, n=100, sample_every=7, t0=1.0, refuse=0, rho_min=0.5)
 @example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(1.0, 1.0, 1.0, 0.0),
          h=0.01, n=1000, sample_every=7, t0=0.0, refuse=0, rho_min=1e-8)
+@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(0.0, 0.0, 1.0, 0.0),
+         h=0.01, n=5, sample_every=1, t0=0.0, refuse=0, rho_min=1.0)  # at rest
 @settings(max_examples=80, deadline=None)
 def test_fused_pinney_run_matches_run_fixed(params, y, h, n, sample_every, t0,
                                             refuse, rho_min):
