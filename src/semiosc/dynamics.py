@@ -9,13 +9,17 @@ moments   y = (A, Adot, x2, c, p2)            linear moment flow
 
 All three share the classical back-reaction Addot = -e^2 A <x^2>.  Observables
 are always computed from the exact state at sample times, never interpolated.
+The rates are written once, in LAYOUTS; the right-hand sides, the rk4 runs
+and the Fehlberg steps are generated from that table.
 """
 
 from __future__ import annotations
 
+import linecache
 import math
+import re
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from functools import cache, partial
 
 from .core import (
     HEISENBERG_TOL,
@@ -425,36 +429,6 @@ def state_from_flat(t: float, y: tuple[float, ...], representation: str) -> Semi
     return SemiState(t, y[0], y[1], GaussianMoments(x2=y[2], p2=y[4], c=y[3]))
 
 
-def make_rhs(representation: str, params: ModelParams):
-    """Right-hand side f(t, y) -> dy/dt on the flat layout, as a fast closure."""
-    m2 = params.m * params.m
-    e2 = params.e * params.e
-    half_hbar = 0.5 * params.hbar
-    if representation == "pinney":
-        def rhs(t, y):
-            A, Ad, r, rd = y
-            w2 = m2 + e2 * A * A
-            return (Ad, -e2 * A * half_hbar * r * r, rd, 1.0 / (r * r * r) - w2 * r)
-    elif representation == "mode":
-        def rhs(t, y):
-            A, Ad, fr, fi, gr, gi = y
-            w2 = m2 + e2 * A * A
-            return (Ad, -e2 * A * (fr * fr + fi * fi), gr, gi, -w2 * fr, -w2 * fi)
-    elif representation == "moments":
-        def rhs(t, y):
-            A, Ad, x2, c, p2 = y
-            w2 = m2 + e2 * A * A
-            return (Ad, -e2 * A * x2, 2.0 * c, p2 - w2 * x2, -2.0 * w2 * c)
-    elif representation == "augmented":  # moments + a pinney (rho, rhodot)
-        moments, pinney = make_rhs("moments", params), make_rhs("pinney", params)
-
-        def rhs(t, y):
-            return moments(t, y[:5]) + pinney(t, (y[0], y[1], y[5], y[6]))[2:]
-    else:
-        raise UsageError(f"unknown representation {representation!r}")
-    return rhs
-
-
 def make_guard(representation: str, params: ModelParams, rho_min: float):
     """Per-step sanity check: returns (status, reason) to abort, else None.
 
@@ -462,29 +436,23 @@ def make_guard(representation: str, params: ModelParams, rho_min: float):
     other representations.
     """
     isfinite = math.isfinite
-    index, floor = 2, 0.5 * params.hbar * rho_min * rho_min
+    floor = 0.5 * params.hbar * rho_min * rho_min
     reason = "<x^2> fell to the width floor at t={t}"
     if representation == "pinney" or representation == "augmented":
-        index = 2 if representation == "pinney" else 5
         floor, reason = rho_min, "rho = {w} fell to the floor {floor} at t={t}"
+    index = 5 if representation == "augmented" else 2
+    mode = representation == "mode"
 
     def guard(t, y):
         for v in y:
             if not isfinite(v):
                 return (STATUS_STEPFAIL, f"non-finite state component at t={t}")
-        if y[index] <= floor:
-            return (STATUS_SINGULARITY, reason.format(w=y[index], floor=floor, t=t))
+        w = y[2] * y[2] + y[3] * y[3] if mode else y[index]
+        if w <= floor:
+            return (STATUS_SINGULARITY, reason.format(w=w, floor=floor, t=t))
         return None
 
-    def mode_guard(t, y):
-        for v in y:
-            if not isfinite(v):
-                return (STATUS_STEPFAIL, f"non-finite state component at t={t}")
-        if y[2] * y[2] + y[3] * y[3] <= floor:
-            return (STATUS_SINGULARITY, reason.format(t=t))
-        return None
-
-    return mode_guard if representation == "mode" else guard
+    return guard
 
 
 # ---------------------------------------------------------------------------
@@ -536,144 +504,167 @@ def rk4_on(rhs):
     return partial(rk4_step, rhs)
 
 
-def make_rk4_run(representation: str, params: ModelParams, rho_min=None):
-    """rk4 run(y, h, n, sample_every=1, on_sample=None, t0=0.0) -> (y, abort)
-    with run_fixed's contract, guarded by make_guard when rho_min is given.
+# ---------------------------------------------------------------------------
+# the equation table, and the code generated from it
+# ---------------------------------------------------------------------------
 
-    For pinney, one loop with the step and the guard inlined: rk4_step's
-    operations on make_rhs("pinney") in order (P = Adot, r = rho, s = rhodot;
-    in pairs, as wider tuple assignments build tuples), one isfinite (x * 0.0
-    is nan exactly when x is not finite).  Else run_fixed on rk4_on(make_rhs).
-    """
-    guard = None if rho_min is None else make_guard(representation, params, rho_min)
-    if representation != "pinney":
-        step = rk4_on(make_rhs(representation, params))
+# Each flat layout: its state names in order, each with its rate, and
+# make_guard's width-floor test.  Rates read the state, the prelude's w2 and
+# m2, e2, half_hbar and ne2 = -e2 (negated once, which is exact); floor tests
+# read rho_min and x2_floor = hbar rho_min^2 / 2.  A rate that is a bare
+# state name names a later component, as the rk4 run updates its state in
+# order.
+PRELUDE = "w2 = m2 + e2 * A * A"
+_MOMENTS = {"A": "Ad", "Ad": "ne2 * A * x2", "x2": "2.0 * c",
+            "c": "p2 - w2 * x2", "p2": "-2.0 * w2 * c"}
+_WIDTH = {"r": "rd", "rd": "1.0 / (r * r * r) - w2 * r"}
+LAYOUTS = {
+    "pinney": ({"A": "Ad", "Ad": "ne2 * A * half_hbar * r * r", **_WIDTH},
+               "r <= rho_min"),
+    "mode": ({"A": "Ad", "Ad": "ne2 * A * (fr * fr + fi * fi)", "fr": "gr",
+              "fi": "gi", "gr": "-w2 * fr", "gi": "-w2 * fi"},
+             "fr * fr + fi * fi <= x2_floor"),
+    "moments": (_MOMENTS, "x2 <= x2_floor"),
+    # the adiabatic-invariant check's flow: the moments and a pinney width
+    "augmented": ({**_MOMENTS, **_WIDTH}, "r <= rho_min"),
+}
 
-        def run(y, h, n, sample_every=1, on_sample=None, t0=0.0):
-            return run_fixed(step, y, h, n, sample_every, guard, on_sample, t0)
-        return run
+# Per kind: the stages after the first, then the results, term for term as
+# rk4_step and rkf45_step write them, on each component y and the rates k1,
+# k2, ... of the stages so far (hh = 0.5 * h and six = h / 6.0 are rk4_step's
+# leading products).
+TABLEAUS = {
+    "rhs": ((), "{k1}"),
+    "rk4": (("{y} + hh * {k1}", "{y} + hh * {k2}", "{y} + h * {k3}"),
+            "{y} + six * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"),
+    "rkf45": (("{y} + 0.25 * h * {k1}",
+               "{y} + h * (0.09375 * {k1} + 0.28125 * {k2})",
+               "{y} + h * (1932.0 / 2197.0 * {k1} - 7200.0 / 2197.0 * {k2}"
+               " + 7296.0 / 2197.0 * {k3})",
+               "{y} + h * (439.0 / 216.0 * {k1} - 8.0 * {k2}"
+               " + 3680.0 / 513.0 * {k3} - 845.0 / 4104.0 * {k4})",
+               "{y} + h * (-8.0 / 27.0 * {k1} + 2.0 * {k2} - 3544.0 / 2565.0"
+               " * {k3} + 1859.0 / 4104.0 * {k4} - 11.0 / 40.0 * {k5})"),
+              "{y} + h * (16.0 / 135.0 * {k1} + 6656.0 / 12825.0 * {k3}"
+              " + 28561.0 / 56430.0 * {k4} - 9.0 / 50.0 * {k5}"
+              " + 2.0 / 55.0 * {k6})",
+              "h * ({k1} / 360.0 - 128.0 / 4275.0 * {k3} - 2197.0 / 75240.0"
+              " * {k4} + {k5} / 50.0 + 2.0 / 55.0 * {k6})"),
+}
+
+_HEAD = """\
+def make(params, rho_min):
     m2, e2, half_hbar = params.m * params.m, params.e * params.e, 0.5 * params.hbar
-    ne2, isfinite = -e2, math.isfinite
-
+    ne2 = -e2
+"""
+_FLOW = _HEAD + """\
+    def {name}(t, y{h}):
+        {state} = y
+{stages}
+        return ({results})
+    return {name}
+"""
+_RK4_RUN = _HEAD + """\
+    guard = None if rho_min is None else make_guard({layout!r}, params, rho_min)
+    x2_floor = None if rho_min is None else 0.5 * params.hbar * rho_min * rho_min
+    isfinite = math.isfinite
     def run(y, h, n, sample_every=1, on_sample=None, t0=0.0):
-        A, P, r, s = y
+        {state} = y
         hh, six = 0.5 * h, h / 6.0
         for i in range(1, n + 1):
             try:
-                dP1 = ne2 * A * half_hbar * r * r
-                ds1 = 1.0 / (r * r * r) - (m2 + e2 * A * A) * r
-                A2, P2 = A + hh * P, P + hh * dP1
-                r2, s2 = r + hh * s, s + hh * ds1
-                dP2 = ne2 * A2 * half_hbar * r2 * r2
-                ds2 = 1.0 / (r2 * r2 * r2) - (m2 + e2 * A2 * A2) * r2
-                A3, P3 = A + hh * P2, P + hh * dP2
-                r3, s3 = r + hh * s2, s + hh * ds2
-                dP3 = ne2 * A3 * half_hbar * r3 * r3
-                ds3 = 1.0 / (r3 * r3 * r3) - (m2 + e2 * A3 * A3) * r3
-                A4, P4 = A + h * P3, P + h * dP3
-                r4, s4 = r + h * s3, s + h * ds3
-                dP4 = ne2 * A4 * half_hbar * r4 * r4
-                ds4 = 1.0 / (r4 * r4 * r4) - (m2 + e2 * A4 * A4) * r4
+{stages}
             except (ZeroDivisionError, OverflowError):
-                return (A, P, r, s), (STATUS_SINGULARITY, t0 + (i - 1) * h if i > 1
-                                      else t0, "singular right-hand side evaluation")
-            A, P = (A + six * (P + 2.0 * (P2 + P3) + P4),
-                    P + six * (dP1 + 2.0 * (dP2 + dP3) + dP4))
-            r, s = (r + six * (s + 2.0 * (s2 + s3) + s4),
-                    s + six * (ds1 + 2.0 * (ds2 + ds3) + ds4))
-            if guard is not None and (
-                    not isfinite(A * 0.0 + P * 0.0 + r * 0.0 + s * 0.0) or r <= rho_min):
+                return ({state}), (STATUS_SINGULARITY, t0 + (i - 1) * h if i > 1
+                                  else t0, "singular right-hand side evaluation")
+{update}
+            if guard is not None and (not isfinite({finite}) or {floor}):
                 t = t0 + i * h
-                status, reason = guard(t, (A, P, r, s))
-                return (A, P, r, s), (status, t, reason)
+                status, reason = guard(t, ({state}))
+                return ({state}), (status, t, reason)
             if on_sample is not None and (i % sample_every == 0 or i == n):
                 t = t0 + i * h
-                hit = on_sample(t, (A, P, r, s))
+                hit = on_sample(t, ({state}))
                 if hit is not None:
-                    return (A, P, r, s), (hit[0], t, hit[1])
-        return (A, P, r, s), None
-
+                    return ({state}), (hit[0], t, hit[1])
+        return ({state}), None
     return run
+"""
+
+_WORD = re.compile(r"\b[A-Za-z_]\w*")
+
+
+def _term(template, name, k):
+    """template on component name and the rates k of the stages so far."""
+    return template.format(y=name, **{f"k{i + 1}": kj[name]
+                                      for i, kj in enumerate(k)})
+
+
+def _stages(rates, stages, indent):
+    """Source lines of every stage, and k: k[j][name] is the rate of name at
+    stage j + 1, a state name or the local dNAME_(j + 1).  Stage j + 1 > 1
+    holds its state in NAME_(j + 1)."""
+    lines, k = [], []
+    named = [n for n, rate in rates.items() if not rate.isidentifier()]
+    for j in range(len(stages) + 1):
+        suffix = f"_{j + 1}" if j else ""
+        if j:
+            lines += [f"{indent}{n}{suffix} = {_term(stages[j - 1], n, k)}"
+                      for n in rates]
+        on_stage = partial(_WORD.sub, lambda w: w[0] + suffix
+                           if w[0] in rates else w[0])
+        k.append({n: f"d{n}_{j + 1}" if n in named else on_stage(rate)
+                  for n, rate in rates.items()})
+        lines.append(indent + on_stage(PRELUDE))
+        lines += [f"{indent}{k[j][n]} = {on_stage(rates[n])}" for n in named]
+    return lines, k
+
+
+@cache
+def _compiled(kind, layout):
+    """make(params, rho_min) -> the layout's rhs, rk4 run or Fehlberg step,
+    compiled once per process, with its source in linecache."""
+    if layout not in LAYOUTS:
+        raise UsageError(f"unknown representation {layout!r}")
+    rates, floor = LAYOUTS[layout]
+    names = list(rates)
+    stages, *results = TABLEAUS[kind]
+    lines, k = _stages(rates, stages, " " * (16 if kind == "rk4" else 8))
+    columns = [[_term(t, n, k) for n in names] for t in results]
+    pad = " " * 12
+    source = (_RK4_RUN if kind == "rk4" else _FLOW).format(
+        name="rhs" if kind == "rhs" else "step", h="" if kind == "rhs" else ", h",
+        layout=layout, state=", ".join(names), stages="\n".join(lines),
+        update="\n".join(f"{pad}{n} = {v}" for n, v in zip(names, columns[0])),
+        finite=" + ".join(f"{n} * 0.0" for n in names), floor=floor,
+        results="), (".join(f",\n{pad}".join(c) for c in columns))
+    filename = f"<semiosc.dynamics {kind} {layout}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True),
+                                 filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    return namespace["make"]
+
+
+def make_rhs(representation: str, params: ModelParams):
+    """Right-hand side f(t, y) -> dy/dt on a flat layout: its LAYOUTS rates."""
+    return _compiled("rhs", representation)(params, None)
+
+
+def make_rk4_run(representation: str, params: ModelParams, rho_min=None):
+    """rk4 run(y, h, n, sample_every=1, on_sample=None, t0=0.0) -> (y, abort)
+    with run_fixed's contract, guarded by make_guard when rho_min is given:
+    one loop generated from LAYOUTS, the state in locals and one isfinite
+    (x * 0.0 is nan exactly when x is not finite) before make_guard is asked
+    for the abort.  Bit-identical to run_fixed on rk4_on(make_rhs)."""
+    return _compiled("rk4", representation)(params, rho_min)
 
 
 def make_rkf45_step(representation: str, params: ModelParams):
-    """Fehlberg 4(5) step(t, y, h) -> (y5, err) for one representation.
-
-    The mode step is unrolled by hand like the pinney rk4 run: it performs
-    exactly the floating-point operations of rkf45_step with
-    make_rhs("mode", params), in the same order (bNN, cN and dN are its
-    folded coefficients), so its result is bit-identical.  Stage states carry
-    the suffixes 2-6 and stage rates 1-6: the rate of A is the stage's P =
-    Adot, that of f = (fr, fi) is g = (gr, gi) = fdot, and those of P and g
-    are a and (u, v) = -omega^2 f.  The other representations call
-    rkf45_step on make_rhs.
-    """
-    if representation != "mode":
-        return partial(rkf45_step, make_rhs(representation, params))
-    m2 = params.m * params.m
-    e2 = params.e * params.e
-    ne2 = -e2
-    b41, b42, b43 = 1932.0 / 2197.0, 7200.0 / 2197.0, 7296.0 / 2197.0
-    b51, b53, b54 = 439.0 / 216.0, 3680.0 / 513.0, 845.0 / 4104.0
-    b61, b63, b64, b65 = -8.0 / 27.0, 3544.0 / 2565.0, 1859.0 / 4104.0, 11.0 / 40.0
-    c1, c3, c4, c5 = 16.0 / 135.0, 6656.0 / 12825.0, 28561.0 / 56430.0, 9.0 / 50.0
-    c6, d3, d4 = 2.0 / 55.0, 128.0 / 4275.0, 2197.0 / 75240.0
-
-    def step(t, y, h):
-        A, P, fr, fi, gr, gi = y
-        w2 = m2 + e2 * A * A
-        a1, u1, v1 = ne2 * A * (fr * fr + fi * fi), -w2 * fr, -w2 * fi
-        q = 0.25 * h
-        A2, P2, fr2, fi2, gr2, gi2 = (A + q * P, P + q * a1, fr + q * gr,
-                                      fi + q * gi, gr + q * u1, gi + q * v1)
-        w2 = m2 + e2 * A2 * A2
-        a2, u2, v2 = ne2 * A2 * (fr2 * fr2 + fi2 * fi2), -w2 * fr2, -w2 * fi2
-        A3 = A + h * (0.09375 * P + 0.28125 * P2)
-        P3 = P + h * (0.09375 * a1 + 0.28125 * a2)
-        fr3 = fr + h * (0.09375 * gr + 0.28125 * gr2)
-        fi3 = fi + h * (0.09375 * gi + 0.28125 * gi2)
-        gr3 = gr + h * (0.09375 * u1 + 0.28125 * u2)
-        gi3 = gi + h * (0.09375 * v1 + 0.28125 * v2)
-        w2 = m2 + e2 * A3 * A3
-        a3, u3, v3 = ne2 * A3 * (fr3 * fr3 + fi3 * fi3), -w2 * fr3, -w2 * fi3
-        A4 = A + h * (b41 * P - b42 * P2 + b43 * P3)
-        P4 = P + h * (b41 * a1 - b42 * a2 + b43 * a3)
-        fr4 = fr + h * (b41 * gr - b42 * gr2 + b43 * gr3)
-        fi4 = fi + h * (b41 * gi - b42 * gi2 + b43 * gi3)
-        gr4 = gr + h * (b41 * u1 - b42 * u2 + b43 * u3)
-        gi4 = gi + h * (b41 * v1 - b42 * v2 + b43 * v3)
-        w2 = m2 + e2 * A4 * A4
-        a4, u4, v4 = ne2 * A4 * (fr4 * fr4 + fi4 * fi4), -w2 * fr4, -w2 * fi4
-        A5 = A + h * (b51 * P - 8.0 * P2 + b53 * P3 - b54 * P4)
-        P5 = P + h * (b51 * a1 - 8.0 * a2 + b53 * a3 - b54 * a4)
-        fr5 = fr + h * (b51 * gr - 8.0 * gr2 + b53 * gr3 - b54 * gr4)
-        fi5 = fi + h * (b51 * gi - 8.0 * gi2 + b53 * gi3 - b54 * gi4)
-        gr5 = gr + h * (b51 * u1 - 8.0 * u2 + b53 * u3 - b54 * u4)
-        gi5 = gi + h * (b51 * v1 - 8.0 * v2 + b53 * v3 - b54 * v4)
-        w2 = m2 + e2 * A5 * A5
-        a5, u5, v5 = ne2 * A5 * (fr5 * fr5 + fi5 * fi5), -w2 * fr5, -w2 * fi5
-        A6 = A + h * (b61 * P + 2.0 * P2 - b63 * P3 + b64 * P4 - b65 * P5)
-        P6 = P + h * (b61 * a1 + 2.0 * a2 - b63 * a3 + b64 * a4 - b65 * a5)
-        fr6 = fr + h * (b61 * gr + 2.0 * gr2 - b63 * gr3 + b64 * gr4 - b65 * gr5)
-        fi6 = fi + h * (b61 * gi + 2.0 * gi2 - b63 * gi3 + b64 * gi4 - b65 * gi5)
-        gr6 = gr + h * (b61 * u1 + 2.0 * u2 - b63 * u3 + b64 * u4 - b65 * u5)
-        gi6 = gi + h * (b61 * v1 + 2.0 * v2 - b63 * v3 + b64 * v4 - b65 * v5)
-        w2 = m2 + e2 * A6 * A6
-        a6, u6, v6 = ne2 * A6 * (fr6 * fr6 + fi6 * fi6), -w2 * fr6, -w2 * fi6
-        return ((A + h * (c1 * P + c3 * P3 + c4 * P4 - c5 * P5 + c6 * P6),
-                 P + h * (c1 * a1 + c3 * a3 + c4 * a4 - c5 * a5 + c6 * a6),
-                 fr + h * (c1 * gr + c3 * gr3 + c4 * gr4 - c5 * gr5 + c6 * gr6),
-                 fi + h * (c1 * gi + c3 * gi3 + c4 * gi4 - c5 * gi5 + c6 * gi6),
-                 gr + h * (c1 * u1 + c3 * u3 + c4 * u4 - c5 * u5 + c6 * u6),
-                 gi + h * (c1 * v1 + c3 * v3 + c4 * v4 - c5 * v5 + c6 * v6)),
-                (h * (P / 360.0 - d3 * P3 - d4 * P4 + P5 / 50.0 + c6 * P6),
-                 h * (a1 / 360.0 - d3 * a3 - d4 * a4 + a5 / 50.0 + c6 * a6),
-                 h * (gr / 360.0 - d3 * gr3 - d4 * gr4 + gr5 / 50.0 + c6 * gr6),
-                 h * (gi / 360.0 - d3 * gi3 - d4 * gi4 + gi5 / 50.0 + c6 * gi6),
-                 h * (u1 / 360.0 - d3 * u3 - d4 * u4 + u5 / 50.0 + c6 * u6),
-                 h * (v1 / 360.0 - d3 * v3 - d4 * v4 + v5 / 50.0 + c6 * v6)))
-
-    return step
+    """Fehlberg 4(5) step(t, y, h) -> (y5, err) for run_adaptive, generated
+    from LAYOUTS: rkf45_step's operations on make_rhs in order, so
+    bit-identical to it."""
+    return _compiled("rkf45", representation)(params, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,22 @@
 """The flat hot path against its specification.
 
-The fused pinney rk4 run (make_rk4_run) must reproduce run_fixed on
-rk4_on(make_rhs) and make_guard bit for bit: its states, its abort and every
-sample it hands over.  The unrolled mode Fehlberg step must reproduce
-rkf45_step on make_rhs bit for bit, and the flat observable rows must
-reproduce record_observables bit for bit, raising on exactly the states
-where the oracle raises.
+make_rhs, every rk4 run of make_rk4_run and every Fehlberg step of
+make_rkf45_step are generated from one equation table (dynamics.LAYOUTS).
+Each generated run must reproduce run_fixed on rk4_on(make_rhs) and
+make_guard bit for bit: its states, its abort and every sample it hands over;
+each generated Fehlberg step must reproduce rkf45_step on make_rhs bit for
+bit; the augmented right-hand side must be the moments flow and the pinney
+width flow.  The flat observable rows must reproduce record_observables bit
+for bit, raising on exactly the states where the oracle raises.
 """
 
 import dataclasses
 import math
+import re
+import traceback
+from functools import partial
 
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +24,7 @@ from semiosc import (
     ModelParams,
     PinneySector,
     SemiState,
+    UsageError,
     convert,
     convergence_order,
     integrate,
@@ -38,10 +45,14 @@ from semiosc.dynamics import (
     state_from_flat,
 )
 
-WIDTHS = {"pinney": 4, "mode": 6, "moments": 5}
+WIDTHS = {"pinney": 4, "mode": 6, "moments": 5, "augmented": 7}
+# the components each layout's width-floor test reads
+FLOOR_INDEX = {"pinney": (2,), "mode": (2, 3), "moments": (2,),
+               "augmented": (5,)}
 
 params_st = st.builds(ModelParams, m=st.floats(0.5, 2.0), e=st.floats(0.0, 2.0),
                       hbar=st.floats(0.01, 2.0))
+UNIT = ModelParams(m=1.0, e=1.0, hbar=1.0)
 
 
 def _bits(values):
@@ -57,17 +68,26 @@ def _outcome(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# fused pinney rk4 run
+# generated rk4 runs and Fehlberg steps
 # ---------------------------------------------------------------------------
 
-# Pinney components: ordinary ones and amplitudes whose squares overflow, so
-# that runs carry inf and nan; widths also at or near zero, where 1 / rho^3
-# divides by zero (rho^3 underflows below about 1.7e-108).
-pinney_component = st.one_of(st.floats(-3.0, 3.0),
-                             st.sampled_from([1e100, -1e160, 1e200, -1e300]))
-pinney_width = st.one_of(st.floats(0.3, 3.0),
-                         st.sampled_from([0.0, -0.0, 1e-110, 1e-300, 1e-40,
-                                          0.05, 1e200]))
+# Components: ordinary ones and amplitudes whose squares overflow, so that
+# runs carry inf and nan.  Floor components (widths, |f|, <x^2>) also at or
+# near zero, where 1 / rho^3 divides by zero (rho^3 underflows below about
+# 1.7e-108) and the width floor fires.
+component = st.one_of(st.floats(-3.0, 3.0),
+                      st.sampled_from([1e100, -1e160, 1e200, -1e300]))
+floor_component = st.one_of(st.floats(0.3, 3.0),
+                            st.sampled_from([0.0, -0.0, 1e-110, 1e-300, 1e-40,
+                                             0.05, 1e200]))
+
+
+def _state(representation, y, w):
+    """The layout's state: y's leading components, floor components from w."""
+    state = list(y[:WIDTHS[representation]])
+    for i, index in enumerate(FLOOR_INDEX[representation]):
+        state[index] = w[i]
+    return tuple(state)
 
 
 def _run_outcome(run, y, h, n, sample_every, t0, refuse):
@@ -87,64 +107,113 @@ def _run_outcome(run, y, h, n, sample_every, t0, refuse):
     return _bits(y), abort, seen
 
 
-@given(params=params_st,
-       y=st.tuples(pinney_component, pinney_component, pinney_width,
-                   pinney_component),
+@pytest.mark.parametrize("representation", list(WIDTHS))
+@given(params=params_st, y=st.tuples(*[component] * 7),
+       w=st.tuples(floor_component, floor_component),
        h=st.floats(1e-4, 0.5), n=st.integers(1, 400),
        sample_every=st.integers(1, 30),
        t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
        refuse=st.integers(0, 12),
        rho_min=st.one_of(st.none(), st.floats(1e-8, 1.0)))
-@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(1.0, 1.0, 1e-110, 0.0),
+@example(params=UNIT, y=(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), w=(1e-110, 1e-110),
          h=0.01, n=10, sample_every=3, t0=2.5, refuse=0, rho_min=None)
-@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(1e200, 1.0, 1.0, 0.0),
+@example(params=UNIT, y=(1e200, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0), w=(1.0, 1.0),
          h=0.01, n=10, sample_every=3, t0=0.0, refuse=0, rho_min=1e-8)
-@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(0.0, 0.0, 0.6, -2.0),
+@example(params=UNIT, y=(0.0, 0.0, 0.0, -2.0, 0.5, 0.0, -2.0), w=(0.6, 0.6),
          h=0.01, n=100, sample_every=7, t0=1.0, refuse=0, rho_min=0.5)
-@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(1.0, 1.0, 1.0, 0.0),
+@example(params=UNIT, y=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0), w=(1.0, 0.0),
          h=0.01, n=1000, sample_every=7, t0=0.0, refuse=0, rho_min=1e-8)
-@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0), y=(0.0, 0.0, 1.0, 0.0),
+@example(params=UNIT, y=(0.0, 0.0, 0.0, 0.0, -2.0, -2.0, 0.0), w=(0.6, 0.6),
+         h=0.01, n=100, sample_every=7, t0=0.0, refuse=0, rho_min=0.5)
+@example(params=UNIT, y=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), w=(1.0, 0.0),
          h=0.01, n=5, sample_every=1, t0=0.0, refuse=0, rho_min=1.0)  # at rest
+@example(params=UNIT, y=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0), w=(1.0, 0.5),
+         h=0.01, n=50, sample_every=4, t0=0.0, refuse=3, rho_min=1e-8)
 @settings(max_examples=80, deadline=None)
-def test_fused_pinney_run_matches_run_fixed(params, y, h, n, sample_every, t0,
-                                            refuse, rho_min):
+def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
+                                             n, sample_every, t0, refuse,
+                                             rho_min):
+    y = _state(representation, y, w)
     if rho_min is None:
-        fused = make_rk4_run("pinney", params)
+        run = make_rk4_run(representation, params)
         guard = None
     else:
-        fused = make_rk4_run("pinney", params, rho_min)
-        guard = make_guard("pinney", params, rho_min)
-    step = rk4_on(make_rhs("pinney", params))
+        run = make_rk4_run(representation, params, rho_min)
+        guard = make_guard(representation, params, rho_min)
+    step = rk4_on(make_rhs(representation, params))
 
     def oracle(y, h, n, sample_every, on_sample, t0):
         return run_fixed(step, y, h, n, sample_every, guard, on_sample, t0)
 
-    outcome = _run_outcome(fused, y, h, n, sample_every, t0, refuse)
+    outcome = _run_outcome(run, y, h, n, sample_every, t0, refuse)
     assert outcome == _run_outcome(oracle, y, h, n, sample_every, t0, refuse)
     event("completed" if outcome[1] is None else f"{outcome[1][0]}: "
           f"{outcome[1][2].split(' ')[0]}")
 
 
-# Mode components: ordinary ones, and amplitudes whose squares overflow, so
-# that chained steps also carry inf and nan.
-mode_component = st.one_of(st.floats(-3.0, 3.0),
-                           st.sampled_from([1e100, -1e160, 1e200, -1e300]))
+def _step_outcome(step, t, y, h):
+    """(y5, bits of y5 and err), or (None, the exception) if the step raises."""
+    try:
+        y5, err = step(t, y, h)
+    except ArithmeticError as exc:
+        return None, (type(exc), str(exc))
+    return y5, (_bits(y5), _bits(err))
 
 
-@given(params=params_st, y=st.tuples(*[mode_component] * 6),
-       h=st.floats(1e-4, 1.0))
-@example(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
-         y=(1e200, -1e160, 1.0, 1e100, 0.5, -1e300), h=1.0)
+@pytest.mark.parametrize("representation", list(WIDTHS))
+@given(params=params_st, y=st.tuples(*[component] * 7),
+       w=st.tuples(floor_component, floor_component), h=st.floats(1e-4, 1.0))
+@example(params=UNIT, y=(1e200, -1e160, 1.0, 1e100, 0.5, -1e300, 1.0),
+         w=(1.0, 1e100), h=1.0)
+@example(params=UNIT, y=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0), w=(1e-110, 0.0),
+         h=0.01)
 @settings(max_examples=60, deadline=None)
-def test_unrolled_rkf45_matches_rkf45_step(params, y, h):
-    rhs = make_rhs("mode", params)
-    step = make_rkf45_step("mode", params)
-    oracle = y
+def test_generated_rkf45_matches_rkf45_step(representation, params, y, w, h):
+    step = make_rkf45_step(representation, params)
+    oracle = partial(rkf45_step, make_rhs(representation, params))
+    y = z = _state(representation, y, w)
     for i in range(300):
-        y5, err = step(i * h, y, h)
-        o5, oerr = rkf45_step(rhs, i * h, oracle, h)
-        assert (_bits(y5), _bits(err)) == (_bits(o5), _bits(oerr)), f"step {i}"
-        y, oracle = y5, o5
+        y, outcome = _step_outcome(step, i * h, y, h)
+        z, expected = _step_outcome(oracle, i * h, z, h)
+        assert outcome == expected, f"step {i}"
+        if y is None:
+            break
+
+
+@given(params=params_st, y=st.tuples(*[component] * 7),
+       w=st.tuples(floor_component, floor_component))
+@settings(max_examples=200, deadline=None)
+def test_augmented_rhs_is_the_moments_and_pinney_width_flows(params, y, w):
+    y = _state("augmented", y, w)
+    moments, pinney = make_rhs("moments", params), make_rhs("pinney", params)
+
+    def composed(t, y):
+        return moments(t, y[:5]) + pinney(t, (y[0], y[1], y[5], y[6]))[2:]
+
+    assert _outcome(make_rhs("augmented", params), 0.5, y) == \
+        _outcome(composed, 0.5, y)
+
+
+@pytest.mark.parametrize("make", [make_rhs, make_rk4_run, make_rkf45_step])
+@pytest.mark.parametrize("name", ["bogus", "Pinney", ""])
+def test_unknown_layout_is_a_usage_error(make, name, unit_params):
+    with pytest.raises(UsageError,
+                       match=re.escape(f"unknown representation {name!r}")):
+        make(name, unit_params)
+
+
+def test_generated_run_traceback_shows_its_source_line(unit_params):
+    def on_sample(t, y):
+        raise RuntimeError("sink failed")
+
+    run = make_rk4_run("mode", unit_params, 1e-8)
+    with pytest.raises(RuntimeError) as info:
+        run((1.0, 0.0, 0.7, 0.0, 0.0, -0.7), 0.01, 3, 1, on_sample)
+    line = "hit = on_sample(t, (A, Ad, fr, fi, gr, gi))"
+    frames = [frame for frame in traceback.extract_tb(info.tb)
+              if frame.filename == "<semiosc.dynamics rk4 mode>"]
+    assert [frame.line for frame in frames] == [line]
+    assert line in "".join(traceback.format_exception(info.value))
 
 
 # ---------------------------------------------------------------------------
