@@ -20,6 +20,7 @@ from .core import (
 )
 from .dynamics import (
     MAX_RK4_STEPS,
+    SINGULAR_STEP,
     Records,
     ScenarioConfig,
     convert,
@@ -27,7 +28,6 @@ from .dynamics import (
     flat_from_state,
     initial_state,
     integrate,
-    make_guard,
     make_rk4_run,
     rk4_on,
     run_fixed,
@@ -101,7 +101,7 @@ DISPLACEMENT = 1e-8       # companion offset in the first component (A)
 TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 
 
-def benettin_lyapunov(run, y0, *, dt, horizon, guard=None,
+def benettin_lyapunov(run, y0, *, dt, horizon,
                       reference=None) -> LyapunovEstimate:
     """Benettin estimate on the flow of an rk4 run(y, h, n, t0=t0) -> (y,
     abort): make_rk4_run's protocol, or partial(run_fixed, rk4_on(rhs)).
@@ -118,8 +118,10 @@ def benettin_lyapunov(run, y0, *, dt, horizon, guard=None,
 
     `reference(n_sub, h)`, when given, returns the reference's states at
     the ends of the segments of n_sub steps h that a run already made
-    covers; the reference is stepped on from the last of them.  When both
-    copies fail inside one segment, the note names the earlier step.
+    covers; the reference is stepped on from the last of them.  A copy stops
+    only where its run aborts, failing the estimate: the note names the
+    earlier abort of the segment (the reference's on a tie), "singular
+    evaluation at t=..." for a step that raised, else the run's reason.
     """
     if not (horizon > 0.0):
         raise UsageError("horizon must be positive")
@@ -132,11 +134,8 @@ def benettin_lyapunov(run, y0, *, dt, horizon, guard=None,
         kept = logs[skip:]
         end = len(logs) * RENORM_INTERVAL if kept else horizon
         window = (min(skip * RENORM_INTERVAL, end), end)
-        if not kept:
-            return LyapunovEstimate(
-                value=math.nan, n_segments=0, window=window, failed=True,
-                note=note or "no segments survived the transient cut")
-        value = sum(kept) / (len(kept) * RENORM_INTERVAL)
+        note = note or ("" if kept else "no segments survived the transient cut")
+        value = sum(kept) / (len(kept) * RENORM_INTERVAL) if kept else math.nan
         return LyapunovEstimate(value=value, n_segments=len(kept), window=window,
                                 failed=bool(note), note=note)
 
@@ -162,14 +161,12 @@ def benettin_lyapunov(run, y0, *, dt, horizon, guard=None,
         else:
             y_ref, ref_abort = run(y_ref, h, n_sub, t0=t)
         y_cmp, cmp_abort = run(y_cmp, h, n_sub, t0=t)
-        stops = [a[1] for a in (ref_abort, cmp_abort) if a is not None]
-        if stops:
-            return finish(f"singular evaluation at t={min(stops)}")
+        aborts = [a for a in (ref_abort, cmp_abort) if a is not None]
+        if aborts:
+            _, t_stop, why = min(aborts, key=lambda a: a[1])
+            return finish(f"singular evaluation at t={t_stop}"
+                          if why == SINGULAR_STEP else f"trajectory aborted: {why}")
         t += RENORM_INTERVAL
-        if guard is not None:
-            hit = guard(t, y_ref) or guard(t, y_cmp)
-            if hit is not None:
-                return finish(f"trajectory aborted: {hit[1]}")
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(y_ref, y_cmp)))
         if d == 0.0:
             return finish(f"{absorbed}{t}")
@@ -211,7 +208,8 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
                  main=None) -> LyapunovEstimate:
     """Largest Lyapunov exponent of the scenario's (A, Adot, rho, rhodot) flow.
 
-    Always runs in the pinney representation with the config's fixed step;
+    Always runs in the pinney representation with the config's fixed step,
+    each copy guarded by rho_min after every step as integrate()'s run is;
     the initial displacement is applied to A.  `main`, integrate(config)
     when the caller has it, supplies the reference copy where it is that
     copy (see _main_reference); the estimate is the same either way.
@@ -219,9 +217,8 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
     pconf = replace(config, representation="pinney")
     y0 = flat_from_state(initial_state(pconf))
     return benettin_lyapunov(
-        make_rk4_run("pinney", config.params), y0, dt=config.dt,
-        horizon=config.t_end if horizon is None else horizon,
-        guard=make_guard("pinney", config.params, config.rho_min),
+        make_rk4_run("pinney", config.params, config.rho_min), y0,
+        dt=config.dt, horizon=config.t_end if horizon is None else horizon,
         reference=_main_reference(config, main))
 
 

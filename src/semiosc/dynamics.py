@@ -79,6 +79,7 @@ QUANTUM_INITS = ("vacuum", "explicit", "adiabatic")
 STATUS_COMPLETED = "completed"
 STATUS_SINGULARITY = "aborted-singularity"
 STATUS_STEPFAIL = "aborted-stepfail"
+SINGULAR_STEP = "singular right-hand side evaluation"  # a step that raised
 
 # Work bounds (cf. ODEPACK's MXSTEP): rk4 configs with more steps are
 # rejected, an adaptive run stops after this many step attempts.  Both are
@@ -326,6 +327,7 @@ def checked_start(config: ScenarioConfig
     """
     state0 = initial_state(config)
     try:
+        # not make_row: perfbench --trace 1 wraps this call to collect states
         row0 = record_observables(state0, config.params).as_row()
     except _START_ERRORS as exc:
         raise _bad_start(config, exc) from None
@@ -565,8 +567,8 @@ _FLOW = _HEAD + """\
     return {name}
 """
 _RK4_RUN = _HEAD + """\
-    guard = None if rho_min is None else make_guard({layout!r}, params, rho_min)
-    x2_floor = None if rho_min is None else 0.5 * params.hbar * rho_min * rho_min
+    guard = make_guard({layout!r}, params, rho_min)
+    x2_floor = 0.5 * params.hbar * rho_min * rho_min
     isfinite = math.isfinite
     def run(y, h, n, sample_every=1, on_sample=None, t0=0.0):
         {state} = y
@@ -576,9 +578,9 @@ _RK4_RUN = _HEAD + """\
 {stages}
             except (ZeroDivisionError, OverflowError):
                 return ({state}), (STATUS_SINGULARITY, t0 + (i - 1) * h if i > 1
-                                  else t0, "singular right-hand side evaluation")
+                                  else t0, SINGULAR_STEP)
 {update}
-            if guard is not None and (not isfinite({finite}) or {floor}):
+            if not isfinite({finite}) or {floor}:
                 t = t0 + i * h
                 status, reason = guard(t, ({state}))
                 return ({state}), (status, t, reason)
@@ -651,12 +653,12 @@ def make_rhs(representation: str, params: ModelParams):
     return _compiled("rhs", representation)(params, None)
 
 
-def make_rk4_run(representation: str, params: ModelParams, rho_min=None):
+def make_rk4_run(representation: str, params: ModelParams, rho_min: float):
     """rk4 run(y, h, n, sample_every=1, on_sample=None, t0=0.0) -> (y, abort)
-    with run_fixed's contract, guarded by make_guard when rho_min is given:
-    one loop generated from LAYOUTS, the state in locals and one isfinite
-    (x * 0.0 is nan exactly when x is not finite) before make_guard is asked
-    for the abort.  Bit-identical to run_fixed on rk4_on(make_rhs)."""
+    with run_fixed's contract, guarded by make_guard after every step: one
+    loop generated from LAYOUTS, the state in locals, one isfinite (x * 0.0
+    is nan exactly when x is not finite) and the floor test inlined.
+    Bit-identical to run_fixed on rk4_on(make_rhs) with make_guard."""
     return _compiled("rk4", representation)(params, rho_min)
 
 
@@ -826,7 +828,7 @@ def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
         try:
             y = step(t, y, h)
         except (ZeroDivisionError, OverflowError):
-            return y, (STATUS_SINGULARITY, t, "singular right-hand side evaluation")
+            return y, (STATUS_SINGULARITY, t, SINGULAR_STEP)
         t = t0 + i * h
         if guard is not None:
             hit = guard(t, y)
@@ -868,7 +870,7 @@ def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
         try:
             ynew, err = step(t, y, h)
         except (ZeroDivisionError, OverflowError):
-            return y, (STATUS_SINGULARITY, t, "singular right-hand side evaluation")
+            return y, (STATUS_SINGULARITY, t, SINGULAR_STEP)
         enorm = inf
         try:
             acc = 0.0

@@ -9,6 +9,7 @@ regression baselines, not asserted from first principles.
 import dataclasses
 import json
 import math
+import re
 from functools import partial
 
 import pytest
@@ -234,7 +235,7 @@ def test_lyapunov_steps_only_the_companion_on_the_main_runs_grid(
     calls = []
     make = diagnostics.make_rk4_run
 
-    def counting(representation, params, rho_min=None):
+    def counting(representation, params, rho_min):
         run = make(representation, params, rho_min)
         return lambda y, h, n, **kw: calls.append(n) or run(y, h, n, **kw)
 
@@ -295,6 +296,40 @@ def test_studies_reading_the_main_run_match_their_own_runs(
         except SemiquantumError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
+
+
+_ABORT_NOTE = re.compile(r"(singular evaluation|trajectory aborted: .*) "
+                         r"at t=(\S+)")
+
+
+@given(m=st.floats(0.5, 2.0), e=st.floats(0.0, 2.0), A0=st.floats(-3.0, 3.0),
+       Adot0=st.floats(-3.0, 3.0), rho0=st.floats(0.3, 2.0),
+       rhodot0=st.floats(-3.0, 3.0), floor=st.floats(0.05, 0.9))
+@settings(max_examples=100, deadline=None)
+@example(m=1.3121187091902449, e=1.8782983255570211, A0=-0.7127745738707256,
+         Adot0=-1.7004036172163197, rho0=1.0175981784906194,
+         rhodot0=-2.8257552745507923, floor=0.2426339893426231 / 1.0175981784906194)
+def test_lyapunov_fails_where_the_run_stops(m, e, A0, Adot0, rho0, rhodot0,
+                                            floor):
+    # the run's step is the segment's (6.0 / 600 == 1.0 / 100), so the
+    # reference copy takes the run's steps and stops where the run does;
+    # the example floors at t = 1.19, after a whole segment
+    cfg = ScenarioConfig(params=ModelParams(m=m, e=e, hbar=1.0), A0=A0,
+                         Adot0=Adot0, t_end=6.0, dt=0.01,
+                         quantum_init="explicit", rho0=rho0, rhodot0=rhodot0,
+                         rho_min=floor * rho0)
+    traj = integrate(cfg)
+    if traj.completed:
+        return
+    ests = [lyapunov_max(cfg), lyapunov_max(cfg, main=traj)]
+    for est in ests:
+        assert est.failed, (traj.abort_reason, est)
+        # named at a step of the run no later than its abort (the segment's
+        # time t0 + i * h may differ from the run's in the last bit)
+        stop = _ABORT_NOTE.fullmatch(est.note)
+        assert stop, est.note
+        assert round(float(stop[2]) / cfg.dt) <= round(traj.abort_time / cfg.dt)
+    assert ests[0].to_dict() == ests[1].to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,10 @@ def _run_outcome(run, y, h, n, sample_every, t0, refuse):
        sample_every=st.integers(1, 30),
        t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
        refuse=st.integers(0, 12),
-       rho_min=st.one_of(st.none(), st.floats(1e-8, 1.0)))
+       rho_min=st.floats(1e-8, 1.0))
+# a width whose cube underflows: the first stage raises before the guard runs
 @example(params=UNIT, y=(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), w=(1e-110, 1e-110),
-         h=0.01, n=10, sample_every=3, t0=2.5, refuse=0, rho_min=None)
+         h=0.01, n=10, sample_every=3, t0=2.5, refuse=0, rho_min=1e-8)
 @example(params=UNIT, y=(1e200, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0), w=(1.0, 1.0),
          h=0.01, n=10, sample_every=3, t0=0.0, refuse=0, rho_min=1e-8)
 @example(params=UNIT, y=(0.0, 0.0, 0.0, -2.0, 0.5, 0.0, -2.0), w=(0.6, 0.6),
@@ -134,12 +135,8 @@ def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
                                              n, sample_every, t0, refuse,
                                              rho_min):
     y = _state(representation, y, w)
-    if rho_min is None:
-        run = make_rk4_run(representation, params)
-        guard = None
-    else:
-        run = make_rk4_run(representation, params, rho_min)
-        guard = make_guard(representation, params, rho_min)
+    run = make_rk4_run(representation, params, rho_min)
+    guard = make_guard(representation, params, rho_min)
     step = rk4_on(make_rhs(representation, params))
 
     def oracle(y, h, n, sample_every, on_sample, t0):
@@ -194,7 +191,9 @@ def test_augmented_rhs_is_the_moments_and_pinney_width_flows(params, y, w):
         _outcome(composed, 0.5, y)
 
 
-@pytest.mark.parametrize("make", [make_rhs, make_rk4_run, make_rkf45_step])
+@pytest.mark.parametrize("make", [
+    make_rhs, pytest.param(partial(make_rk4_run, rho_min=1e-8),
+                           id="make_rk4_run"), make_rkf45_step])
 @pytest.mark.parametrize("name", ["bogus", "Pinney", ""])
 def test_unknown_layout_is_a_usage_error(make, name, unit_params):
     with pytest.raises(UsageError,

@@ -125,7 +125,7 @@ DIAGNOSE_PINS = {
         "2f42428de4307f43602453299150b30ed944a512ac502552737a15fa1f22fd82"),
     "vacuum-kick-rho_min-0.9": (
         {"rho_min": "0.9"}, EXIT_ABORT,
-        "cc4a8ab2f229581b93b4a76d07d8d9ed163c746c8807d41f9fe7054070a28324"),
+        "f710ba929e7f6f3e4eac529d998f3ba8c5f87d6f1e7d3e15d3b74bb9624c41d7"),
 }
 
 
