@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 from .core import (
     DiagnosticError,
@@ -29,7 +30,7 @@ from .dynamics import (
     initial_state,
     integrate,
     make_rk4_run,
-    rk4_on,
+    rk4_step,
     run_fixed,
     scenario_with,
 )
@@ -103,8 +104,11 @@ TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 
 def benettin_lyapunov(run, y0, *, dt, horizon,
                       reference=None) -> LyapunovEstimate:
-    """Benettin estimate on the flow of an rk4 run(y, h, n, t0=t0) -> (y,
-    abort): make_rk4_run's protocol, or partial(run_fixed, rk4_on(rhs)).
+    """Benettin estimate on the flow of an rk4 run(y, h, n, i0=i0) -> (y,
+    abort): make_rk4_run's protocol, or partial(run_fixed,
+    partial(rk4_step, rhs)).  Segment k is the run of n_sub steps from grid
+    step i0 = k * n_sub, so every time it reports is a step's (i0 + i) * h,
+    as integrate()'s run reports it.
 
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
@@ -152,24 +156,23 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
     y_ref = tuple(y0)
     y_cmp = tuple(v + (DISPLACEMENT if i == 0 else 0.0)
                   for i, v in enumerate(y_ref))
-    t = 0.0
     if y_cmp == y_ref:
-        return finish(f"{absorbed}{t}")
+        return finish(f"{absorbed}0.0")
     for seg in range(n_seg):
+        i0 = seg * n_sub
         if seg < len(ref_ends):
             y_ref, ref_abort = ref_ends[seg], None
         else:
-            y_ref, ref_abort = run(y_ref, h, n_sub, t0=t)
-        y_cmp, cmp_abort = run(y_cmp, h, n_sub, t0=t)
+            y_ref, ref_abort = run(y_ref, h, n_sub, i0=i0)
+        y_cmp, cmp_abort = run(y_cmp, h, n_sub, i0=i0)
         aborts = [a for a in (ref_abort, cmp_abort) if a is not None]
         if aborts:
             _, t_stop, why = min(aborts, key=lambda a: a[1])
             return finish(f"singular evaluation at t={t_stop}"
                           if why == SINGULAR_STEP else f"trajectory aborted: {why}")
-        t += RENORM_INTERVAL
         d = math.sqrt(sum((a - b) ** 2 for a, b in zip(y_ref, y_cmp)))
         if d == 0.0:
-            return finish(f"{absorbed}{t}")
+            return finish(f"{absorbed}{(i0 + n_sub) * h}")
         logs.append(math.log(d / DISPLACEMENT))
         scale = DISPLACEMENT / d
         y_cmp = tuple(a + (b - a) * scale for a, b in zip(y_ref, y_cmp))
@@ -231,6 +234,12 @@ def _ladder(dt: float) -> tuple[float, float, float]:
     return dt, dt / 2.0, dt / 4.0
 
 
+def _observed_order(errors) -> float:
+    """Mean log2 ratio of successive errors along _ladder."""
+    orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
+    return sum(orders) / len(orders)
+
+
 def convergence_order(config: ScenarioConfig, main=None) -> float:
     """Observed order from self-convergence of the final state.
 
@@ -260,8 +269,7 @@ def convergence_order(config: ScenarioConfig, main=None) -> float:
         diffs.append(math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))
     if any(d == 0.0 for d in diffs):
         raise DiagnosticError("successive runs coincide; no error signal to fit")
-    orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
-    return sum(orders) / len(orders)
+    return _observed_order(diffs)
 
 
 def linear_test_order() -> float:
@@ -272,14 +280,13 @@ def linear_test_order() -> float:
     self-convergence.
     """
     t_end = 5.0
-    step = rk4_on(lambda t, y: (y[1], -y[0]))
+    step = partial(rk4_step, lambda t, y: (y[1], -y[0]))
     errs = []
     for dt in _ladder(0.04):
         n, h = fixed_grid(t_end, dt)
         y, _ = run_fixed(step, (1.0, 0.0), h, n)
         errs.append(math.hypot(y[0] - math.cos(t_end), y[1] + math.sin(t_end)))
-    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-    return sum(orders) / len(orders)
+    return _observed_order(errs)
 
 
 # ---------------------------------------------------------------------------

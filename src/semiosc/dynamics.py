@@ -61,7 +61,6 @@ __all__ = [
     "make_rhs",
     "make_rk4_run",
     "make_rkf45_step",
-    "rk4_on",
     "make_row",
     "make_guard",
     "run_fixed",
@@ -389,24 +388,19 @@ def convert(state: SemiState, target: str, params: ModelParams) -> SemiState:
     if state.representation == target:
         return state
     h = params.hbar
-    if state.representation == "pinney":
-        rho, rhodot = state.quantum.rho, state.quantum.rhodot
-    else:
+    if state.representation != "pinney":
         mom = state_moments(state, params)
         rho = math.sqrt(2.0 * mom.x2 / h)
-        rhodot = 2.0 * mom.c / (h * rho)
+        state = SemiState(state.t, state.A, state.Adot,
+                          PinneySector(rho, 2.0 * mom.c / (h * rho)))
     if target == "pinney":
-        quantum = PinneySector(rho, rhodot)
-    elif target == "mode":
-        amp = math.sqrt(0.5 * h)
-        quantum = ModeSector(complex(amp * rho, 0.0),
-                             complex(amp * rhodot, -amp / rho))
-    else:
-        inv = 1.0 / rho
-        quantum = GaussianMoments(x2=0.5 * h * rho * rho,
-                                  p2=0.5 * h * (rhodot * rhodot + inv * inv),
-                                  c=0.5 * h * rho * rhodot)
-    return SemiState(state.t, state.A, state.Adot, quantum)
+        return state
+    if target == "moments":
+        return replace(state, quantum=state_moments(state, params))
+    rho, rhodot = state.quantum.rho, state.quantum.rhodot
+    amp = math.sqrt(0.5 * h)
+    return replace(state, quantum=ModeSector(complex(amp * rho, 0.0),
+                                             complex(amp * rhodot, -amp / rho)))
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +495,6 @@ def rkf45_step(rhs, t, y, h):
     return y5, err
 
 
-def rk4_on(rhs):
-    """step(t, y, h) for run_fixed: rk4_step on a generic right-hand side."""
-    return partial(rk4_step, rhs)
-
-
 # ---------------------------------------------------------------------------
 # the equation table, and the code generated from it
 # ---------------------------------------------------------------------------
@@ -570,22 +559,22 @@ _RK4_RUN = _HEAD + """\
     guard = make_guard({layout!r}, params, rho_min)
     x2_floor = 0.5 * params.hbar * rho_min * rho_min
     isfinite = math.isfinite
-    def run(y, h, n, sample_every=1, on_sample=None, t0=0.0):
+    def run(y, h, n, sample_every=1, on_sample=None, i0=0):
         {state} = y
         hh, six = 0.5 * h, h / 6.0
         for i in range(1, n + 1):
             try:
 {stages}
             except (ZeroDivisionError, OverflowError):
-                return ({state}), (STATUS_SINGULARITY, t0 + (i - 1) * h if i > 1
-                                  else t0, SINGULAR_STEP)
+                return ({state}), (STATUS_SINGULARITY, (i0 + i - 1) * h,
+                                  SINGULAR_STEP)
 {update}
             if not isfinite({finite}) or {floor}:
-                t = t0 + i * h
+                t = (i0 + i) * h
                 status, reason = guard(t, ({state}))
                 return ({state}), (status, t, reason)
             if on_sample is not None and (i % sample_every == 0 or i == n):
-                t = t0 + i * h
+                t = (i0 + i) * h
                 hit = on_sample(t, ({state}))
                 if hit is not None:
                     return ({state}), (hit[0], t, hit[1])
@@ -654,11 +643,12 @@ def make_rhs(representation: str, params: ModelParams):
 
 
 def make_rk4_run(representation: str, params: ModelParams, rho_min: float):
-    """rk4 run(y, h, n, sample_every=1, on_sample=None, t0=0.0) -> (y, abort)
+    """rk4 run(y, h, n, sample_every=1, on_sample=None, i0=0) -> (y, abort)
     with run_fixed's contract, guarded by make_guard after every step: one
     loop generated from LAYOUTS, the state in locals, one isfinite (x * 0.0
     is nan exactly when x is not finite) and the floor test inlined.
-    Bit-identical to run_fixed on rk4_on(make_rhs) with make_guard."""
+    Bit-identical to run_fixed on partial(rk4_step, make_rhs) with
+    make_guard."""
     return _compiled("rk4", representation)(params, rho_min)
 
 
@@ -700,9 +690,10 @@ def make_row(representation: str, params: ModelParams):
     """Flat observables row(t, y) -> tuple in COLUMNS order.
 
     The row equals record_observables(state_from_flat(t, y, representation),
-    params).as_row() bit for bit, and raises the same exception on the same
-    states: every value is computed once, by the same operations as the core
-    kernels, with their domain checks in the order the oracle meets them.
+    params).as_row() bit for bit: every value is computed once, by the same
+    operations as the core kernels.  A state outside the kernels' domain
+    (the one conjunction below fails, or the arithmetic raises) is handed
+    to record_observables itself, which raises what the kernels raise.
     """
     m, e, hbar = params.m, params.e, params.hbar
     m2 = m * m
@@ -711,98 +702,70 @@ def make_row(representation: str, params: ModelParams):
     half_hbar = 0.5 * hbar
     two_hbar = 2.0 * hbar
     neg_hbar = -hbar
-    bound = 0.25 * hbar * hbar
-    heisenberg_floor = bound * (1.0 - HEISENBERG_TOL)
+    heisenberg_floor = 0.25 * hbar * hbar * (1.0 - HEISENBERG_TOL)
     corr_scale = (hbar * e / m) ** 2
     leading_denom = 16.0 * m ** 6
-    sqrt, isfinite = math.sqrt, math.isfinite
+    sqrt, inf = math.sqrt, math.inf
 
-    def finish(t, A, Ad, rho, rhodot, Omega, Omegadot, omega, omegadot,
-               x2, p2, c):
-        # occupation_closed_form
-        if not (omega > 0.0):
-            raise DomainError(f"omega must be positive, got {omega}")
-        if not (Omega > 0.0):
-            raise DomainError(f"Omega must be positive, got {Omega}")
-        r = omega / Omega
-        d = sqrt(r) - sqrt(1.0 / r)
-        Omega3 = Omega ** 3
-        n_ours = 0.25 * d * d + Omegadot * Omegadot / (16.0 * omega * Omega3)
-        # quanta_expectation(vacuum_moments, drift_sheared_basis)
-        vx2 = half_hbar / Omega
-        vp2 = half_hbar * (Omega + Omegadot * Omegadot / (4.0 * Omega3))
-        vc = neg_hbar * Omegadot / (4.0 * Omega * Omega)
-        if not (vx2 > 0.0):
-            raise DomainError(f"<x^2> must be positive, got {vx2}")
-        if not (vp2 > 0.0):
-            raise DomainError(f"<p^2> must be positive, got {vp2}")
-        sigma = 0.5 * omegadot / omega
-        if not isfinite(omega):
-            raise DomainError(f"basis frequency W must be positive, got {omega}")
-        det = vx2 * vp2 - vc * vc
-        if det < heisenberg_floor:
-            raise ValidationError(
-                f"moments violate the Heisenberg bound: x2*p2 - c^2 = {det}"
-                f" < hbar^2/4 = {bound}")
-        n_cdms = ((omega * omega + sigma * sigma) * vx2 + vp2
-                  + 2.0 * sigma * vc) / (two_hbar * omega) - 0.5
-        # energies, occupation_difference_leading
-        hx = 0.5 * (p2 + omega * omega * x2)
-        return (t, A, Ad, rho, rhodot, Omega, Omegadot, omega, omegadot,
-                x2, p2, c, n_ours, n_cdms, e4 * (A * Ad) ** 2 / leading_denom,
-                hx, 0.5 * Ad * Ad + hx, corr_scale * n_ours)
+    # each layout's state as (A, Ad, rho, rhodot, Omega, Omegadot, x2, p2, c)
+    def pinney(y):
+        A, Ad, rho, rhodot = y
+        inv = 1.0 / rho
+        return (A, Ad, rho, rhodot, 1.0 / (rho * rho),
+                -2.0 * rhodot / (rho * rho * rho) + 0.0, half_hbar * rho * rho,
+                half_hbar * (rhodot * rhodot + inv * inv),
+                half_hbar * rho * rhodot)
 
-    if representation == "pinney":
-        def row(t, y):
-            A, Ad, rho, rhodot = y
-            if not (rho > 0.0):
-                raise DomainError(f"pinney width rho must be positive, got {rho}")
-            omega = sqrt(m2 + (e * A) ** 2)
-            omegadot = e2 * A * Ad / omega
-            Omega = 1.0 / (rho * rho)
-            Omegadot = -2.0 * rhodot / (rho * rho * rho) + 0.0
-            inv = 1.0 / rho
-            x2 = half_hbar * rho * rho
-            p2 = half_hbar * (rhodot * rhodot + inv * inv)
-            c = half_hbar * rho * rhodot
-            if not (x2 > 0.0):
-                raise DomainError(f"<x^2> must be positive, got {x2}")
-            if not (p2 > 0.0):
-                raise DomainError(f"<p^2> must be positive, got {p2}")
-            return finish(t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
-                          omegadot, x2, p2, c)
-    elif representation in ("mode", "moments"):
-        is_mode = representation == "mode"
+    def moments(y):
+        A, Ad, x2, c, p2 = y
+        Omega = half_hbar / x2
+        rho = sqrt(2.0 * x2 / hbar)
+        return (A, Ad, rho, 2.0 * c / (hbar * rho), Omega,
+                -4.0 * c * Omega * Omega / hbar, x2, p2, c)
 
-        def row(t, y):
-            A = y[0]
-            Ad = y[1]
-            if is_mode:
-                f = complex(y[2], y[3])
-                fdot = complex(y[4], y[5])
-            else:
-                x2, c, p2 = y[2], y[3], y[4]
-                if not (x2 > 0.0):
-                    raise DomainError(f"<x^2> must be positive, got {x2}")
-                if not (p2 > 0.0):
-                    raise DomainError(f"<p^2> must be positive, got {p2}")
-            omega = sqrt(m2 + (e * A) ** 2)
-            omegadot = e2 * A * Ad / omega
-            if is_mode:
-                x2 = abs(f) ** 2
-                if not (x2 > 0.0):
-                    raise DomainError("mode function vanished; <x^2> must be positive")
-                p2 = abs(fdot) ** 2
-                c = (f * fdot.conjugate()).real
-                if not (p2 > 0.0):
-                    raise DomainError(f"<p^2> must be positive, got {p2}")
-            Omega = half_hbar / x2
-            Omegadot = -4.0 * c * Omega * Omega / hbar
-            rho = sqrt(2.0 * x2 / hbar)
-            return finish(t, A, Ad, rho, 2.0 * c / (hbar * rho), Omega,
-                          Omegadot, omega, omegadot, x2, p2, c)
-    else:
+    def mode(y):
+        A, Ad, fr, fi, gr, gi = y
+        f, fdot = complex(fr, fi), complex(gr, gi)
+        return moments((A, Ad, abs(f) ** 2, (f * fdot.conjugate()).real,
+                        abs(fdot) ** 2))
+
+    sector = {"pinney": pinney, "mode": mode, "moments": moments}.get(
+        representation)
+    if sector is None:
         raise UsageError(f"unknown representation {representation!r}")
+
+    def row(t, y):
+        try:
+            A, Ad, rho, rhodot, Omega, Omegadot, x2, p2, c = sector(y)
+            omega = sqrt(m2 + (e * A) ** 2)
+            omegadot = e2 * A * Ad / omega
+            # occupation_closed_form
+            r = omega / Omega
+            d = sqrt(r) - sqrt(1.0 / r)
+            Omega3 = Omega ** 3
+            n_ours = 0.25 * d * d + Omegadot * Omegadot / (16.0 * omega * Omega3)
+            # quanta_expectation(vacuum_moments, drift_sheared_basis)
+            vx2 = half_hbar / Omega
+            vp2 = half_hbar * (Omega + Omegadot * Omegadot / (4.0 * Omega3))
+            vc = neg_hbar * Omegadot / (4.0 * Omega * Omega)
+            sigma = 0.5 * omegadot / omega
+            n_cdms = ((omega * omega + sigma * sigma) * vx2 + vp2
+                      + 2.0 * sigma * vc) / (two_hbar * omega) - 0.5
+            # energies, occupation_difference_leading
+            hx = 0.5 * (p2 + omega * omega * x2)
+            if (rho > 0.0 and x2 > 0.0 and p2 > 0.0 and Omega > 0.0
+                    and vx2 > 0.0 and vp2 > 0.0 and 0.0 < omega < inf
+                    and vx2 * vp2 - vc * vc >= heisenberg_floor):
+                return (t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
+                        omegadot, x2, p2, c, n_ours, n_cdms,
+                        e4 * (A * Ad) ** 2 / leading_denom, hx,
+                        0.5 * Ad * Ad + hx, corr_scale * n_ours)
+        except (ArithmeticError, ValueError):
+            pass
+        # a global lookup at call time: perfbench --trace 1 wraps it
+        return record_observables(state_from_flat(t, y, representation),
+                                  params).as_row()
+
     return row
 
 
@@ -813,23 +776,24 @@ def fixed_grid(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
-              t0=0.0):
-    """The fixed-step loop: n steps y <- step(t, y, h) from t0.
+              i0=0):
+    """The fixed-step loop: n steps y <- step(t, y, h) after the first i0.
 
-    Step i ends at t0 + i*h.  After each step guard(t, y) may return
-    (status, reason) to stop; after every sample_every-th step and the last
-    one so may on_sample(t, y).  A step that raises ZeroDivisionError or
-    OverflowError stops the run as a singularity at the step's start time.
-    Returns (y, abort): the last state reached and None, or the abort as
-    (status, t, reason).
+    Step i of the run is step i0 + i of the grid and ends at t = (i0 + i) * h,
+    so a run continued from step i0 reports the times a run from 0 would.
+    After each step guard(t, y) may return (status, reason) to stop; after
+    every sample_every-th step and the last one so may on_sample(t, y).  A
+    step that raises ZeroDivisionError or OverflowError stops the run as a
+    singularity at the step's start time.  Returns (y, abort): the last
+    state reached and None, or the abort as (status, t, reason).
     """
-    t = t0
+    t = i0 * h
     for i in range(1, n + 1):
         try:
             y = step(t, y, h)
         except (ZeroDivisionError, OverflowError):
             return y, (STATUS_SINGULARITY, t, SINGULAR_STEP)
-        t = t0 + i * h
+        t = (i0 + i) * h
         if guard is not None:
             hit = guard(t, y)
             if hit is not None:

@@ -39,7 +39,7 @@ from semiosc import (
 from semiosc import diagnostics
 from semiosc.core import SemiquantumError
 from semiosc.diagnostics import LyapunovEstimate, power_law_fit
-from semiosc.dynamics import COLUMNS, Records, rk4_on, run_fixed
+from semiosc.dynamics import COLUMNS, Records, rk4_step, run_fixed
 from conftest import quick_config
 
 
@@ -58,7 +58,7 @@ def _records(*recs):
 
 def _run(rhs):
     """benettin_lyapunov's run on a toy right-hand side."""
-    return partial(run_fixed, rk4_on(rhs))
+    return partial(run_fixed, partial(rk4_step, rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +309,10 @@ _ABORT_NOTE = re.compile(r"(singular evaluation|trajectory aborted: .*) "
 @example(m=1.3121187091902449, e=1.8782983255570211, A0=-0.7127745738707256,
          Adot0=-1.7004036172163197, rho0=1.0175981784906194,
          rhodot0=-2.8257552745507923, floor=0.2426339893426231 / 1.0175981784906194)
+# floors at step 190 after a whole segment: t=1.9000000000000001, not 1.9
+@example(m=0.8887256039908371, e=0.6204864235917862, A0=0.6276297907847099,
+         Adot0=-2.7249114461876993, rho0=1.0778798124031204,
+         rhodot0=2.3514411608369885, floor=0.2665836395765614 / 1.0778798124031204)
 def test_lyapunov_fails_where_the_run_stops(m, e, A0, Adot0, rho0, rhodot0,
                                             floor):
     # the run's step is the segment's (6.0 / 600 == 1.0 / 100), so the
@@ -324,11 +328,13 @@ def test_lyapunov_fails_where_the_run_stops(m, e, A0, Adot0, rho0, rhodot0,
     ests = [lyapunov_max(cfg), lyapunov_max(cfg, main=traj)]
     for est in ests:
         assert est.failed, (traj.abort_reason, est)
-        # named at a step of the run no later than its abort (the segment's
-        # time t0 + i * h may differ from the run's in the last bit)
+        # named at a step k of the run no later than its abort, with the
+        # time the run gives step k, k * h
         stop = _ABORT_NOTE.fullmatch(est.note)
         assert stop, est.note
-        assert round(float(stop[2]) / cfg.dt) <= round(traj.abort_time / cfg.dt)
+        k = round(float(stop[2]) / cfg.dt)
+        assert stop[2] == repr(k * cfg.dt), est.note
+        assert k <= round(traj.abort_time / cfg.dt)
     assert ests[0].to_dict() == ests[1].to_dict()
 
 

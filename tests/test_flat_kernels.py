@@ -2,12 +2,15 @@
 
 make_rhs, every rk4 run of make_rk4_run and every Fehlberg step of
 make_rkf45_step are generated from one equation table (dynamics.LAYOUTS).
-Each generated run must reproduce run_fixed on rk4_on(make_rhs) and
-make_guard bit for bit: its states, its abort and every sample it hands over;
-each generated Fehlberg step must reproduce rkf45_step on make_rhs bit for
-bit; the augmented right-hand side must be the moments flow and the pinney
-width flow.  The flat observable rows must reproduce record_observables bit
-for bit, raising on exactly the states where the oracle raises.
+Each generated run must reproduce run_fixed on partial(rk4_step, make_rhs)
+and make_guard bit for bit, from any grid step i0: its states, its abort
+and every sample it hands over; each generated Fehlberg step must reproduce
+rkf45_step on make_rhs bit for bit; the augmented right-hand side must be
+the moments flow and the pinney width flow.  The flat observable rows must
+reproduce record_observables bit for bit, raising on exactly the states
+where the oracle raises.  A row hands every state outside the kernels'
+domain to record_observables itself, and no valid run does so after its
+start row.
 """
 
 import dataclasses
@@ -25,20 +28,24 @@ from semiosc import (
     PinneySector,
     SemiState,
     UsageError,
+    bundled_scenario_names,
     convert,
     convergence_order,
     integrate,
     load_scenario,
     record_observables,
 )
+from semiosc import dynamics
 from semiosc.dynamics import (
+    METHODS,
+    REPRESENTATIONS,
     flat_from_state,
     make_guard,
     make_rhs,
     make_rk4_run,
     make_rkf45_step,
     make_row,
-    rk4_on,
+    rk4_step,
     rkf45_step,
     run_fixed,
     sampler,
@@ -90,7 +97,7 @@ def _state(representation, y, w):
     return tuple(state)
 
 
-def _run_outcome(run, y, h, n, sample_every, t0, refuse):
+def _run_outcome(run, y, h, n, sample_every, i0, refuse):
     """Bits of (final y, abort, every (t, y) sampled); the refuse-th sample
     is refused (0: none is)."""
     seen = []
@@ -101,7 +108,7 @@ def _run_outcome(run, y, h, n, sample_every, t0, refuse):
             return "refused", f"sample {refuse}"
         return None
 
-    y, abort = run(y, h, n, sample_every, on_sample, t0)
+    y, abort = run(y, h, n, sample_every, on_sample, i0)
     if abort is not None:
         abort = (abort[0], abort[1].hex(), abort[2])
     return _bits(y), abort, seen
@@ -112,38 +119,38 @@ def _run_outcome(run, y, h, n, sample_every, t0, refuse):
        w=st.tuples(floor_component, floor_component),
        h=st.floats(1e-4, 0.5), n=st.integers(1, 400),
        sample_every=st.integers(1, 30),
-       t0=st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),
+       i0=st.one_of(st.just(0), st.integers(0, 10 ** 6)),
        refuse=st.integers(0, 12),
        rho_min=st.floats(1e-8, 1.0))
 # a width whose cube underflows: the first stage raises before the guard runs
 @example(params=UNIT, y=(1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0), w=(1e-110, 1e-110),
-         h=0.01, n=10, sample_every=3, t0=2.5, refuse=0, rho_min=1e-8)
+         h=0.01, n=10, sample_every=3, i0=250, refuse=0, rho_min=1e-8)
 @example(params=UNIT, y=(1e200, 1.0, 1.0, 0.0, 1.0, 0.0, 0.0), w=(1.0, 1.0),
-         h=0.01, n=10, sample_every=3, t0=0.0, refuse=0, rho_min=1e-8)
+         h=0.01, n=10, sample_every=3, i0=0, refuse=0, rho_min=1e-8)
 @example(params=UNIT, y=(0.0, 0.0, 0.0, -2.0, 0.5, 0.0, -2.0), w=(0.6, 0.6),
-         h=0.01, n=100, sample_every=7, t0=1.0, refuse=0, rho_min=0.5)
+         h=0.01, n=100, sample_every=7, i0=100, refuse=0, rho_min=0.5)
 @example(params=UNIT, y=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0), w=(1.0, 0.0),
-         h=0.01, n=1000, sample_every=7, t0=0.0, refuse=0, rho_min=1e-8)
+         h=0.01, n=1000, sample_every=7, i0=0, refuse=0, rho_min=1e-8)
 @example(params=UNIT, y=(0.0, 0.0, 0.0, 0.0, -2.0, -2.0, 0.0), w=(0.6, 0.6),
-         h=0.01, n=100, sample_every=7, t0=0.0, refuse=0, rho_min=0.5)
+         h=0.01, n=100, sample_every=7, i0=0, refuse=0, rho_min=0.5)
 @example(params=UNIT, y=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), w=(1.0, 0.0),
-         h=0.01, n=5, sample_every=1, t0=0.0, refuse=0, rho_min=1.0)  # at rest
+         h=0.01, n=5, sample_every=1, i0=0, refuse=0, rho_min=1.0)  # at rest
 @example(params=UNIT, y=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0), w=(1.0, 0.5),
-         h=0.01, n=50, sample_every=4, t0=0.0, refuse=3, rho_min=1e-8)
+         h=0.01, n=50, sample_every=4, i0=0, refuse=3, rho_min=1e-8)
 @settings(max_examples=80, deadline=None)
 def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
-                                             n, sample_every, t0, refuse,
+                                             n, sample_every, i0, refuse,
                                              rho_min):
     y = _state(representation, y, w)
     run = make_rk4_run(representation, params, rho_min)
     guard = make_guard(representation, params, rho_min)
-    step = rk4_on(make_rhs(representation, params))
+    step = partial(rk4_step, make_rhs(representation, params))
 
-    def oracle(y, h, n, sample_every, on_sample, t0):
-        return run_fixed(step, y, h, n, sample_every, guard, on_sample, t0)
+    def oracle(y, h, n, sample_every, on_sample, i0):
+        return run_fixed(step, y, h, n, sample_every, guard, on_sample, i0)
 
-    outcome = _run_outcome(run, y, h, n, sample_every, t0, refuse)
-    assert outcome == _run_outcome(oracle, y, h, n, sample_every, t0, refuse)
+    outcome = _run_outcome(run, y, h, n, sample_every, i0, refuse)
+    assert outcome == _run_outcome(oracle, y, h, n, sample_every, i0, refuse)
     event("completed" if outcome[1] is None else f"{outcome[1][0]}: "
           f"{outcome[1][2].split(' ')[0]}")
 
@@ -263,6 +270,23 @@ def test_flat_row_rejects_huge_amplitude_like_oracle(unit_params):
     fast = _outcome(make_row("pinney", unit_params), 0.0, y)
     assert fast[0] is OverflowError
     assert fast == _outcome(_oracle_row, 0.0, y, "pinney", unit_params)
+
+
+@pytest.mark.parametrize("name, changes", [
+    *((name, {}) for name in bundled_scenario_names()),
+    *(("vacuum-kick", {"t_end": 2.0, "sample_every": 1,
+                       "representation": rep, "method": method})
+      for rep in REPRESENTATIONS for method in METHODS)])
+def test_valid_runs_never_fall_back_to_the_oracle(monkeypatch, name, changes):
+    # a domain test stricter than the kernels would send every sample through
+    # record_observables: the same bytes, only slower
+    calls = []
+    oracle = dynamics.record_observables
+    monkeypatch.setattr(dynamics, "record_observables",
+                        lambda *args: calls.append(args) or oracle(*args))
+    traj = integrate(dataclasses.replace(load_scenario(name), **changes))
+    assert traj.completed and len(traj.records) > 2
+    assert len(calls) == 1  # the start row, from checked_start
 
 
 def test_sampling_overflow_is_a_step_failure(unit_params):
