@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass
 
 from . import __version__
@@ -45,7 +46,6 @@ from .dynamics import (
     checked_start,
     columns_from_rows,
     integrate,
-    row_buffer,
     scenario_with,
 )
 from .svgplot import render_line_plot
@@ -107,14 +107,14 @@ def write_timeseries_csv(records: Records, path: str) -> None:
 def read_timeseries_csv(path: str) -> Records:
     """Load a time-series CSV produced by this package."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
+        lines = [(lineno, ln) for lineno, ln
+                 in enumerate(fh.read().splitlines(), start=1) if ln]
     if not lines:
         raise UsageError(f"{path}: empty time-series file")
-    header = tuple(lines[0].split(","))
-    if header != COLUMNS:
+    if tuple(lines[0][1].split(",")) != COLUMNS:
         raise UsageError(f"{path}: header does not match the time-series schema")
-    rows = row_buffer()
-    for lineno, ln in enumerate(lines[1:], start=2):
+    rows = array("d")
+    for lineno, ln in lines[1:]:
         values = ln.split(",")
         if len(values) != len(COLUMNS):
             raise UsageError(f"{path}:{lineno}: {len(values)} fields, "

@@ -23,7 +23,6 @@ __all__ = [
     "parse_sweep_text",
     "load_scenario",
     "load_sweep",
-    "resolve_config_path",
     "bundled_scenario_names",
     "read_config_text",
 ]
@@ -157,36 +156,28 @@ def bundled_scenario_names() -> tuple[str, ...]:
     return tuple(names)
 
 
-def resolve_config_path(ref: str, relative_to: str | None = None) -> tuple[str, str]:
-    """Resolve a config reference to ("file"|"bundled", location).
-
-    An existing filesystem path (absolute, or relative to `relative_to`) wins;
-    otherwise the name is looked up among the bundled scenarios.
-    """
-    candidate = ref
-    if relative_to is not None and not os.path.isabs(ref):
-        candidate = os.path.join(relative_to, ref)
-    if os.path.isfile(candidate):
-        return "file", candidate
-    if os.path.isfile(ref):
-        return "file", ref
-    name = ref[:-4] if ref.endswith(".cfg") else ref
-    if name in bundled_scenario_names():
-        return "bundled", name
-    raise FileNotFoundError(
-        f"no config file {ref!r} and no bundled scenario of that name "
-        f"(bundled: {', '.join(bundled_scenario_names())})")
-
-
 def read_config_text(ref: str, relative_to: str | None = None) -> tuple[str, str]:
-    """Text of a scenario reference plus a human-readable source label."""
-    kind, loc = resolve_config_path(ref, relative_to)
-    if kind == "file":
-        with open(loc, "r", encoding="utf-8") as fh:
-            return fh.read(), loc
-    text = resources.files("semiosc").joinpath("scenarios", loc + ".cfg").read_text(
+    """Text of a scenario reference plus a human-readable source label.
+
+    An existing file wins, relative to `relative_to` first, then the path as
+    given; otherwise the name is looked up among the bundled scenarios.
+    """
+    candidates = [ref]
+    if relative_to is not None and not os.path.isabs(ref):
+        candidates.insert(0, os.path.join(relative_to, ref))
+    for path in candidates:
+        if os.path.isfile(path):
+            with open(path, "r", encoding="utf-8") as fh:
+                return fh.read(), path
+    name = ref[:-4] if ref.endswith(".cfg") else ref
+    bundled = bundled_scenario_names()
+    if name not in bundled:
+        raise FileNotFoundError(
+            f"no config file {ref!r} and no bundled scenario of that name "
+            f"(bundled: {', '.join(bundled)})")
+    text = resources.files("semiosc").joinpath("scenarios", name + ".cfg").read_text(
         encoding="utf-8")
-    return text, f"bundled:{loc}"
+    return text, f"bundled:{name}"
 
 
 def load_scenario(ref: str, relative_to: str | None = None) -> ScenarioConfig:

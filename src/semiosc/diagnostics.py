@@ -3,7 +3,9 @@
 Conservation drift, a Benettin largest-Lyapunov estimate, observed
 convergence order, local-maximum counting for the two occupation series, and
 the coupling-power fit of their discrepancy.  Everything is deterministic:
-identical configs produce bit-identical reports.
+identical configs produce bit-identical reports on every supported Python
+(float sums go through _sum, never the builtin sum, which Python 3.12 made
+compensated).
 """
 
 from __future__ import annotations
@@ -82,6 +84,14 @@ class DiscrepancyScaling:
     note: str = ""
 
 
+def _sum(values) -> float:
+    """Left-to-right float sum from 0.0, as builtin sum() adds before 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def energy_drift(records: Records) -> float:
     """Max over the series of |Etot(t) - Etot(0)| / |Etot(0)|."""
     etot = records.columns["Etot"]
@@ -139,7 +149,7 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
         end = len(logs) * RENORM_INTERVAL if kept else horizon
         window = (min(skip * RENORM_INTERVAL, end), end)
         note = note or ("" if kept else "no segments survived the transient cut")
-        value = sum(kept) / (len(kept) * RENORM_INTERVAL) if kept else math.nan
+        value = _sum(kept) / (len(kept) * RENORM_INTERVAL) if kept else math.nan
         return LyapunovEstimate(value=value, n_segments=len(kept), window=window,
                                 failed=bool(note), note=note)
 
@@ -170,7 +180,7 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
             _, t_stop, why = min(aborts, key=lambda a: a[1])
             return finish(f"singular evaluation at t={t_stop}"
                           if why == SINGULAR_STEP else f"trajectory aborted: {why}")
-        d = math.sqrt(sum((a - b) ** 2 for a, b in zip(y_ref, y_cmp)))
+        d = math.sqrt(_sum((a - b) ** 2 for a, b in zip(y_ref, y_cmp)))
         if d == 0.0:
             return finish(f"{absorbed}{(i0 + n_sub) * h}")
         logs.append(math.log(d / DISPLACEMENT))
@@ -237,7 +247,7 @@ def _ladder(dt: float) -> tuple[float, float, float]:
 def _observed_order(errors) -> float:
     """Mean log2 ratio of successive errors along _ladder."""
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
-    return sum(orders) / len(orders)
+    return _sum(orders) / len(orders)
 
 
 def convergence_order(config: ScenarioConfig, main=None) -> float:
@@ -264,9 +274,8 @@ def convergence_order(config: ScenarioConfig, main=None) -> float:
         if not traj.completed:
             raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
         finals.append([traj.columns[k][-1] for k in _FLOW])
-    diffs = []
-    for a, b in zip(finals, finals[1:]):
-        diffs.append(math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b))))
+    diffs = [math.sqrt(_sum((x - y) ** 2 for x, y in zip(a, b)))
+             for a, b in zip(finals, finals[1:])]
     if any(d == 0.0 for d in diffs):
         raise DiagnosticError("successive runs coincide; no error signal to fit")
     return _observed_order(diffs)

@@ -18,8 +18,10 @@ from __future__ import annotations
 import linecache
 import math
 import re
-from dataclasses import dataclass, fields, replace
+from array import array
+from dataclasses import dataclass, replace
 from functools import cache, partial
+from typing import NamedTuple
 
 from .core import (
     HEISENBERG_TOL,
@@ -165,8 +167,7 @@ class ScenarioConfig:
                 raise UsageError(f"rho0 must be positive, got {self.rho0}")
 
 
-@dataclass(frozen=True)
-class TimeSeriesRecord:
+class TimeSeriesRecord(NamedTuple):
     """One sampled row of every observable.  Field order is the CSV schema."""
 
     t: float
@@ -188,18 +189,16 @@ class TimeSeriesRecord:
     Etot: float
     corr: float
 
-    def as_row(self) -> tuple[float, ...]:
-        return tuple(getattr(self, f) for f in COLUMNS)
 
-
-COLUMNS: tuple[str, ...] = tuple(f.name for f in fields(TimeSeriesRecord))
+COLUMNS: tuple[str, ...] = TimeSeriesRecord._fields
 
 
 class Records:
     """Read-only row view of columnar time-series data.
 
-    Indexing builds one TimeSeriesRecord; slicing returns another view.  Bulk
-    consumers read `columns` (name -> sequence of floats) directly.
+    Indexing and iteration yield TimeSeriesRecord rows; slicing returns
+    another view.  Bulk consumers read `columns` (name -> sequence of floats)
+    directly.
     """
 
     __slots__ = ("columns",)
@@ -223,12 +222,6 @@ def columns_from_rows(flat) -> dict:
     """Split a flat row-major float array of COLUMNS-wide rows into columns."""
     width = len(COLUMNS)
     return {name: flat[i::width] for i, name in enumerate(COLUMNS)}
-
-
-def row_buffer():
-    """An empty flat float64 buffer for rows (see columns_from_rows)."""
-    from array import array  # deferred: keeps the CLI's import chain as it was
-    return array("d")
 
 
 @dataclass(frozen=True)
@@ -317,8 +310,8 @@ def initial_state(config: ScenarioConfig) -> SemiState:
 
 
 def checked_start(config: ScenarioConfig
-                  ) -> tuple[SemiState, tuple[float, ...]]:
-    """(initial state, its observables row) of a run that can start.
+                  ) -> tuple[SemiState, TimeSeriesRecord]:
+    """(initial state, record_observables of it) of a run that can start.
 
     Raises DomainError naming every key the start depends on when the
     initial state or its row cannot be computed, or the row holds a
@@ -327,7 +320,7 @@ def checked_start(config: ScenarioConfig
     state0 = initial_state(config)
     try:
         # not make_row: perfbench --trace 1 wraps this call to collect states
-        row0 = record_observables(state0, config.params).as_row()
+        row0 = record_observables(state0, config.params)
     except _START_ERRORS as exc:
         raise _bad_start(config, exc) from None
     for name, value in zip(COLUMNS, row0):
@@ -664,7 +657,7 @@ def make_rkf45_step(representation: str, params: ModelParams):
 # ---------------------------------------------------------------------------
 
 def record_observables(state: SemiState, params: ModelParams) -> TimeSeriesRecord:
-    """Every tracked observable of one state, as a time-series row."""
+    """Every tracked observable of one state: its time-series (CSV) row."""
     omega, omegadot = frequency(state.A, state.Adot, params)
     Omega, Omegadot = state_effective_frequency(state, params)
     q = state.quantum
@@ -690,7 +683,7 @@ def make_row(representation: str, params: ModelParams):
     """Flat observables row(t, y) -> tuple in COLUMNS order.
 
     The row equals record_observables(state_from_flat(t, y, representation),
-    params).as_row() bit for bit: every value is computed once, by the same
+    params) bit for bit: every value is computed once, by the same
     operations as the core kernels.  A state outside the kernels' domain
     (the one conjunction below fails, or the arithmetic raises) is handed
     to record_observables itself, which raises what the kernels raise.
@@ -764,7 +757,7 @@ def make_row(representation: str, params: ModelParams):
             pass
         # a global lookup at call time: perfbench --trace 1 wraps it
         return record_observables(state_from_flat(t, y, representation),
-                                  params).as_row()
+                                  params)
 
     return row
 
@@ -894,8 +887,7 @@ def integrate(config: ScenarioConfig) -> Trajectory:
     state0, row0 = checked_start(config)
     rep = config.representation
     y = flat_from_state(state0)
-    rows = row_buffer()
-    rows.extend(row0)
+    rows = array("d", row0)
     sample = sampler(make_row(rep, params), rows.extend)
 
     if config.method == "rk4":

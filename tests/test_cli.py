@@ -333,7 +333,7 @@ def test_csv_round_trip(tmp_path):
     back = read_timeseries_csv(path)
     assert len(back) == len(records)
     for a, b in zip(records, back):
-        assert a.as_row() == b.as_row()  # 17 significant digits round-trip
+        assert a == b  # 17 significant digits round-trip
 
 
 def test_csv_header_mismatch_rejected(tmp_path):
@@ -343,14 +343,18 @@ def test_csv_header_mismatch_rejected(tmp_path):
         read_timeseries_csv(str(path))
 
 
-@pytest.mark.parametrize("row", [["1"] * 17, ["x"] * 18, ["1"] * 17 + ["nan"],
-                                 ["inf"] + ["1"] * 17])
+@pytest.mark.parametrize("row", [
+    ["1"] * 17, ["x"] * 18, ["1"] * 17 + ["nan"], ["inf"] + ["1"] * 17,
+    # a blank line 2 before a 17-field line 3: the error names line 3
+    pytest.param(["\n1"] + ["1"] * 16, id="blank-line-2")])
 def test_csv_malformed_row_exits_2(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
-    path.write_text(",".join(COLUMNS) + "\n" + ",".join(row) + "\n")
+    text = ",".join(row)
+    path.write_text(",".join(COLUMNS) + "\n" + text + "\n")
     assert main(["plot", str(path), "--kind", "energy",
                  "-o", str(tmp_path / "x.svg")]) == EXIT_CONFIG
-    assert ":2:" in json.loads(capsys.readouterr().err.strip())["detail"]
+    line = 2 + text.count("\n")
+    assert f":{line}:" in json.loads(capsys.readouterr().err.strip())["detail"]
 
 
 def test_empty_csv_exits_2(tmp_path, capsys):

@@ -129,6 +129,29 @@ def test_lyapunov_deterministic():
     assert a == b  # bit-identical reports for identical configs
 
 
+def _compensated_sum(values):
+    """Builtin sum() of floats from Python 3.12 on: Neumaier-compensated."""
+    total = c = 0.0
+    for x in values:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def test_reports_do_not_depend_on_the_pythons_sum(monkeypatch):
+    # Python 3.12's sum(), shadowed into the module, moves no bit of either
+    # report: its float sums add left to right on every supported Python
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    cfg = dataclasses.replace(load_scenario("vacuum-kick"), t_end=10.0)
+    before = lyapunov_max(cfg), convergence_order(cfg)
+    monkeypatch.setattr(diagnostics, "sum", _compensated_sum, raising=False)
+    after = lyapunov_max(cfg), convergence_order(cfg)
+    assert after == before
+    assert [after[0].value.hex(), after[1].hex()] == \
+        [before[0].value.hex(), before[1].hex()]
+
+
 def test_lyapunov_strong_scenario_baseline():
     # regression baseline recorded from the first validated run of the
     # strong-coupling probe; not a first-principles value

@@ -220,8 +220,8 @@ def test_record_columns_are_coherent(unit_params):
         traj = integrate(dataclasses.replace(cfg, representation=rep))
         assert traj.completed
         for r in traj.records:
-            assert len(r.as_row()) == len(COLUMNS)
-            assert all(math.isfinite(v) for v in r.as_row())
+            assert len(r) == len(COLUMNS)
+            assert all(math.isfinite(v) for v in r)
             assert r.N_ours >= -1e-12 and r.N_cdms >= -1e-12
             assert r.x2 == pytest.approx(0.5 * r.rho ** 2, rel=1e-12)
             assert r.Omega == pytest.approx(1.0 / r.rho ** 2, rel=1e-12)

@@ -227,8 +227,7 @@ def test_generated_run_traceback_shows_its_source_line(unit_params):
 # ---------------------------------------------------------------------------
 
 def _oracle_row(t, y, representation, params):
-    return record_observables(state_from_flat(t, y, representation),
-                              params).as_row()
+    return record_observables(state_from_flat(t, y, representation), params)
 
 
 @given(representation=st.sampled_from(("pinney", "mode", "moments")),
