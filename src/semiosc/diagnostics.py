@@ -239,59 +239,98 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
 # convergence order
 # ---------------------------------------------------------------------------
 
-def _ladder(dt: float) -> tuple[float, float, float]:
-    """The order study's step sizes: dt, dt/2, dt/4."""
-    return dt, dt / 2.0, dt / 4.0
-
-
 def _observed_order(errors) -> float:
-    """Mean log2 ratio of successive errors along _ladder."""
+    """Mean log2 ratio of successive errors along a ladder of halving steps."""
     orders = [math.log2(a / b) for a, b in zip(errors, errors[1:])]
     return _sum(orders) / len(orders)
 
 
-def convergence_order(config: ScenarioConfig, main=None) -> float:
-    """Observed order from self-convergence of the final state.
+def _order_legs(config: ScenarioConfig):
+    """The order study's legs, coarse to fine, as (dt, sample_every) pairs.
 
-    Integrates the scenario with rk4 at each step of _ladder(config.dt),
-    takes Euclidean distances between successive final (A, Adot, rho,
-    rhodot), and averages the log2 ratios.  Each leg is a ScenarioConfig, so
-    a step that does not divide t_end into whole steps raises UsageError.
-    Each run samples only its initial and final state.  When config is rk4,
-    `main`, a completed integrate(config), is the dt leg: the same steps,
-    sampled more often, so its last row is that leg's final state.  Classical
-    rk4 on a smooth trajectory sits near 4.
+    The ladder is (2dt, dt, dt/2) when an rk4 config at 2dt passes
+    ScenarioConfig's whole-step rule, else (dt, dt/2, dt/4).  Each leg's
+    stride puts its samples on the shared times: the dt grid's steps that
+    are multiples of s, lcm(sample_every, 2) on the first ladder and
+    sample_every on the second, plus the final state.
+    """
+    dt, every = config.dt, config.sample_every
+    try:
+        replace(config, method="rk4", dt=2.0 * dt)
+    except UsageError:
+        return (dt, every), (dt / 2.0, 2 * every), (dt / 4.0, 4 * every)
+    s = math.lcm(every, 2)
+    return (2.0 * dt, s // 2), (dt, s), (dt / 2.0, 2 * s)
+
+
+def _leg_flow(config: ScenarioConfig, main, dt: float, stride: int):
+    """One leg's (A, Adot, rho, rhodot) columns at the shared times.
+
+    With `main` the dt leg is read off its rows: every (stride /
+    sample_every)-th and the last.  Otherwise the leg is integrate() on the
+    config with method rk4, the leg's dt and sample_every = stride, so only
+    the four columns outlive the run.
+    """
+    if main is not None:
+        rows = stride // config.sample_every
+        cols = [main.columns[k] for k in _FLOW]
+        return cols if rows == 1 else [c[:-1:rows] + c[-1:] for c in cols]
+    traj = integrate(replace(config, method="rk4", dt=dt, sample_every=stride))
+    if not traj.completed:
+        raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
+    return [traj.columns[k] for k in _FLOW]
+
+
+def _rms_distance(a, b) -> float:
+    """RMS over the samples of the Euclidean distance between two legs' flow
+    columns."""
+    sq = [_sum((x - y) ** 2 for x, y in zip(p, q))
+          for p, q in zip(zip(*a), zip(*b))]
+    return math.sqrt(_sum(sq) / len(sq))
+
+
+def convergence_order(config: ScenarioConfig, main=None) -> float:
+    """Observed order from self-convergence over the legs' shared samples.
+
+    Integrates the scenario with rk4 on each leg of _order_legs(config),
+    measures each pair of successive legs by the RMS, over their shared
+    sample times, of the Euclidean distance of (A, Adot, rho, rhodot), and
+    averages the log2 ratios.  Each leg is a ScenarioConfig, so a step that
+    does not divide t_end into whole steps raises UsageError.  When config
+    is rk4, `main`, a completed integrate(config), is the dt leg: the same
+    steps, sampled at least as often.  At most one other leg's flow columns
+    are held at a time.  Classical rk4 on a smooth trajectory sits near 4;
+    an order that is not finite and positive, as when the legs differ only
+    by round-off, raises DiagnosticError.
     """
     reuse = config.method == "rk4" and main is not None and main.completed
-    finals = []
-    for dt in _ladder(config.dt):
-        if reuse and dt == config.dt:
-            traj = main
-        else:
-            # no run has more than MAX_RK4_STEPS steps: only the final is sampled
-            traj = integrate(replace(config, method="rk4", dt=dt,
-                                     sample_every=MAX_RK4_STEPS))
-        if not traj.completed:
-            raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
-        finals.append([traj.columns[k][-1] for k in _FLOW])
-    diffs = [math.sqrt(_sum((x - y) ** 2 for x, y in zip(a, b)))
-             for a, b in zip(finals, finals[1:])]
-    if any(d == 0.0 for d in diffs):
+    errors, prev = [], None
+    for dt, stride in _order_legs(config):
+        flow = _leg_flow(config, main if reuse and dt == config.dt else None,
+                         dt, stride)
+        if prev is not None:
+            errors.append(_rms_distance(prev, flow))
+        prev = flow
+    if any(e == 0.0 for e in errors):
         raise DiagnosticError("successive runs coincide; no error signal to fit")
-    return _observed_order(diffs)
+    order = _observed_order(errors)
+    if not (math.isfinite(order) and order > 0.0):
+        raise DiagnosticError(f"observed order {order:.6g} is not finite and "
+                              f"positive: the legs show no truncation error")
+    return order
 
 
 def linear_test_order() -> float:
     """Self-test of the stepper on Addot = -A against the exact cosine.
 
-    Uses true errors at t = 5 for A(0)=1, Adot(0)=0 on _ladder(0.04), so
-    the estimate is anchored to a known solution rather than
+    Uses true errors at t = 5 for A(0)=1, Adot(0)=0 at dt = 0.04, 0.02 and
+    0.01, so the estimate is anchored to a known solution rather than
     self-convergence.
     """
     t_end = 5.0
     step = partial(rk4_step, lambda t, y: (y[1], -y[0]))
     errs = []
-    for dt in _ladder(0.04):
+    for dt in (0.04, 0.02, 0.01):
         n, h = fixed_grid(t_end, dt)
         y, _ = run_fixed(step, (1.0, 0.0), h, n)
         errs.append(math.hypot(y[0] - math.cos(t_end), y[1] + math.sin(t_end)))

@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiosc import COLUMNS, UsageError, diagnostics, dynamics, integrate, load_scenario
+from semiosc import (
+    COLUMNS,
+    UsageError,
+    bundled_scenario_names,
+    diagnostics,
+    dynamics,
+    integrate,
+    load_scenario,
+)
 from semiosc.config import SCENARIO_KEYS
 from semiosc.cli import (
     EXIT_ABORT,
@@ -549,6 +557,31 @@ def test_diagnose_full_report(small_cfg, tmp_path):
     assert report["lyapunov"] is not None
     assert not report["lyapunov"]["failed"]
     assert 3.5 <= report["convergence_order"] <= 4.5
+
+
+# scenario -> whether its order study measures an order.  free and
+# adiabatic have no truncation error to measure: their legs differ by
+# round-off, and the observed order comes out negative.
+BUNDLED_ORDERS = {"adiabatic": False, "free": False, "strong": True,
+                  "vacuum-kick": True}
+
+
+def test_every_bundled_scenario_has_an_order_expectation():
+    assert sorted(BUNDLED_ORDERS) == sorted(bundled_scenario_names())
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_ORDERS))
+def test_bundled_scenario_gets_an_order_or_null_with_a_warning(name, tmp_path):
+    out = tmp_path / "diag"
+    assert main(["diagnose", name, "-o", str(out)]) == EXIT_OK
+    order = _strict_json(out / "diagnostics.json")["convergence_order"]
+    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
+    failed = [w for w in warnings if w.startswith("convergence order failed")]
+    if BUNDLED_ORDERS[name]:
+        assert 3.6 <= order <= 4.4 and not failed, (order, warnings)
+    else:
+        assert order is None, order
+        assert len(failed) == 1 and "not finite and positive" in failed[0]
 
 
 def test_diagnose_short_run_writes_null_lyapunov(tmp_path, capsys):

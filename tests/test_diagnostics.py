@@ -274,16 +274,36 @@ def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(
         unit_params, monkeypatch):
     legs = []
     run = diagnostics.integrate
-    monkeypatch.setattr(diagnostics, "integrate",
-                        lambda config: legs.append(config.dt) or run(config))
-    for changes, reused in [({}, True), ({"t_end": 2.6}, True),
-                            ({"method": "adaptive"}, False)]:
+    monkeypatch.setattr(diagnostics, "integrate", lambda config: legs.append(
+        (config.dt, config.sample_every)) or run(config))
+    coarse = [(4e-3, 5), (2e-3, 10), (1e-3, 20)]  # (2dt, dt, dt/2), s = 10
+    fine = [(2e-3, 10), (1e-3, 20), (5e-4, 40)]   # (dt, dt/2, dt/4), s = 10
+    for changes, ladder, reused in [
+            ({}, coarse, True),
+            ({"t_end": 2.6}, coarse, True),        # 650 steps of 4e-3
+            ({"t_end": 2.002}, fine, True),        # 1001 steps: 4e-3 does not
+                                                   # divide t_end
+            ({"method": "adaptive"}, coarse, False)]:
         cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 2e-3, **changes})
         main = run(cfg)
         legs.clear()
         assert convergence_order(cfg, main) == convergence_order(cfg)
-        with_main = [1e-3, 5e-4] if reused else [2e-3, 1e-3, 5e-4]
-        assert legs == with_main + [2e-3, 1e-3, 5e-4]
+        with_main = [leg for leg in ladder if not reused or leg[0] != 2e-3]
+        assert legs == with_main + ladder
+
+
+def test_an_odd_stride_samples_every_other_row_of_the_main_run(
+        unit_params, monkeypatch):
+    # s = lcm(7, 2) = 14 steps of dt: the 2dt leg samples every 7th of its
+    # steps, the dt/2 leg every 28th, and main's every other row is shared
+    legs = []
+    run = diagnostics.integrate
+    monkeypatch.setattr(diagnostics, "integrate", lambda config: legs.append(
+        (config.dt, config.sample_every)) or run(config))
+    cfg = quick_config(unit_params, t_end=2.0, dt=2e-3, sample_every=7)
+    order = convergence_order(cfg, run(cfg))
+    assert legs == [(4e-3, 7), (1e-3, 28)]
+    assert order == convergence_order(cfg)
 
 
 @given(A0=st.floats(0.5, 1.5), Adot0=st.floats(0.5, 1.5),
@@ -402,6 +422,23 @@ def test_convergence_rejects_coinciding_runs(decoupled_params):
     cfg = quick_config(decoupled_params, A0=0.0, Adot0=0.0, dt=0.02)
     with pytest.raises(DiagnosticError, match="coincide"):
         convergence_order(cfg)
+
+
+def test_convergence_rejects_an_order_of_round_off():
+    # free has no truncation error to measure: its legs differ by round-off,
+    # and the mean log2 ratio comes out negative
+    with pytest.raises(DiagnosticError, match="not finite and positive"):
+        convergence_order(load_scenario("free"))
+
+
+def test_convergence_order_of_a_drawn_benchmark_start():
+    # diagnose-sparse's seed-13 draw: on the (2dt, dt, dt/2) ladder its
+    # final-state errors alone give 4.499; the RMS over the shared samples
+    # stays near 4
+    cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
+                         A0=1.0646114763002787, Adot0=1.004937486718678,
+                         t_end=30.0, dt=2e-3, sample_every=100)
+    assert 3.6 <= convergence_order(cfg, integrate(cfg)) <= 4.4
 
 
 def test_convergence_rejects_aborted_runs(unit_params):

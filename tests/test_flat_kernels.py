@@ -310,19 +310,36 @@ def test_sampling_an_invalid_state_is_a_step_failure(unit_params):
 
 
 # ---------------------------------------------------------------------------
-# convergence order from final samples only
+# convergence order over the legs' shared samples
 # ---------------------------------------------------------------------------
 
+def _left_sum(values):
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def test_convergence_order_matches_full_integrate_runs():
-    config = dataclasses.replace(load_scenario("vacuum-kick"), t_end=4.0,
-                                 representation="mode")
-    dts = (0.004, 0.002, 0.001)  # the ladder of dt = 0.004
-    finals = []
-    for dt in dts:
-        r = integrate(dataclasses.replace(config, dt=dt)).records[-1]
-        finals.append((r.A, r.Adot, r.rho, r.rhodot))
-    diffs = [math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
-             for a, b in zip(finals, finals[1:])]
-    orders = [math.log2(d0 / d1) for d0, d1 in zip(diffs, diffs[1:])]
-    assert (convergence_order(dataclasses.replace(config, dt=0.004))
-            == sum(orders) / len(orders))
+    # the oracle steps every leg with sample_every = 1 and picks the rows
+    # at the dt grid's steps k = 0, s, 2s, ... below n and at n
+    for t_end, factors, s in [
+            (4.0, (2.0, 1.0, 0.5), 6),       # 2dt divides t_end: lcm(3, 2)
+            (4.004, (1.0, 0.5, 0.25), 3)]:   # 1001 steps: sample_every
+        config = dataclasses.replace(load_scenario("vacuum-kick"), t_end=t_end,
+                                     representation="mode", dt=0.004,
+                                     sample_every=3)
+        n = round(t_end / config.dt)
+        legs = []
+        for f in factors:
+            rows = integrate(dataclasses.replace(config, dt=config.dt * f,
+                                                 sample_every=1)).records
+            picked = (rows[round(k / f)] for k in [*range(0, n, s), n])
+            legs.append([(r.A, r.Adot, r.rho, r.rhodot) for r in picked])
+        errors = [math.sqrt(_left_sum(_left_sum((x - y) ** 2
+                                                for x, y in zip(p, q))
+                                      for p, q in zip(a, b)) / len(a))
+                  for a, b in zip(legs, legs[1:])]
+        expected = math.log2(errors[0] / errors[1])
+        assert convergence_order(config) == expected
+        assert convergence_order(config, integrate(config)) == expected

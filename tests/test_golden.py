@@ -107,22 +107,22 @@ def _short_config(tmp_path, case, **changes):
 DIAGNOSE_PINS = {
     "vacuum-kick-pinney-rk4": (
         {}, EXIT_OK,
-        "3bc9048c55df1ed12d578a7a4ed55fd2a8713bf920fac2223047d4b5af7e463c"),
+        "cbd1d8a29e5199e407b2da7aa4aead945d13bea70f4db19fdebdb6ddb699af55"),
     "vacuum-kick-mode-rk4": (
         {"representation": "mode"}, EXIT_OK,
-        "15e8397cea1090fa210331f40d3bb961746ef12e8080af88e65c3421cfef449f"),
+        "8300d4ec1ebb6db5287f93a686e66d23d24778627a09d0a19f5d729e7d5cc3e9"),
     "vacuum-kick-pinney-adaptive": (
         {"method": "adaptive"}, EXIT_OK,
-        "f658eb2a546936c6b54ec931ee9b45d641e8fdb287dbb0a7d6e304a60d5f8b9c"),
+        "1bcd5a7979e8ad2defaf0243cb23df9f3302f950c760a101a542a565bf8ab363"),
     "vacuum-kick-t_end-2.6": (
         {"t_end": "2.6"}, EXIT_OK,
-        "ee21332f91d43cc15055e89698c8477becd4c19423a471b7d8e182bebce6dc1e"),
+        "2e2ca62d08437c5e6b5cc972f4bd8fafc9d64f8ddc5e8813650ee1fcbdc55a0a"),
     "vacuum-kick-dt-0.003": (
         {"dt": "0.003", "t_end": "3.0"}, EXIT_OK,
-        "5c0168f693a82d28e219d1febd830ec041f6d11b8eb11a0a7675c4e489c02103"),
+        "4f17c78baa3d84a4942d9c3b227e6d06276d8b8ddb4830ee13dfa19e118fb6f8"),
     "vacuum-kick-sample_every-7": (
         {"sample_every": "7"}, EXIT_OK,
-        "2f42428de4307f43602453299150b30ed944a512ac502552737a15fa1f22fd82"),
+        "7df35a5700a70f387e53a7e320ea4ec93a4b28009bd6ba47b3e1add8eeaf23e4"),
     "vacuum-kick-rho_min-0.9": (
         {"rho_min": "0.9"}, EXIT_ABORT,
         "f710ba929e7f6f3e4eac529d998f3ba8c5f87d6f1e7d3e15d3b74bb9624c41d7"),
