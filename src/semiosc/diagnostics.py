@@ -294,14 +294,13 @@ def convergence_order(config: ScenarioConfig, main=None) -> float:
 
     Integrates the scenario with rk4 on each leg of _order_legs(config),
     measures each pair of successive legs by the RMS, over their shared
-    sample times, of the Euclidean distance of (A, Adot, rho, rhodot), and
-    averages the log2 ratios.  Each leg is a ScenarioConfig, so a step that
-    does not divide t_end into whole steps raises UsageError.  When config
-    is rk4, `main`, a completed integrate(config), is the dt leg: the same
-    steps, sampled at least as often.  At most one other leg's flow columns
-    are held at a time.  Classical rk4 on a smooth trajectory sits near 4;
-    an order that is not finite and positive, as when the legs differ only
-    by round-off, raises DiagnosticError.
+    samples, of the distance of (A, Adot, rho, rhodot), and averages the
+    log2 ratios.  Each leg is a ScenarioConfig, so a step that does not
+    divide t_end into whole steps raises UsageError.  When config is rk4,
+    `main`, a completed integrate(config), is the dt leg.  Classical rk4 on
+    a smooth trajectory sits near 4; an order that is not finite and
+    positive, as when the legs differ only by round-off, raises
+    DiagnosticError.
     """
     reuse = config.method == "rk4" and main is not None and main.completed
     errors, prev = [], None
