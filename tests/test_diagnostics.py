@@ -278,11 +278,14 @@ def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(
         (config.dt, config.sample_every)) or run(config))
     coarse = [(4e-3, 5), (2e-3, 10), (1e-3, 20)]  # (2dt, dt, dt/2), s = 10
     fine = [(2e-3, 10), (1e-3, 20), (5e-4, 40)]   # (dt, dt/2, dt/4), s = 10
+    odd = [(4e-3, 7), (2e-3, 14), (1e-3, 28)]     # s = lcm(7, 2): main's
+                                                  # every other row
     for changes, ladder, reused in [
             ({}, coarse, True),
             ({"t_end": 2.6}, coarse, True),        # 650 steps of 4e-3
             ({"t_end": 2.002}, fine, True),        # 1001 steps: 4e-3 does not
                                                    # divide t_end
+            ({"sample_every": 7}, odd, True),
             ({"method": "adaptive"}, coarse, False)]:
         cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 2e-3, **changes})
         main = run(cfg)
@@ -290,20 +293,6 @@ def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(
         assert convergence_order(cfg, main) == convergence_order(cfg)
         with_main = [leg for leg in ladder if not reused or leg[0] != 2e-3]
         assert legs == with_main + ladder
-
-
-def test_an_odd_stride_samples_every_other_row_of_the_main_run(
-        unit_params, monkeypatch):
-    # s = lcm(7, 2) = 14 steps of dt: the 2dt leg samples every 7th of its
-    # steps, the dt/2 leg every 28th, and main's every other row is shared
-    legs = []
-    run = diagnostics.integrate
-    monkeypatch.setattr(diagnostics, "integrate", lambda config: legs.append(
-        (config.dt, config.sample_every)) or run(config))
-    cfg = quick_config(unit_params, t_end=2.0, dt=2e-3, sample_every=7)
-    order = convergence_order(cfg, run(cfg))
-    assert legs == [(4e-3, 7), (1e-3, 28)]
-    assert order == convergence_order(cfg)
 
 
 @given(A0=st.floats(0.5, 1.5), Adot0=st.floats(0.5, 1.5),
