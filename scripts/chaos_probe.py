@@ -20,7 +20,7 @@ def main() -> int:
         if not traj.completed:
             print(f"{name:>12s}  aborted: {traj.abort_reason}")
             continue
-        est = lyapunov_max(cfg)
+        est = lyapunov_max(cfg, main=traj)
         drift = energy_drift(traj.records)
         n_ours = [r.N_ours for r in traj.records]
         n_cdms = [r.N_cdms for r in traj.records]

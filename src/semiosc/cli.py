@@ -240,8 +240,9 @@ def run_scenario(config_ref: str, output_dir: str) -> RunManifest:
 def run_diagnose(config_ref: str, output_dir: str) -> RunManifest:
     """diagnose: like simulate plus Lyapunov and observed convergence order.
 
-    The main run is integrated once; both studies read it where it is one
-    of their own runs (see lyapunov_max and convergence_order)."""
+    The main run is integrated once; both studies read its rows, through
+    diagnostics._main_rows, where it is one of their own runs (see
+    lyapunov_max and convergence_order)."""
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
     start = time.perf_counter()

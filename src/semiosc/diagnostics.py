@@ -113,7 +113,7 @@ TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 
 
 def benettin_lyapunov(run, y0, *, dt, horizon,
-                      reference=None) -> LyapunovEstimate:
+                      reference=()) -> LyapunovEstimate:
     """Benettin estimate on the flow of an rk4 run(y, h, n, i0=i0) -> (y,
     abort): make_rk4_run's protocol, or partial(run_fixed,
     partial(rk4_step, rhs)).  Segment k is the run of n_sub steps from grid
@@ -130,11 +130,11 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
     (before any step), and where the companion equals the reference
     (DISPLACEMENT absorbed by rounding).
 
-    `reference(n_sub, h)`, when given, returns the reference's states at
-    the ends of the segments of n_sub steps h that a run already made
-    covers; the reference is stepped on from the last of them.  A copy stops
-    only where its run aborts, failing the estimate: the note names the
-    earlier abort of the segment (the reference's on a tie), "singular
+    `reference` holds the reference's states at the ends of its first
+    segments, from a run already made; only the companion is stepped over
+    those, and the reference is stepped on from the last of them.  A copy
+    stops only where its run aborts, failing the estimate: the note names
+    the earlier abort of the segment (the reference's on a tie), "singular
     evaluation at t=..." for a step that raised, else the run's reason.
     """
     if not (horizon > 0.0):
@@ -159,7 +159,6 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
     if skip >= n_seg:
         return finish()
     n_sub, h = fixed_grid(RENORM_INTERVAL, dt)
-    ref_ends = [] if reference is None else reference(n_sub, h)
     absorbed = (f"displacement {DISPLACEMENT} absorbed: the companion equals "
                 f"the reference at t=")
 
@@ -170,8 +169,8 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
         return finish(f"{absorbed}0.0")
     for seg in range(n_seg):
         i0 = seg * n_sub
-        if seg < len(ref_ends):
-            y_ref, ref_abort = ref_ends[seg], None
+        if seg < len(reference):
+            y_ref, ref_abort = reference[seg], None
         else:
             y_ref, ref_abort = run(y_ref, h, n_sub, i0=i0)
         y_cmp, cmp_abort = run(y_cmp, h, n_sub, i0=i0)
@@ -192,29 +191,20 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
 _FLOW = ("A", "Adot", "rho", "rhodot")  # the pinney state, as CSV columns
 
 
-def _main_reference(config: ScenarioConfig, main):
-    """benettin_lyapunov's `reference`, read off `main`, the completed
-    pinney rk4 run of `config`; None for any other run.
-
-    The Benettin reference is that run, step for step, when the segment's
-    step equals the run's (the pinney step never reads t) and its stride
-    divides a segment: the end of segment k, for each k the run reaches, is
-    then row k * n_sub / sample_every, whose first columns are the state.
+def _main_rows(config: ScenarioConfig, main, steps: int):
+    """`main`'s (A, Adot, rho, rhodot) rows at grid steps 0, steps,
+    2 * steps, ... and at its last step; None unless `main` is a completed
+    rk4 integrate(config) whose sample_every divides `steps`.  Such a run
+    samples every sample_every-th step and the last: these are every
+    (steps / sample_every)-th row before the last, and the last.
     """
-    if (main is None or not main.completed or config.method != "rk4"
-            or config.representation != "pinney"):
-        return None
-    n, h_main = fixed_grid(config.t_end, config.dt)
     every = config.sample_every
-    cols = [main.columns[k] for k in _FLOW]
-
-    def reference(n_sub, h):
-        if h != h_main or n_sub % every:
-            return []
-        stride = n_sub // every
-        return list(zip(*(c[stride:n // every + 1:stride] for c in cols)))
-
-    return reference
+    if (main is None or not main.completed or config.method != "rk4"
+            or steps % every):
+        return None
+    k = steps // every
+    return list(zip(*(main.columns[c][:-1:k] + main.columns[c][-1:]
+                      for c in _FLOW)))
 
 
 def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
@@ -224,15 +214,25 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
     Always runs in the pinney representation with the config's fixed step,
     each copy guarded by rho_min after every step as integrate()'s run is;
     the initial displacement is applied to A.  `main`, integrate(config)
-    when the caller has it, supplies the reference copy where it is that
-    copy (see _main_reference); the estimate is the same either way.
+    when the caller has it, supplies the reference's segment ends where it
+    is that copy: a pinney run whose step equals the segment's (the pinney
+    step never reads t), read through _main_rows.  The estimate is the
+    same either way.
     """
     pconf = replace(config, representation="pinney")
     y0 = flat_from_state(initial_state(pconf))
+    reference = ()
+    # benettin_lyapunov fails a longer segment unstepped; 1 / dt may overflow
+    if (config.representation == "pinney"
+            and RENORM_INTERVAL / config.dt <= MAX_RK4_STEPS):
+        n, h_main = fixed_grid(config.t_end, config.dt)
+        n_sub, h = fixed_grid(RENORM_INTERVAL, config.dt)
+        if h == h_main and (rows := _main_rows(config, main, n_sub)):
+            reference = rows[1:n // n_sub + 1]
     return benettin_lyapunov(
         make_rk4_run("pinney", config.params, config.rho_min), y0,
         dt=config.dt, horizon=config.t_end if horizon is None else horizon,
-        reference=_main_reference(config, main))
+        reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -264,28 +264,25 @@ def _order_legs(config: ScenarioConfig):
 
 
 def _leg_flow(config: ScenarioConfig, main, dt: float, stride: int):
-    """One leg's (A, Adot, rho, rhodot) columns at the shared times.
+    """One leg's (A, Adot, rho, rhodot) rows at the shared times.
 
-    With `main` the dt leg is read off its rows: every (stride /
-    sample_every)-th and the last.  Otherwise the leg is integrate() on the
-    config with method rk4, the leg's dt and sample_every = stride, so only
-    the four columns outlive the run.
+    The dt leg is _main_rows(config, main, stride) where that is not None.
+    Otherwise the leg is integrate() on the config with method rk4, the
+    leg's dt and sample_every = stride, so only the four columns outlive
+    the run.
     """
-    if main is not None:
-        rows = stride // config.sample_every
-        cols = [main.columns[k] for k in _FLOW]
-        return cols if rows == 1 else [c[:-1:rows] + c[-1:] for c in cols]
+    if dt == config.dt and (rows := _main_rows(config, main, stride)):
+        return rows
     traj = integrate(replace(config, method="rk4", dt=dt, sample_every=stride))
     if not traj.completed:
         raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
-    return [traj.columns[k] for k in _FLOW]
+    return list(zip(*(traj.columns[k] for k in _FLOW)))
 
 
 def _rms_distance(a, b) -> float:
-    """RMS over the samples of the Euclidean distance between two legs' flow
-    columns."""
-    sq = [_sum((x - y) ** 2 for x, y in zip(p, q))
-          for p, q in zip(zip(*a), zip(*b))]
+    """RMS over the samples of the Euclidean distance between two legs'
+    flow rows."""
+    sq = [_sum((x - y) ** 2 for x, y in zip(p, q)) for p, q in zip(a, b)]
     return math.sqrt(_sum(sq) / len(sq))
 
 
@@ -297,16 +294,14 @@ def convergence_order(config: ScenarioConfig, main=None) -> float:
     samples, of the distance of (A, Adot, rho, rhodot), and averages the
     log2 ratios.  Each leg is a ScenarioConfig, so a step that does not
     divide t_end into whole steps raises UsageError.  When config is rk4,
-    `main`, a completed integrate(config), is the dt leg.  Classical rk4 on
-    a smooth trajectory sits near 4; an order that is not finite and
-    positive, as when the legs differ only by round-off, raises
+    `main`, a completed integrate(config), is the dt leg (see _leg_flow).
+    Classical rk4 on a smooth trajectory sits near 4; an order that is not
+    finite and positive, as when the legs differ only by round-off, raises
     DiagnosticError.
     """
-    reuse = config.method == "rk4" and main is not None and main.completed
     errors, prev = [], None
     for dt, stride in _order_legs(config):
-        flow = _leg_flow(config, main if reuse and dt == config.dt else None,
-                         dt, stride)
+        flow = _leg_flow(config, main, dt, stride)
         if prev is not None:
             errors.append(_rms_distance(prev, flow))
         prev = flow

@@ -409,7 +409,8 @@ def test_sweep_aggregate_and_power(tmp_path):
     for i in range(3):
         assert (out / f"leg{i:02d}" / "timeseries.csv").exists()
     # each leg's report carries the Lyapunov estimate its row shows
-    rows = list(csv.DictReader((out / "aggregate.csv").open()))
+    rows = list(csv.DictReader(
+        (out / "aggregate.csv").read_text().splitlines()))
     assert len(rows) == 3
     for i, row in enumerate(rows):
         leg = out / f"leg{i:02d}"

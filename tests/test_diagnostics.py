@@ -195,6 +195,10 @@ def test_lyapunov_bounds_its_work(unit_params):
     est = benettin_lyapunov(_run(lambda t, y: (y[1], 0.0)), (0.0, 1.0),
                             dt=1e-320, horizon=1.0)  # 1 / dt overflows
     assert est.failed and est.note.startswith("dt = 1e-320 makes more")
+    # a one-step run on that grid completes; its segment grid is not read
+    cfg = quick_config(unit_params, t_end=1e-320, dt=1e-320, sample_every=1)
+    est = lyapunov_max(cfg, main=integrate(cfg))
+    assert est.failed and est.note.startswith("dt = 1e-320 makes more")
 
 
 def test_lyapunov_to_dict_writes_null_for_a_non_finite_value():
@@ -304,11 +308,14 @@ def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(
 @example(A0=1.0, Adot0=1.0, dt=0.01, t_end=3.0, sample_every=10, rho_min=1e-8)
 @example(A0=1.0, Adot0=1.0, dt=0.03, t_end=3.0, sample_every=1, rho_min=1e-8)
 @example(A0=1.0, Adot0=1.0, dt=0.05, t_end=2.6, sample_every=10, rho_min=1e-8)
+@example(A0=1.0, Adot0=1.0, dt=0.05, t_end=4.2, sample_every=4, rho_min=1e-8)
 def test_studies_reading_the_main_run_match_their_own_runs(
         A0, Adot0, dt, t_end, sample_every, rho_min):
     # the first example shares the Benettin grid (1.0 / 100 == 3.0 / 300),
     # the second does not (1.0 / 33 != 3.0 / 100); in the third the run's
-    # last row (step 52, sampled off the stride of 10) is no segment's end
+    # last row (step 52, sampled off the stride of 10) is no segment's end;
+    # in the fourth the run holds four segment ends, and at t_end / 2 the
+    # estimate uses two
     try:
         cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
                              A0=A0, Adot0=Adot0, t_end=t_end, dt=dt,
@@ -318,9 +325,11 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     main = integrate(cfg)
     assert (lyapunov_max(cfg, main=main).to_dict()
             == lyapunov_max(cfg).to_dict())
-    beyond = t_end + 2.0  # the reference is stepped on past the run
-    assert (lyapunov_max(cfg, beyond, main).to_dict()
-            == lyapunov_max(cfg, beyond).to_dict())
+    # past the run the reference is stepped on; short of its end the run
+    # holds more segment ends than the estimate uses
+    for horizon in (t_end + 2.0, t_end / 2.0):
+        assert (lyapunov_max(cfg, horizon, main).to_dict()
+                == lyapunov_max(cfg, horizon).to_dict())
     outcomes = []
     for reused in (main, None):
         try:
