@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .core import ModelParams, SemiquantumError, UsageError
-from .dynamics import (FLOAT_KEYS, METHODS, QUANTUM_INITS, REPRESENTATIONS,
-                       ScenarioConfig)
+from .dynamics import CHOICES, FLOAT_KEYS, ScenarioConfig
 
 __all__ = [
     "ConfigError",
@@ -27,14 +26,8 @@ __all__ = [
     "read_config_text",
 ]
 
-_FLOAT_KEYS = ("m", "e", "hbar", *FLOAT_KEYS)
-_INT_KEYS = ("sample_every",)
-_ENUM_KEYS = {
-    "representation": REPRESENTATIONS,
-    "method": METHODS,
-    "quantum_init": QUANTUM_INITS,
-}
-SCENARIO_KEYS = frozenset(_FLOAT_KEYS) | frozenset(_INT_KEYS) | frozenset(_ENUM_KEYS)
+SCENARIO_KEYS = frozenset(("m", "e", "hbar", *FLOAT_KEYS, "sample_every",
+                           *CHOICES))
 _REQUIRED_KEYS = ("m", "e", "hbar", "A0", "Adot0", "t_end")
 
 _SWEEP_KEYS = ("base", "axis", "values")  # all required
@@ -98,24 +91,20 @@ def parse_scenario_text(text: str, source: str = "<config>") -> ScenarioConfig:
     seen = _read_pairs(text, source, SCENARIO_KEYS, _REQUIRED_KEYS)
     kwargs: dict = {}
     for key, (value, lineno) in seen.items():
-        if key in _FLOAT_KEYS:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"not a number: {value!r}",
-                                  source=source, line=lineno, key=key) from None
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"not an integer: {value!r}",
-                                  source=source, line=lineno, key=key) from None
-        else:
-            if value not in _ENUM_KEYS[key]:
+        if key in CHOICES:
+            if value not in CHOICES[key]:
                 raise ConfigError(
-                    f"must be one of {', '.join(_ENUM_KEYS[key])}; got {value!r}",
+                    f"must be one of {', '.join(CHOICES[key])}; got {value!r}",
                     source=source, line=lineno, key=key)
             kwargs[key] = value
+            continue
+        kind, what = ((int, "an integer") if key == "sample_every"
+                      else (float, "a number"))
+        try:
+            kwargs[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"not {what}: {value!r}",
+                              source=source, line=lineno, key=key) from None
 
     try:
         params = ModelParams(m=kwargs.pop("m"), e=kwargs.pop("e"),

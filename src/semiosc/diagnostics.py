@@ -454,10 +454,12 @@ def adiabatic_invariant_drift(config: ScenarioConfig) -> float:
     (W = 1/rho^2, sigma = -rhodot/rho).  In exact arithmetic the count stays
     at its initial zero; the returned max |N| measures the combined
     integration error, and is the testable form of the invariance of the
-    conserved quadratic operator.
+    conserved quadratic operator.  It steps rk4 at the config's dt, so
+    ScenarioConfig's rk4 whole-step rule and step bound apply to that dt,
+    also for an adaptive config, before any step is taken.
     """
     params = config.params
-    start = initial_state(replace(config, representation="pinney"))
+    start = initial_state(replace(config, representation="pinney", method="rk4"))
     y = (*flat_from_state(convert(start, "moments", params)),
          start.quantum.rho, start.quantum.rhodot)
     h = params.hbar

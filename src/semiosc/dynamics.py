@@ -93,6 +93,9 @@ MAX_STEP_ATTEMPTS = 10 ** 7
 # with ModelParams' m, e and hbar these are the float config keys
 FLOAT_KEYS = ("A0", "Adot0", "t_end", "dt", "dt_init", "rtol", "atol",
               "rho0", "rhodot0", "rho_min")
+# ScenarioConfig's choice fields, each with its allowed values
+CHOICES = {"representation": REPRESENTATIONS, "method": METHODS,
+           "quantum_init": QUANTUM_INITS}
 
 
 @dataclass(frozen=True)
@@ -129,12 +132,9 @@ class ScenarioConfig:
     rho_min: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.representation not in REPRESENTATIONS:
-            raise UsageError(f"unknown representation {self.representation!r}")
-        if self.method not in METHODS:
-            raise UsageError(f"unknown method {self.method!r}")
-        if self.quantum_init not in QUANTUM_INITS:
-            raise UsageError(f"unknown quantum_init {self.quantum_init!r}")
+        for key, allowed in CHOICES.items():
+            if getattr(self, key) not in allowed:
+                raise UsageError(f"unknown {key} {getattr(self, key)!r}")
         for key in FLOAT_KEYS:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):

@@ -205,6 +205,26 @@ def test_start_error_exits_2_naming_every_key_of_the_start(tmp_path, capsys):
                              "Adot0 = 1.0: the initial state is not "
                              "representable (")
 
+@pytest.mark.parametrize("command, name, text, message", [
+    ("simulate", "c.cfg", SMALL + "= 5\n", ":9: empty key"),
+    ("simulate", "c.cfg",
+     SMALL + "quantum_init = explicit\nrho0 = -1\nrhodot0 = 0\n",
+     ": rho0 must be positive, got -1.0"),
+    ("sweep", "s.sweep", "base = free\naxis = e\nvalues = ,\n",
+     ":3: key 'values': no values given"),
+])
+def test_malformed_input_exits_2_with_its_message(tmp_path, capsys, command,
+                                                  name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, str(path), "-o", str(out)]) == EXIT_CONFIG
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "config"
+    assert err["detail"] == f"{path}{message}"
+    assert not out.exists()
+
+
 def test_simulate_missing_file_exits_4(tmp_path):
     assert main(["simulate", str(tmp_path / "nope.cfg"),
                  "-o", str(tmp_path / "o")]) == EXIT_IO
@@ -261,6 +281,11 @@ def test_simulate_step_attempt_bound_exits_3_with_partial_csv(
 def test_render_line_plot_rejects_non_finite_data(xs, ys):
     with pytest.raises(UsageError, match="non-finite"):
         render_line_plot([("a", xs, ys)], title="t", xlabel="x", ylabel="y")
+
+
+def test_render_line_plot_rejects_an_empty_plot():
+    with pytest.raises(UsageError, match="nothing to plot"):
+        render_line_plot([], title="t", xlabel="x", ylabel="y")
 
 
 def test_plot_of_an_overflowing_span_exits_2(tmp_path, capsys):
@@ -639,15 +664,13 @@ def test_sweep_runs_with_numpy_blocked(tmp_path):
 # ---------------------------------------------------------------------------
 
 PROBES = ("nan", "inf", "1e308", "1e-320", "0", "-1", "1e18", "abc", "", "0x10")
-ENUMS = {"representation": dynamics.REPRESENTATIONS, "method": dynamics.METHODS,
-         "quantum_init": dynamics.QUANTUM_INITS}
 TINY = {"m": "1.0", "e": "1.0", "hbar": "1.0", "A0": "1.0", "Adot0": "1.0",
         "t_end": "0.01", "dt": "0.002", "sample_every": "2", "rho0": "1.0",
         "rhodot0": "0.0"}
 
 overrides_st = st.lists(st.sampled_from(sorted(SCENARIO_KEYS)), max_size=3,
                         unique=True).flatmap(lambda keys: st.fixed_dictionaries(
-    {k: st.sampled_from(ENUMS.get(k, PROBES)) for k in keys}))
+    {k: st.sampled_from(dynamics.CHOICES.get(k, PROBES)) for k in keys}))
 
 
 @given(command=st.sampled_from(["simulate", "diagnose"]), overrides=overrides_st)

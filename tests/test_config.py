@@ -1,9 +1,13 @@
 """Config parsing: the flat key-value schema for scenarios and sweeps."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from semiosc import ConfigError, bundled_scenario_names, load_scenario
-from semiosc.config import parse_scenario_text, parse_sweep_text
+from semiosc.config import SCENARIO_KEYS, parse_scenario_text, parse_sweep_text
+from semiosc.dynamics import CHOICES
 
 GOOD = """\
 # a comment line
@@ -111,3 +115,20 @@ def test_sweep_missing_key():
 def test_sweep_bad_value():
     with pytest.raises(ConfigError, match="'values'"):
         parse_sweep_text("base = x\naxis = e\nvalues = 0.1, oops\n")
+
+
+def test_readme_key_table_lists_the_scenario_keys():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "### Scenario config format", 1)[1].split("\n#", 1)[0]
+    keys, choices = set(), {}
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = re.split(r"(?<!\\)\|", line)  # a cell's own '|' is escaped
+        names = re.findall(r"`([^`]+)`", cells[1])
+        keys.update(names)
+        if names[0] in CHOICES:
+            choices[names[0]] = tuple(re.findall(r"`([^`]+)`", cells[2]))
+    assert keys == SCENARIO_KEYS
+    assert choices == CHOICES

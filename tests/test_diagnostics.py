@@ -201,6 +201,13 @@ def test_lyapunov_bounds_its_work(unit_params):
     assert est.failed and est.note.startswith("dt = 1e-320 makes more")
 
 
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_lyapunov_rejects_a_horizon_that_is_not_positive(horizon):
+    with pytest.raises(UsageError, match="horizon must be positive"):
+        benettin_lyapunov(_run(lambda t, y: (y[1], -y[0])), (1.0, 0.0),
+                          dt=1e-3, horizon=horizon)
+
+
 def test_lyapunov_to_dict_writes_null_for_a_non_finite_value():
     est = LyapunovEstimate(value=math.nan, n_segments=0, window=(1.0, 1.0),
                            failed=True, note="no segments")
@@ -500,6 +507,8 @@ def test_discrepancy_scaling_usage_errors():
         discrepancy_scaling(base, [0.2, 0.0, 0.05])  # mixed zero
     with pytest.raises(UsageError):
         discrepancy_scaling(base, [4.0, 2.0, 1.0])  # outside weak regime
+    with pytest.raises(UsageError, match="nonnegative"):
+        discrepancy_scaling(base, [0.2, -0.1, 0.05])
 
 
 def test_discrepancy_scaling_zero_signal():
@@ -563,6 +572,16 @@ def test_discrepancy_scaling_rejects_coinciding_couplings():
         discrepancy_scaling(base, [0.1, 0.1, 0.1])
 
 
+def test_discrepancy_scaling_rejects_an_aborted_leg(unit_params):
+    # A stays at rest, so at every coupling the width falls to its floor
+    base = ScenarioConfig(params=unit_params, A0=0.0, Adot0=0.0, t_end=5.0,
+                          dt=1e-3, sample_every=1, quantum_init="explicit",
+                          rho0=0.6, rhodot0=-2.0, rho_min=0.5)
+    with pytest.raises(DiagnosticError, match=r"^scaling leg e=0\.2 aborted: "
+                                              r"rho = .* fell to the floor"):
+        discrepancy_scaling(base, [0.2, 0.1, 0.05])
+
+
 def test_fitted_amplitude_bounded_by_remainder():
     # |max|dN| - max(dN_leading)| <= max|dN - dN_leading| leg by leg: the
     # exact-identity remainder bounds how far the fitted amplitudes can sit
@@ -598,6 +617,21 @@ def test_adiabatic_invariant_drift_is_pinned():
     # bit for bit: the augmented flow is the moments and pinney flows
     cfg = dataclasses.replace(load_scenario("vacuum-kick"), t_end=2.0)
     assert adiabatic_invariant_drift(cfg) == 7.66053886991358e-15
+
+
+@pytest.mark.parametrize("dt, message", [
+    (0.3, "dt = 0.3 does not divide t_end = 1.0 into whole steps"),
+    (1e-12, "dt = 1e-12 makes 1e+12 steps over t_end = 1.0, more than 1e+08"),
+])
+def test_adiabatic_invariant_holds_an_adaptive_configs_dt_to_the_rk4_rule(
+        unit_params, monkeypatch, dt, message):
+    # the check steps rk4 at dt: rejected before any run is made
+    monkeypatch.setattr(diagnostics, "make_rk4_run",
+                        lambda *a: pytest.fail("a run was made"))
+    cfg = quick_config(unit_params, method="adaptive", t_end=1.0, dt=dt)
+    with pytest.raises(UsageError) as err:
+        adiabatic_invariant_drift(cfg)
+    assert str(err.value) == message
 
 
 def test_adiabatic_invariant_rejects_collapse(unit_params):

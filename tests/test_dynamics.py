@@ -560,19 +560,40 @@ def test_drivers_stop_when_a_sample_is_refused():
     assert y == (1.5,) and abort == ("aborted-stepfail", 1.5, "refused")
 
 
+@pytest.mark.parametrize("y5, err", [((math.nan,), (0.0,)),
+                                     ((0.0,), (math.nan,))])
+def test_adaptive_loop_rejects_a_non_finite_step(y5, err):
+    # each attempt is rejected and shrinks h fivefold (0.1, 0.02, 0.004,
+    # ...); the 19th falls below 1e-14 and the run stops where it started
+    hs = []
+
+    def step(t, y, h):
+        hs.append(h)
+        return y5, err
+
+    y, abort = dynamics.run_adaptive(step, (0.0,), 1.0, 0.1, 1e-9, 1e-9, 1,
+                                     lambda t, y: None, lambda t, y: None)
+    assert y == (0.0,)
+    assert abort == ("aborted-stepfail", 0.0, "step size underflow at t=0.0")
+    assert len(hs) == 19
+    assert hs[:3] == pytest.approx([0.1, 0.02, 0.004])
+
+
 def test_config_validation():
     params = ModelParams(m=1.0, e=1.0, hbar=1.0)
-    with pytest.raises(UsageError):
-        ScenarioConfig(params=params, A0=0.0, Adot0=0.0, t_end=-1.0)
-    with pytest.raises(UsageError):
-        ScenarioConfig(params=params, A0=0.0, Adot0=0.0, t_end=1.0,
-                       representation="heisenberg")
-    with pytest.raises(UsageError):
-        ScenarioConfig(params=params, A0=0.0, Adot0=0.0, t_end=1.0,
-                       quantum_init="explicit")  # rho0 missing
-    with pytest.raises(UsageError):
-        ScenarioConfig(params=params, A0=0.0, Adot0=0.0, t_end=1.0,
-                       sample_every=0)
+    for changes, message in [
+        ({"t_end": -1.0}, "t_end must be positive, got -1.0"),
+        ({"representation": "heisenberg"}, "unknown representation 'heisenberg'"),
+        ({"method": "euler"}, "unknown method 'euler'"),
+        ({"quantum_init": "thermal"}, "unknown quantum_init 'thermal'"),
+        ({"quantum_init": "explicit"},  # rho0 missing
+         "explicit quantum_init requires rho0 and rhodot0"),
+        ({"sample_every": 0}, "sample_every must be >= 1, got 0"),
+    ]:
+        with pytest.raises(UsageError) as err:
+            ScenarioConfig(params=params, **{"A0": 0.0, "Adot0": 0.0,
+                                             "t_end": 1.0, **changes})
+        assert str(err.value) == message
 
 
 def test_initial_state_matches_requested_representation(unit_params):
