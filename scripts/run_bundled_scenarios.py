@@ -12,8 +12,8 @@ def main() -> int:
     root = sys.argv[1] if len(sys.argv) > 1 else os.path.join("out", "scenarios")
     for name in bundled_scenario_names():
         manifest = run_scenario(name, os.path.join(root, name))
-        print(f"{name:12s} {manifest.status:22s} "
-              f"{manifest.duration_seconds:6.2f}s -> {manifest.outputs['timeseries_csv']}")
+        print(f"{name:12s} {manifest['status']:22s} "
+              f"{manifest['duration_seconds']:6.2f}s -> {manifest['outputs']['timeseries_csv']}")
     return 0
 
 

@@ -19,7 +19,7 @@ import os
 import sys
 import time
 from array import array
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 from . import __version__
 from .config import (
@@ -40,6 +40,7 @@ from .diagnostics import (
 )
 from .dynamics import (
     COLUMNS,
+    STATUS_COMPLETED,
     Records,
     ScenarioConfig,
     Trajectory,
@@ -51,7 +52,6 @@ from .dynamics import (
 from .svgplot import render_line_plot
 
 __all__ = [
-    "RunManifest",
     "PLOT_KINDS",
     "write_timeseries_csv",
     "read_timeseries_csv",
@@ -68,25 +68,6 @@ EXIT_ABORT = 3
 EXIT_IO = 4
 
 PLOT_KINDS = ("number-overlay", "number-difference", "energy", "phase-A")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What a command produced: config snapshot, artifact paths, outcome."""
-
-    command: str
-    config_source: str
-    config: dict
-    version: str
-    status: str
-    duration_seconds: float
-    outputs: dict
-    warnings: tuple[str, ...] = ()
-    abort_time: float | None = None
-    abort_reason: str | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _fmt(v: float) -> str:
@@ -168,6 +149,21 @@ def _write_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
+def _write_manifest(outputs: dict, *, command: str, source: str, config: dict,
+                    status: str, start: float, warnings: list[str],
+                    abort_time: float | None = None,
+                    abort_reason: str | None = None) -> dict:
+    """Write manifest.json, what a command ran and how it ended, to
+    outputs["manifest"] and return it.  Its duration counts from `start`."""
+    manifest = {"command": command, "config_source": source, "config": config,
+                "version": __version__, "status": status,
+                "duration_seconds": time.perf_counter() - start,
+                "outputs": outputs, "warnings": warnings,
+                "abort_time": abort_time, "abort_reason": abort_reason}
+    _write_json(manifest, outputs["manifest"])
+    return manifest
+
+
 def _series_metrics(traj: Trajectory) -> dict:
     """The light per-run metrics, read off the trajectory's columns; None
     where the series is too short for one."""
@@ -185,7 +181,7 @@ def _series_metrics(traj: Trajectory) -> dict:
 
 def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
              source: str, outdir: str, command: str, heavy: dict | None = None,
-             extra_warnings=()) -> tuple[RunManifest, dict]:
+             extra_warnings=()) -> tuple[dict, dict]:
     """Write one run's CSV, diagnostics.json, overlay and manifest from its
     trajectory `traj` = integrate(config); return the manifest and the
     diagnostics report.  The manifest's duration counts from `start`, taken
@@ -213,21 +209,16 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     outputs = {"timeseries_csv": csv_path, "diagnostics_json": report_path,
                "plots": [overlay],
                "manifest": os.path.join(outdir, "manifest.json")}
-    warnings = []
-    if not traj.completed:
-        warnings.append(f"run aborted at t={traj.abort_time}: {traj.abort_reason}")
-    warnings.extend(extra_warnings)
-    manifest = RunManifest(
-        command=command, config_source=source, config=asdict(config),
-        version=__version__, status=traj.status,
-        duration_seconds=time.perf_counter() - start,
-        outputs=outputs, warnings=tuple(warnings),
+    aborted = [] if traj.completed else [
+        f"run aborted at t={traj.abort_time}: {traj.abort_reason}"]
+    manifest = _write_manifest(
+        outputs, command=command, source=source, config=asdict(config),
+        status=traj.status, start=start, warnings=[*aborted, *extra_warnings],
         abort_time=traj.abort_time, abort_reason=traj.abort_reason)
-    _write_json(manifest.to_dict(), outputs["manifest"])
     return manifest, report
 
 
-def run_scenario(config_ref: str, output_dir: str) -> RunManifest:
+def run_scenario(config_ref: str, output_dir: str) -> dict:
     """simulate: integrate one scenario and write CSV, report, and overlay plot."""
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
@@ -237,7 +228,7 @@ def run_scenario(config_ref: str, output_dir: str) -> RunManifest:
     return manifest
 
 
-def run_diagnose(config_ref: str, output_dir: str) -> RunManifest:
+def run_diagnose(config_ref: str, output_dir: str) -> dict:
     """diagnose: like simulate plus Lyapunov and observed convergence order.
 
     The main run is integrated once; both studies read its rows, through
@@ -247,15 +238,9 @@ def run_diagnose(config_ref: str, output_dir: str) -> RunManifest:
     config = parse_scenario_text(text, source=source)
     start = time.perf_counter()
     traj = integrate(config)
-    warnings = []
-    heavy = {}
-    try:
-        lyap = lyapunov_max(config, main=traj)
-        heavy["lyapunov"] = lyap.to_dict()
-        if lyap.failed:
-            warnings.append(f"lyapunov estimate flagged: {lyap.note}")
-    except SemiquantumError as exc:
-        warnings.append(f"lyapunov failed: {exc}")
+    lyap = lyapunov_max(config, main=traj)
+    heavy = {"lyapunov": lyap.to_dict()}
+    warnings = [f"lyapunov estimate flagged: {lyap.note}"] if lyap.failed else []
     try:
         heavy["convergence_order"] = convergence_order(config, main=traj)
     except SemiquantumError as exc:
@@ -270,7 +255,7 @@ _AGGREGATE_HEADER = ("leg", "axis", "value", "status", "max_abs_discrepancy",
                      "extrema_ours", "extrema_cdms")
 
 
-def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
+def run_sweep(sweep_path: str, output_dir: str) -> dict:
     """sweep: run every leg, aggregate metrics, fit the discrepancy power.
 
     Every leg's config and start (checked_start) are checked before anything
@@ -304,19 +289,19 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
         manifest, report = _run_one(
             config, traj, leg_start, f"{sweep_path}[{spec.axis}={value}]",
             os.path.join(output_dir, f"leg{i:02d}"), "sweep-leg", heavy)
-        leg_outputs.append(manifest.outputs)
-        if manifest.status == "completed":
+        leg_outputs.append(manifest["outputs"])
+        if traj.completed:
             completed_values.append(value)
             completed_amps.append(report["max_abs_discrepancy"])
         else:
             warnings.append(f"leg {i} ({spec.axis}={value}) aborted: "
-                            f"{manifest.abort_reason}")
+                            f"{traj.abort_reason}")
         lyapunov = report["lyapunov"]
         metrics = (report["max_abs_discrepancy"], report["max_abs_remainder"],
                    report["energy_drift"], lyapunov and lyapunov["value"])
         counts = (report["extrema_ours"], report["extrema_cdms"])
         lines.append(",".join([
-            str(i), spec.axis, _fmt(value), manifest.status,
+            str(i), spec.axis, _fmt(value), traj.status,
             *(_fmt(math.nan if v is None else v) for v in metrics),
             *(str(-1 if c is None else c) for c in counts)]))
 
@@ -334,16 +319,11 @@ def run_sweep(sweep_path: str, output_dir: str) -> RunManifest:
     outputs = {"aggregate_csv": agg_path, "legs": leg_outputs,
                "discrepancy_power": power,
                "manifest": os.path.join(output_dir, "manifest.json")}
-    manifest = RunManifest(
-        command="sweep", config_source=sweep_path,
+    return _write_manifest(
+        outputs, command="sweep", source=sweep_path,
         config={"base": asdict(base), "axis": spec.axis,
                 "values": list(spec.values)},
-        version=__version__,
-        status="completed",
-        duration_seconds=time.perf_counter() - start,
-        outputs=outputs, warnings=tuple(warnings))
-    _write_json(manifest.to_dict(), outputs["manifest"])
-    return manifest
+        status=STATUS_COMPLETED, start=start, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +370,12 @@ def main(argv=None) -> int:
         run = {"simulate": run_scenario, "diagnose": run_diagnose,
                "sweep": run_sweep}[args.command]
         manifest = run(args.config, args.output)
-        if manifest.status != "completed":
+        if manifest["status"] != STATUS_COMPLETED:
             _fail("runtime-abort",
-                  f"{manifest.status} at t={manifest.abort_time}: "
-                  f"{manifest.abort_reason}")
+                  f"{manifest['status']} at t={manifest['abort_time']}: "
+                  f"{manifest['abort_reason']}")
             return EXIT_ABORT
-        for w in manifest.warnings:
+        for w in manifest["warnings"]:
             sys.stderr.write(f"warning: {w}\n")
         return EXIT_OK
     except OSError as exc:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -210,6 +211,8 @@ def test_start_error_exits_2_naming_every_key_of_the_start(tmp_path, capsys):
     ("simulate", "c.cfg",
      SMALL + "quantum_init = explicit\nrho0 = -1\nrhodot0 = 0\n",
      ": rho0 must be positive, got -1.0"),
+    ("simulate", "c.cfg", SMALL + "rho_min = 0\n",
+     ": rho_min must be positive, got 0.0"),
     ("sweep", "s.sweep", "base = free\naxis = e\nvalues = ,\n",
      ":3: key 'values': no values given"),
 ])
@@ -621,9 +624,48 @@ def test_diagnose_short_run_writes_null_lyapunov(tmp_path, capsys):
 
 def test_run_scenario_api_returns_manifest(small_cfg, tmp_path):
     manifest = run_scenario(small_cfg, str(tmp_path / "out"))
-    assert manifest.status == "completed"
-    assert manifest.command == "simulate"
-    assert manifest.config["params"]["m"] == 1.0
+    assert manifest["status"] == "completed"
+    assert manifest["command"] == "simulate"
+    assert manifest["config"]["params"]["m"] == 1.0
+
+
+def _readme_manifest_tables():
+    """README's manifest.json key set, and its `outputs` keys by command."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### `manifest.json`", 1)[1].split("\n#", 1)[0]
+    key_rows, output_rows = [block.splitlines()[2:]
+                             for block in section.split("\n\n")
+                             if block.startswith("|")]
+
+    def names(line, cell):
+        return re.findall(r"`([^`]+)`", line.split("|")[cell])
+
+    keys = {names(line, 1)[0] for line in key_rows}
+    outputs = {command: set(names(line, 2))
+               for line in output_rows for command in names(line, 1)}
+    return keys, outputs
+
+
+def test_readme_manifest_table_matches_every_manifest(small_cfg, tmp_path):
+    keys, outputs = _readme_manifest_tables()
+    (tmp_path / "e.sweep").write_text(
+        "base = small.cfg\naxis = e\nvalues = 1.0, 0.5\n")
+    manifests = {}
+    for command, ref in (("simulate", small_cfg), ("diagnose", small_cfg),
+                         ("sweep", str(tmp_path / "e.sweep"))):
+        assert main([command, ref, "-o", str(tmp_path / command)]) == EXIT_OK
+        manifests[command] = json.loads(
+            (tmp_path / command / "manifest.json").read_text())
+    manifests["sweep-leg"] = json.loads(
+        (tmp_path / "sweep" / "leg00" / "manifest.json").read_text())
+    assert set(outputs) == set(manifests)
+    for command, manifest in manifests.items():
+        assert manifest["command"] == command
+        assert set(manifest) == keys
+        assert set(manifest["outputs"]) == outputs[command]
+    for leg in manifests["sweep"]["outputs"]["legs"]:
+        assert set(leg) == outputs["sweep-leg"]
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ def test_augmented_rhs_is_the_moments_and_pinney_width_flows(params, y, w):
 
 @pytest.mark.parametrize("make", [
     make_rhs, pytest.param(partial(make_rk4_run, rho_min=1e-8),
-                           id="make_rk4_run"), make_rkf45_step])
+                           id="make_rk4_run"), make_rkf45_step, make_row])
 @pytest.mark.parametrize("name", ["bogus", "Pinney", ""])
 def test_unknown_layout_is_a_usage_error(make, name, unit_params):
     with pytest.raises(UsageError,
