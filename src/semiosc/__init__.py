@@ -47,7 +47,6 @@ from .dynamics import (
     TimeSeriesRecord,
     Trajectory,
     convert,
-    derivatives,
     init_adiabatic,
     init_vacuum,
     initial_state,

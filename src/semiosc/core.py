@@ -358,8 +358,10 @@ def occupation_difference_exact(omega: float, omegadot: float,
         (1/(16 omega Omega)) [2 (Omegadot/Omega)(omegadot/omega)
                               - (omegadot/omega)^2]
     """
-    if not (omega > 0.0) or not (Omega > 0.0):
-        raise DomainError("omega and Omega must be positive")
+    if not (omega > 0.0):
+        raise DomainError(f"omega must be positive, got {omega}")
+    if not (Omega > 0.0):
+        raise DomainError(f"Omega must be positive, got {Omega}")
     a = Omegadot / Omega
     b = omegadot / omega
     return (2.0 * a * b - b * b) / (16.0 * omega * Omega)

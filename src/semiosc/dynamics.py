@@ -55,7 +55,6 @@ __all__ = [
     "init_adiabatic",
     "initial_state",
     "checked_start",
-    "derivatives",
     "convert",
     "fixed_grid",
     "integrate",
@@ -93,6 +92,8 @@ MAX_STEP_ATTEMPTS = 10 ** 7
 # with ModelParams' m, e and hbar these are the float config keys
 FLOAT_KEYS = ("A0", "Adot0", "t_end", "dt", "dt_init", "rtol", "atol",
               "rho0", "rhodot0", "rho_min")
+# the float keys that must be positive
+POSITIVE_KEYS = ("t_end", "dt", "dt_init", "rtol", "atol", "rho_min")
 # ScenarioConfig's choice fields, each with its allowed values
 CHOICES = {"representation": REPRESENTATIONS, "method": METHODS,
            "quantum_init": QUANTUM_INITS}
@@ -139,10 +140,10 @@ class ScenarioConfig:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise UsageError(f"{key} must be finite, got {value}")
-        if not (self.t_end > 0.0):
-            raise UsageError(f"t_end must be positive, got {self.t_end}")
-        if not (self.dt > 0.0) or not (self.dt_init > 0.0):
-            raise UsageError("dt and dt_init must be positive")
+        for key in POSITIVE_KEYS:
+            value = getattr(self, key)
+            if not (value > 0.0):
+                raise UsageError(f"{key} must be positive, got {value}")
         if not math.isfinite(self.t_end / self.dt):
             raise UsageError(f"dt = {self.dt} is too small for t_end = "
                              f"{self.t_end}: the step count is not finite")
@@ -154,12 +155,8 @@ class ScenarioConfig:
             if not math.isclose(h, self.dt, rel_tol=1e-9):
                 raise UsageError(f"dt = {self.dt} does not divide t_end = "
                                  f"{self.t_end} into whole steps")
-        if not (self.rtol > 0.0) or not (self.atol > 0.0):
-            raise UsageError("rtol and atol must be positive")
         if self.sample_every < 1:
             raise UsageError(f"sample_every must be >= 1, got {self.sample_every}")
-        if not (self.rho_min > 0.0):
-            raise UsageError(f"rho_min must be positive, got {self.rho_min}")
         if self.quantum_init == "explicit":
             if self.rho0 is None or self.rhodot0 is None:
                 raise UsageError("explicit quantum_init requires rho0 and rhodot0")
@@ -349,23 +346,8 @@ def _error_text(why) -> str:
 
 
 # ---------------------------------------------------------------------------
-# derivatives and representation conversion
+# representation conversion
 # ---------------------------------------------------------------------------
-
-def derivatives(state: SemiState, params: ModelParams):
-    """Time derivative of every component, in the state's own representation.
-
-    pinney  -> (Adot, Addot, rhodot, rhoddot)
-    mode    -> (Adot, Addot, fdot, fddot)        complex quantum entries
-    moments -> (Adot, Addot, dx2, dc, dp2)
-    """
-    rep = state.representation
-    rhs = make_rhs(rep, params)
-    d = rhs(state.t, flat_from_state(state))
-    if rep == "mode":
-        return (d[0], d[1], complex(d[2], d[3]), complex(d[4], d[5]))
-    return d
-
 
 def convert(state: SemiState, target: str, params: ModelParams) -> SemiState:
     """Re-express the quantum sector in another representation.
@@ -419,7 +401,7 @@ def state_from_flat(t: float, y: tuple[float, ...], representation: str) -> Semi
 
 
 def make_guard(representation: str, params: ModelParams, rho_min: float):
-    """Per-step sanity check: returns (status, reason) to abort, else None.
+    """Per-step sanity check: returns the abort (status, t, reason), else None.
 
     The Pinney width floor translates to <x^2> <= hbar rho_min^2 / 2 in the
     other representations.
@@ -435,10 +417,12 @@ def make_guard(representation: str, params: ModelParams, rho_min: float):
     def guard(t, y):
         for v in y:
             if not isfinite(v):
-                return (STATUS_STEPFAIL, f"non-finite state component at t={t}")
+                return (STATUS_STEPFAIL, t,
+                        f"non-finite state component at t={t}")
         w = y[2] * y[2] + y[3] * y[3] if mode else y[index]
         if w <= floor:
-            return (STATUS_SINGULARITY, reason.format(w=w, floor=floor, t=t))
+            return (STATUS_SINGULARITY, t,
+                    reason.format(w=w, floor=floor, t=t))
         return None
 
     return guard
@@ -563,14 +547,12 @@ _RK4_RUN = _HEAD + """\
                                   SINGULAR_STEP)
 {update}
             if not isfinite({finite}) or {floor}:
-                t = (i0 + i) * h
-                status, reason = guard(t, ({state}))
-                return ({state}), (status, t, reason)
+                return ({state}), guard((i0 + i) * h, ({state}))
             if on_sample is not None and (i % sample_every == 0 or i == n):
                 t = (i0 + i) * h
                 hit = on_sample(t, ({state}))
                 if hit is not None:
-                    return ({state}), (hit[0], t, hit[1])
+                    return ({state}), hit
         return ({state}), None
     return run
 """
@@ -774,11 +756,12 @@ def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
 
     Step i of the run is step i0 + i of the grid and ends at t = (i0 + i) * h,
     so a run continued from step i0 reports the times a run from 0 would.
-    After each step guard(t, y) may return (status, reason) to stop; after
-    every sample_every-th step and the last one so may on_sample(t, y).  A
-    step that raises ZeroDivisionError or OverflowError stops the run as a
-    singularity at the step's start time.  Returns (y, abort): the last
-    state reached and None, or the abort as (status, t, reason).
+    After each step guard(t, y) may return an abort (status, t, reason) to
+    stop; after every sample_every-th step and the last one so may
+    on_sample(t, y).  A step that raises ZeroDivisionError or OverflowError
+    stops the run as a singularity at the step's start time.  Returns
+    (y, abort): the last state reached and None, or the abort that stopped
+    the run, unchanged.
     """
     t = i0 * h
     for i in range(1, n + 1):
@@ -790,11 +773,11 @@ def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
         if guard is not None:
             hit = guard(t, y)
             if hit is not None:
-                return y, (hit[0], t, hit[1])
+                return y, hit
         if on_sample is not None and (i % sample_every == 0 or i == n):
             hit = on_sample(t, y)
             if hit is not None:
-                return y, (hit[0], t, hit[1])
+                return y, hit
     return y, None
 
 
@@ -808,7 +791,7 @@ def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
     time is sampled at most once.  A step that raises stops the run as a
     singularity; a step below 1e-14 * max(1, |t|), or MAX_STEP_ATTEMPTS
     accepted and rejected steps short of t_end, as a step failure.  Returns
-    (y, abort) as run_fixed does.
+    (y, abort) as run_fixed does, the abort as one (status, t, reason).
     """
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
     width = len(y)
@@ -853,7 +836,7 @@ def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
             hit = on_sample(t, y)
             last_sampled_t = t
         if hit is not None:
-            return y, (hit[0], t, hit[1])
+            return y, hit
         if enorm > 0.0:
             h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2))
         else:
@@ -862,15 +845,16 @@ def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
 
 
 def sampler(row, sink):
-    """on_sample for run_fixed and run_adaptive: sink(row(t, y)), or a step
-    failure when the state has no valid observables."""
+    """on_sample for run_fixed and run_adaptive: sink(row(t, y)), or the
+    abort (status, t, reason) of a step failure when the state has no valid
+    observables."""
     def on_sample(t, y):
         try:
             sink(row(t, y))
         except SemiquantumError as exc:
-            return STATUS_STEPFAIL, f"state failed validation: {exc}"
+            return STATUS_STEPFAIL, t, f"state failed validation: {exc}"
         except ArithmeticError as exc:
-            return (STATUS_STEPFAIL,
+            return (STATUS_STEPFAIL, t,
                     f"observables not representable: {_error_text(exc)}")
         return None
     return on_sample

@@ -213,6 +213,13 @@ def test_start_error_exits_2_naming_every_key_of_the_start(tmp_path, capsys):
      ": rho0 must be positive, got -1.0"),
     ("simulate", "c.cfg", SMALL + "rho_min = 0\n",
      ": rho_min must be positive, got 0.0"),
+    ("simulate", "c.cfg", SMALL.replace("dt = 0.002", "dt = 0"),
+     ": dt must be positive, got 0.0"),
+    ("simulate", "c.cfg", SMALL + "dt_init = -1\n",
+     ": dt_init must be positive, got -1.0"),
+    ("simulate", "c.cfg", SMALL + "rtol = 0\n", ": rtol must be positive, got 0.0"),
+    ("simulate", "c.cfg", SMALL + "atol = -1e-12\n",
+     ": atol must be positive, got -1e-12"),
     ("sweep", "s.sweep", "base = free\naxis = e\nvalues = ,\n",
      ":3: key 'values': no values given"),
 ])
@@ -672,18 +679,24 @@ def test_readme_manifest_table_matches_every_manifest(small_cfg, tmp_path):
 # runtime without numpy
 # ---------------------------------------------------------------------------
 
-def _python(code, cwd):
+def _python(args, cwd):
     import semiosc
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(semiosc.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
 
 
+def test_python_m_semiosc_runs_the_cli(tmp_path):
+    proc = _python(["-m", "semiosc", "--version"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "semiosc 0.1.0\n"
+
+
 def test_cli_import_leaves_numpy_out(tmp_path):
-    proc = _python("import sys, semiosc.cli\n"
-                   "assert 'numpy' not in sys.modules, 'numpy imported'\n",
+    proc = _python(["-c", "import sys, semiosc.cli\n"
+                    "assert 'numpy' not in sys.modules, 'numpy imported'\n"],
                    tmp_path)
     assert proc.returncode == 0, proc.stderr
 
@@ -691,10 +704,10 @@ def test_cli_import_leaves_numpy_out(tmp_path):
 def test_sweep_runs_with_numpy_blocked(tmp_path):
     (tmp_path / "e.sweep").write_text(
         "base = adiabatic\naxis = e\nvalues = 0.2, 0.1, 0.05\n")
-    proc = _python("import sys\n"
-                   "sys.modules['numpy'] = None  # any import of numpy fails\n"
-                   "from semiosc.cli import main\n"
-                   "raise SystemExit(main(['sweep', 'e.sweep', '-o', 'sw']))\n",
+    proc = _python(["-c", "import sys\n"
+                    "sys.modules['numpy'] = None  # any import of numpy fails\n"
+                    "from semiosc.cli import main\n"
+                    "raise SystemExit(main(['sweep', 'e.sweep', '-o', 'sw']))\n"],
                    tmp_path)
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "sw" / "manifest.json").read_text())

@@ -7,7 +7,7 @@ import pytest
 
 from semiosc import ConfigError, bundled_scenario_names, load_scenario
 from semiosc.config import SCENARIO_KEYS, parse_scenario_text, parse_sweep_text
-from semiosc.dynamics import CHOICES
+from semiosc.dynamics import CHOICES, POSITIVE_KEYS
 
 GOOD = """\
 # a comment line
@@ -132,3 +132,11 @@ def test_readme_key_table_lists_the_scenario_keys():
             choices[names[0]] = tuple(re.findall(r"`([^`]+)`", cells[2]))
     assert keys == SCENARIO_KEYS
     assert choices == CHOICES
+
+
+def test_readme_names_the_keys_that_must_be_positive():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    clause = re.search(r"A config error names the offending key: every float "
+                       r"key must be finite; (.*?) must be positive", text)
+    assert tuple(re.findall(r"`([^`]+)`", clause[1])) == POSITIVE_KEYS

@@ -86,6 +86,28 @@ def test_basis_validation():
         OscBasis(W=0.0)
 
 
+@pytest.mark.parametrize("kernel, args, message", [
+    (pinney_residual, (0.0, 0.0, 0.0, 1.0), "Omega must be positive, got 0.0"),
+    (pinney_residual, (1.0, 0.0, 0.0, -1.0), "omega must be positive, got -1.0"),
+    (vacuum_moments, (1.0, 0.0, 0.0), "hbar must be positive, got 0.0"),
+    (basis_vacuum_moments, (OscBasis(W=1.0), -1.0),
+     "hbar must be positive, got -1.0"),
+    (invariant_basis, (math.nan, 0.0), "Omega must be positive, got nan"),
+    (drift_sheared_basis, (0.0, 1.0), "omega must be positive, got 0.0"),
+    (quanta_expectation,
+     (GaussianMoments(x2=0.5, p2=0.5, c=0.0), OscBasis(W=1.0), 0.0),
+     "hbar must be positive, got 0.0"),
+    (occupation_difference_exact, (0.0, 0.0, 1.0, 0.0),
+     "omega must be positive, got 0.0"),
+    (occupation_difference_exact, (1.0, 0.0, -2.0, 0.0),
+     "Omega must be positive, got -2.0"),
+])
+def test_kernels_name_the_argument_outside_their_domain(kernel, args, message):
+    with pytest.raises(DomainError) as err:
+        kernel(*args)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # frequency laws
 # ---------------------------------------------------------------------------

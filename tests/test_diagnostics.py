@@ -411,7 +411,7 @@ def test_coupled_scenario_self_convergence(unit_params):
 def test_convergence_usage_errors(unit_params):
     # a leg's dt is the config's, halved: no config holds a dt that no leg
     # could take, so ScenarioConfig rejects these before any study runs
-    with pytest.raises(UsageError, match="dt and dt_init must be positive"):
+    with pytest.raises(UsageError, match="dt must be positive, got -0.02"):
         quick_config(unit_params, dt=-0.02)
     with pytest.raises(UsageError, match="dt = 4e-320"):
         quick_config(unit_params, dt=4e-320)

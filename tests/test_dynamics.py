@@ -19,7 +19,6 @@ from semiosc import (
     UsageError,
     ValidationError,
     convert,
-    derivatives,
     dynamics,
     init_adiabatic,
     init_vacuum,
@@ -32,6 +31,12 @@ from semiosc import (
 from conftest import quick_config
 
 
+def _rates(state, params):
+    """Every component's rate, on the state's flat layout."""
+    rhs = dynamics.make_rhs(state.representation, params)
+    return rhs(state.t, dynamics.flat_from_state(state))
+
+
 # ---------------------------------------------------------------------------
 # initial states
 # ---------------------------------------------------------------------------
@@ -40,7 +45,7 @@ def test_init_vacuum_kicked(unit_params):
     state = init_vacuum(1.0, 0.0, unit_params)
     assert state.quantum.rho == pytest.approx(2.0 ** -0.25, rel=1e-15)
     assert state.quantum.rhodot == 0.0
-    dA, dAdot, drho, drhodot = derivatives(state, unit_params)
+    dA, dAdot, drho, drhodot = _rates(state, unit_params)
     assert dA == 0.0
     assert dAdot == pytest.approx(-1.0 / (2.0 * math.sqrt(2.0)), rel=1e-13)
     assert drho == 0.0
@@ -50,7 +55,7 @@ def test_init_vacuum_kicked(unit_params):
 def test_init_vacuum_static_fixed_point(unit_params):
     state = init_vacuum(0.0, 0.0, unit_params)
     assert (state.quantum.rho, state.quantum.rhodot) == (1.0, 0.0)
-    assert derivatives(state, unit_params) == (0.0, 0.0, 0.0, 0.0)
+    assert _rates(state, unit_params) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_init_adiabatic_carries_frequency_drift(unit_params):
@@ -90,7 +95,7 @@ def test_init_adiabatic_reduces_to_vacuum_without_drive():
 
 def test_derivatives_decoupled_classical(decoupled_params):
     state = SemiState(0.0, 3.0, 0.7, PinneySector(1.0, 0.0))
-    d = derivatives(state, decoupled_params)
+    d = _rates(state, decoupled_params)
     assert d[0] == 0.7
     assert d[1] == 0.0  # no force at e = 0
 
@@ -98,16 +103,19 @@ def test_derivatives_decoupled_classical(decoupled_params):
 def test_derivatives_moments_example(unit_params):
     # moments of the Omega = 2 vacuum, driven at omega = 1 (A = 0)
     state = SemiState(0.0, 0.0, 0.0, GaussianMoments(x2=0.25, p2=1.0, c=0.0))
-    d = derivatives(state, unit_params)
+    d = _rates(state, unit_params)
     assert d == (0.0, 0.0, 0.0, 0.75, 0.0)
 
 
-def test_derivatives_mode_is_complexified(unit_params):
+def test_derivatives_mode_are_flat(unit_params):
     state = convert(init_vacuum(1.0, 0.0, unit_params), "mode", unit_params)
-    dA, dAdot, df, dfdot = derivatives(state, unit_params)
-    assert df == state.quantum.fdot
+    f, fdot = state.quantum.f, state.quantum.fdot
+    # the flat (Re f', Im f', Re f'', Im f'')
+    d = _rates(state, unit_params)
+    assert d[2:4] == (fdot.real, fdot.imag)
     omega2 = 1.0 + 1.0  # m^2 + e^2 A^2 at A = 1
-    assert dfdot == pytest.approx(-omega2 * state.quantum.f, rel=1e-14)
+    assert d[4:] == pytest.approx((-omega2 * f.real, -omega2 * f.imag),
+                                  rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +511,13 @@ def test_start_error_names_every_key_of_the_start(params, init, named, why):
 def test_guards_abort_non_finite_and_collapsed_states(unit_params):
     pinney = dynamics.make_guard("pinney", unit_params, 1e-8)
     assert pinney(1.0, (1.0, math.nan, 1.0, 0.0)) == (
-        "aborted-stepfail", "non-finite state component at t=1.0")
+        "aborted-stepfail", 1.0, "non-finite state component at t=1.0")
     mode = dynamics.make_guard("mode", unit_params, 1e-8)
     assert mode(2.0, (1.0, 1.0, math.inf, 0.0, 0.0, 1.0)) == (
-        "aborted-stepfail", "non-finite state component at t=2.0")
+        "aborted-stepfail", 2.0, "non-finite state component at t=2.0")
     # |f|^2 = 1e-18 is under the floor hbar rho_min^2 / 2 = 5e-17
     assert mode(3.0, (1.0, 1.0, 1e-9, 0.0, 0.0, 1.0)) == (
-        "aborted-singularity", "<x^2> fell to the width floor at t=3.0")
+        "aborted-singularity", 3.0, "<x^2> fell to the width floor at t=3.0")
     assert mode(3.0, (1.0, 1.0, 1.0, 0.0, 0.0, 1.0)) is None
 
 
@@ -543,7 +551,7 @@ def test_drivers_stop_when_a_sample_is_refused():
 
     def on_sample(t, y):
         samples.append(t)
-        return ("aborted-stepfail", "refused") if len(samples) == 2 else None
+        return ("aborted-stepfail", t, "refused") if len(samples) == 2 else None
 
     def step(t, y, h):
         return (y[0] + h,)

@@ -105,7 +105,7 @@ def _run_outcome(run, y, h, n, sample_every, i0, refuse):
     def on_sample(t, y):
         seen.append((t.hex(), _bits(y)))
         if len(seen) == refuse:
-            return "refused", f"sample {refuse}"
+            return "refused", t, f"sample {refuse}"
         return None
 
     y, abort = run(y, h, n, sample_every, on_sample, i0)
@@ -291,8 +291,8 @@ def test_valid_runs_never_fall_back_to_the_oracle(monkeypatch, name, changes):
 def test_sampling_overflow_is_a_step_failure(unit_params):
     rows = []
     on_sample = sampler(make_row("pinney", unit_params), rows.append)
-    status, reason = on_sample(1.0, (1e200, 1.0, 1.0, 0.0))
-    assert status == "aborted-stepfail"
+    status, t, reason = on_sample(1.0, (1e200, 1.0, 1.0, 0.0))
+    assert (status, t) == ("aborted-stepfail", 1.0)
     assert reason == ("observables not representable: "
                       "overflow: Numerical result out of range")
     assert rows == []
@@ -304,7 +304,7 @@ def test_sampling_an_invalid_state_is_a_step_failure(unit_params):
     rows = []
     on_sample = sampler(make_row("moments", unit_params), rows.append)
     assert on_sample(1.0, (1.0, 1.0, -1.0, 0.0, 1.0)) == (
-        "aborted-stepfail",
+        "aborted-stepfail", 1.0,
         "state failed validation: <x^2> must be positive, got -1.0")
     assert rows == []
 
