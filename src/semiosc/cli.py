@@ -185,8 +185,9 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     """Write one run's CSV, diagnostics.json, overlay and manifest from its
     trajectory `traj` = integrate(config); return the manifest and the
     diagnostics report.  The manifest's duration counts from `start`, taken
-    before the run was integrated.  `heavy` sets `lyapunov` and diagnose's
-    `convergence_order`; `extra_warnings` follow the abort warning."""
+    before simulate or diagnose reads its config, or before a sweep leg is
+    integrated.  `heavy` sets `lyapunov` and diagnose's `convergence_order`;
+    `extra_warnings` follow the abort warning."""
     os.makedirs(outdir, exist_ok=True)
     csv_path = os.path.join(outdir, "timeseries.csv")
     write_timeseries_csv(traj.records, csv_path)
@@ -220,9 +221,9 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
 
 def run_scenario(config_ref: str, output_dir: str) -> dict:
     """simulate: integrate one scenario and write CSV, report, and overlay plot."""
+    start = time.perf_counter()
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
-    start = time.perf_counter()
     manifest, _ = _run_one(config, integrate(config), start, source,
                            output_dir, "simulate")
     return manifest
@@ -234,9 +235,9 @@ def run_diagnose(config_ref: str, output_dir: str) -> dict:
     The main run is integrated once; both studies read its rows, through
     diagnostics._main_rows, where it is one of their own runs (see
     lyapunov_max and convergence_order)."""
+    start = time.perf_counter()
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
-    start = time.perf_counter()
     traj = integrate(config)
     lyap = lyapunov_max(config, main=traj)
     heavy = {"lyapunov": lyap.to_dict()}

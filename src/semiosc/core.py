@@ -79,6 +79,12 @@ class DiagnosticError(SemiquantumError, RuntimeError):
     """A diagnostic could not produce a trustworthy result."""
 
 
+def _positive(name: str, value: float) -> None:
+    """Raise DomainError naming `name` unless value > 0 (NaN fails too)."""
+    if not (value > 0.0):
+        raise DomainError(f"{name} must be positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical constants of the model.
@@ -113,10 +119,8 @@ class GaussianMoments:
     c: float
 
     def __post_init__(self) -> None:
-        if not (self.x2 > 0.0):
-            raise DomainError(f"<x^2> must be positive, got {self.x2}")
-        if not (self.p2 > 0.0):
-            raise DomainError(f"<p^2> must be positive, got {self.p2}")
+        _positive("<x^2>", self.x2)
+        _positive("<p^2>", self.p2)
 
     def purity_defect(self, hbar: float) -> float:
         """x2*p2 - c^2 - hbar^2/4.  Zero for a pure Gaussian state."""
@@ -159,8 +163,7 @@ class PinneySector:
     rhodot: float
 
     def __post_init__(self) -> None:
-        if not (self.rho > 0.0):
-            raise DomainError(f"pinney width rho must be positive, got {self.rho}")
+        _positive("pinney width rho", self.rho)
 
 
 @dataclass(frozen=True)
@@ -210,8 +213,7 @@ def frequency(A: float, Adot: float, params: ModelParams) -> tuple[float, float]
 
 def effective_frequency(rho: float, rhodot: float) -> tuple[float, float]:
     """Effective frequency Omega = 1/rho^2 and Omegadot = -2 rhodot / rho^3."""
-    if not (rho > 0.0):
-        raise DomainError(f"rho must be positive, got {rho} (trajectory collapse?)")
+    _positive("rho", rho)
     # 1/(rho*rho) rather than (1/rho)**2: rounds back to the exact frequency
     # for vacuum-initialized widths rho = omega**-0.5.  The +0.0 flushes the
     # negative zero that -2.0 * 0.0 would otherwise print into CSV output.
@@ -228,10 +230,8 @@ def pinney_residual(Omega: float, Omegadot: float, Omegaddot: float,
     rho = Omega**-0.5 solves the Ermakov-Pinney equation
     rhoddot + omega^2 rho = 1/rho^3.
     """
-    if not (Omega > 0.0):
-        raise DomainError(f"Omega must be positive, got {Omega}")
-    if not (omega > 0.0):
-        raise DomainError(f"omega must be positive, got {omega}")
+    _positive("Omega", Omega)
+    _positive("omega", omega)
     r = Omegadot / Omega
     return 0.5 * Omegaddot / Omega - 0.75 * r * r + Omega * Omega - omega * omega
 
@@ -249,10 +249,8 @@ def vacuum_moments(Omega: float, Omegadot: float, hbar: float) -> GaussianMoment
 
     The purity identity x2*p2 - c^2 = hbar^2/4 holds identically.
     """
-    if not (Omega > 0.0):
-        raise DomainError(f"Omega must be positive, got {Omega}")
-    if not (hbar > 0.0):
-        raise DomainError(f"hbar must be positive, got {hbar}")
+    _positive("Omega", Omega)
+    _positive("hbar", hbar)
     x2 = 0.5 * hbar / Omega
     p2 = 0.5 * hbar * (Omega + Omegadot * Omegadot / (4.0 * Omega ** 3))
     c = -hbar * Omegadot / (4.0 * Omega * Omega)
@@ -264,8 +262,7 @@ def basis_vacuum_moments(basis: OscBasis, hbar: float) -> GaussianMoments:
 
     The wavefunction is proportional to exp(-(W + i sigma) x^2 / (2 hbar)).
     """
-    if not (hbar > 0.0):
-        raise DomainError(f"hbar must be positive, got {hbar}")
+    _positive("hbar", hbar)
     W, s = basis.W, basis.sigma
     x2 = 0.5 * hbar / W
     p2 = 0.5 * hbar * (W * W + s * s) / W
@@ -280,15 +277,13 @@ def shearless_basis(omega: float) -> OscBasis:
 
 def invariant_basis(Omega: float, Omegadot: float, theta: float = 0.0) -> OscBasis:
     """The adiabatic-invariant basis: W = Omega, sigma = Omegadot / (2 Omega)."""
-    if not (Omega > 0.0):
-        raise DomainError(f"Omega must be positive, got {Omega}")
+    _positive("Omega", Omega)
     return OscBasis(W=Omega, sigma=0.5 * Omegadot / Omega, theta=theta)
 
 
 def drift_sheared_basis(omega: float, omegadot: float) -> OscBasis:
     """Basis at frequency omega sheared by the frequency drift: sigma = omegadot/(2 omega)."""
-    if not (omega > 0.0):
-        raise DomainError(f"omega must be positive, got {omega}")
+    _positive("omega", omega)
     return OscBasis(W=omega, sigma=0.5 * omegadot / omega)
 
 
@@ -303,8 +298,7 @@ def quanta_expectation(moments: GaussianMoments, basis: OscBasis,
     HEISENBERG_TOL (relative to hbar^2/4) signal a corrupted state and raise
     ValidationError.
     """
-    if not (hbar > 0.0):
-        raise DomainError(f"hbar must be positive, got {hbar}")
+    _positive("hbar", hbar)
     bound = 0.25 * hbar * hbar
     det = moments.x2 * moments.p2 - moments.c * moments.c
     if det < bound * (1.0 - HEISENBERG_TOL):
@@ -326,10 +320,8 @@ def occupation_closed_form(omega: float, Omega: float, Omegadot: float) -> float
     which is algebraically identical, manifestly nonnegative, and returns an
     exact 0.0 at the instantaneous vacuum Omega == omega, Omegadot == 0.
     """
-    if not (omega > 0.0):
-        raise DomainError(f"omega must be positive, got {omega}")
-    if not (Omega > 0.0):
-        raise DomainError(f"Omega must be positive, got {Omega}")
+    _positive("omega", omega)
+    _positive("Omega", Omega)
     r = omega / Omega
     d = math.sqrt(r) - math.sqrt(1.0 / r)
     return 0.25 * d * d + Omegadot * Omegadot / (16.0 * omega * Omega ** 3)
@@ -358,10 +350,8 @@ def occupation_difference_exact(omega: float, omegadot: float,
         (1/(16 omega Omega)) [2 (Omegadot/Omega)(omegadot/omega)
                               - (omegadot/omega)^2]
     """
-    if not (omega > 0.0):
-        raise DomainError(f"omega must be positive, got {omega}")
-    if not (Omega > 0.0):
-        raise DomainError(f"Omega must be positive, got {Omega}")
+    _positive("omega", omega)
+    _positive("Omega", Omega)
     a = Omegadot / Omega
     b = omegadot / omega
     return (2.0 * a * b - b * b) / (16.0 * omega * Omega)
@@ -439,10 +429,7 @@ def state_moments(state: SemiState, params: ModelParams) -> GaussianMoments:
         return GaussianMoments(x2=0.5 * h * q.rho * q.rho,
                                p2=0.5 * h * (q.rhodot * q.rhodot + inv * inv),
                                c=0.5 * h * q.rho * q.rhodot)
-    x2 = abs(q.f) ** 2
-    if not (x2 > 0.0):
-        raise DomainError("mode function vanished; <x^2> must be positive")
-    return GaussianMoments(x2=x2,
+    return GaussianMoments(x2=abs(q.f) ** 2,
                            p2=abs(q.fdot) ** 2,
                            c=(q.f * q.fdot.conjugate()).real)
 

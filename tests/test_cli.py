@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import jsonschema
 import pytest
@@ -634,6 +635,25 @@ def test_run_scenario_api_returns_manifest(small_cfg, tmp_path):
     assert manifest["status"] == "completed"
     assert manifest["command"] == "simulate"
     assert manifest["config"]["params"]["m"] == 1.0
+
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_duration_counts_reading_the_config(command, small_cfg, tmp_path,
+                                            monkeypatch):
+    # duration_seconds is the command's wall time: its clock starts before
+    # the config is read
+    import semiosc.cli as cli
+    read = cli.read_config_text
+
+    def slow_read(ref):
+        time.sleep(0.05)
+        return read(ref)
+
+    monkeypatch.setattr(cli, "read_config_text", slow_read)
+    out = tmp_path / command
+    assert main([command, small_cfg, "-o", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["duration_seconds"] >= 0.05
 
 
 def _readme_manifest_tables():

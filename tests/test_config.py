@@ -43,8 +43,9 @@ def test_missing_required_key_names_it():
 
 
 def test_unknown_key_names_key_and_line():
-    with pytest.raises(ConfigError, match=r"x\.cfg:2.*'mass'"):
+    with pytest.raises(ConfigError, match=r"x\.cfg:2.*'mass'") as err:
         parse_scenario_text("m = 1.0\nmass = 2.0\n", source="x.cfg")
+    assert (err.value.source, err.value.line, err.value.key) == ("x.cfg", 2, "mass")
 
 
 def test_malformed_line_names_line():
@@ -54,8 +55,9 @@ def test_malformed_line_names_line():
 
 def test_bad_number_names_key_and_line():
     text = GOOD.replace("e = 0.5   # inline comment", "e = zap")
-    with pytest.raises(ConfigError, match=r":3.*'e'.*zap"):
+    with pytest.raises(ConfigError, match=r":3.*'e'.*zap") as err:
         parse_scenario_text(text, source="x.cfg")
+    assert (err.value.source, err.value.line, err.value.key) == ("x.cfg", 3, "e")
 
 
 def test_duplicate_key_rejected():

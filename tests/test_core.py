@@ -17,6 +17,7 @@ from semiosc import (
     DomainError,
     GaussianMoments,
     ModelParams,
+    ModeSector,
     OscBasis,
     PinneySector,
     SemiState,
@@ -36,6 +37,7 @@ from semiosc import (
     pinney_residual,
     quanta_expectation,
     shearless_basis,
+    state_moments,
     vacuum_moments,
 )
 
@@ -101,6 +103,18 @@ def test_basis_validation():
      "omega must be positive, got 0.0"),
     (occupation_difference_exact, (1.0, 0.0, -2.0, 0.0),
      "Omega must be positive, got -2.0"),
+    (vacuum_moments, (0.0, 0.0, 1.0), "Omega must be positive, got 0.0"),
+    (occupation_closed_form, (0.0, 1.0, 0.0), "omega must be positive, got 0.0"),
+    (occupation_closed_form, (1.0, -1.0, 0.0),
+     "Omega must be positive, got -1.0"),
+    (GaussianMoments, (0.0, 1.0, 0.0), "<x^2> must be positive, got 0.0"),
+    (GaussianMoments, (1.0, 0.0, 0.0), "<p^2> must be positive, got 0.0"),
+    (PinneySector, (0.0, 0.0), "pinney width rho must be positive, got 0.0"),
+    (effective_frequency, (0.0, 1.0), "rho must be positive, got 0.0"),
+    # a vanished mode function fails GaussianMoments' own check
+    (state_moments, (SemiState(0.0, 0.0, 0.0, ModeSector(0j, 1j)),
+                     ModelParams(m=1.0, e=1.0)),
+     "<x^2> must be positive, got 0.0"),
 ])
 def test_kernels_name_the_argument_outside_their_domain(kernel, args, message):
     with pytest.raises(DomainError) as err:
