@@ -217,8 +217,12 @@ def effective_frequency(rho: float, rhodot: float) -> tuple[float, float]:
     # 1/(rho*rho) rather than (1/rho)**2: rounds back to the exact frequency
     # for vacuum-initialized widths rho = omega**-0.5.  The +0.0 flushes the
     # negative zero that -2.0 * 0.0 would otherwise print into CSV output.
-    Omega = 1.0 / (rho * rho)
-    return Omega, -2.0 * rhodot / (rho * rho * rho) + 0.0
+    rho2 = rho * rho
+    # below rho ~ 1e-154, rho^2 underflows to zero or 1/rho^2 overflows
+    Omega = 1.0 / rho2 if rho2 > 0.0 else math.inf
+    if Omega == math.inf:
+        raise DomainError(f"Omega = 1/rho^2 is not finite for rho = {rho}")
+    return Omega, -2.0 * rhodot / (rho2 * rho) + 0.0
 
 
 def pinney_residual(Omega: float, Omegadot: float, Omegaddot: float,

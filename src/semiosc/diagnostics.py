@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
+from operator import sub
 
 from .core import (
     DiagnosticError,
@@ -100,7 +102,7 @@ def energy_drift(records: Records) -> float:
     e0 = etot[0]
     if e0 == 0.0:
         raise UsageError("energy_drift undefined for Etot(0) == 0")
-    return max(abs(v - e0) for v in etot) / abs(e0)
+    return max(map(abs, map(sub, etot, repeat(e0)))) / abs(e0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +357,14 @@ def structure_count(series, floor: float = 1e-9) -> int:
 def max_abs_discrepancy(records: Records) -> float:
     """max over the series of |N_ours - N_cdms|."""
     cols = records.columns
-    return max(abs(a - b) for a, b in zip(cols["N_ours"], cols["N_cdms"]))
+    return max(map(abs, map(sub, cols["N_ours"], cols["N_cdms"])))
 
 
 def max_abs_remainder(records: Records) -> float:
     """max over the series of |(N_ours - N_cdms) - dN_leading|."""
     cols = records.columns
-    return max(abs((a - b) - d) for a, b, d in zip(cols["N_ours"], cols["N_cdms"],
-                                                   cols["dN_leading"]))
+    return max(map(abs, map(sub, map(sub, cols["N_ours"], cols["N_cdms"]),
+                            cols["dN_leading"])))
 
 
 _ZERO_SIGNAL = "zero signal: no measurable discrepancy, fit rejected"

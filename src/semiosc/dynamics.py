@@ -10,7 +10,8 @@ moments   y = (A, Adot, x2, c, p2)            linear moment flow
 All three share the classical back-reaction Addot = -e^2 A <x^2>.  Observables
 are always computed from the exact state at sample times, never interpolated.
 The rates are written once, in LAYOUTS; the right-hand sides, the rk4 runs
-and the Fehlberg steps are generated from that table.
+and the Fehlberg steps are generated from that table, and each
+representation's sampled-row writer from one template.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import linecache
 import math
 import re
+import struct
 from array import array
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -62,11 +64,10 @@ __all__ = [
     "make_rhs",
     "make_rk4_run",
     "make_rkf45_step",
-    "make_row",
+    "make_row_writer",
     "make_guard",
     "run_fixed",
     "run_adaptive",
-    "sampler",
     "flat_from_state",
     "state_from_flat",
     "Records",
@@ -316,7 +317,8 @@ def checked_start(config: ScenarioConfig
     """
     state0 = initial_state(config)
     try:
-        # not make_row: perfbench --trace 1 wraps this call to collect states
+        # not the row writer: perfbench --trace 1 wraps this call to
+        # collect states
         row0 = record_observables(state0, config.params)
     except _START_ERRORS as exc:
         raise _bad_start(config, exc) from None
@@ -604,7 +606,12 @@ def _compiled(kind, layout):
         update="\n".join(f"{pad}{n} = {v}" for n, v in zip(names, columns[0])),
         finite=" + ".join(f"{n} * 0.0" for n in names), floor=floor,
         results="), (".join(f",\n{pad}".join(c) for c in columns))
-    filename = f"<semiosc.dynamics {kind} {layout}>"
+    return _exec(source, f"<semiosc.dynamics {kind} {layout}>")
+
+
+def _exec(source, filename):
+    """Run generated source, with its lines in linecache under filename, in
+    this module's globals; return the make it defines."""
     linecache.cache[filename] = (len(source), None, source.splitlines(True),
                                  filename)
     namespace = {}
@@ -661,15 +668,38 @@ def record_observables(state: SemiState, params: ModelParams) -> TimeSeriesRecor
         Hx=report.Hx, Etot=report.Etot, corr=report.corr)
 
 
-def make_row(representation: str, params: ModelParams):
-    """Flat observables row(t, y) -> tuple in COLUMNS order.
+# One sampled row, packed as the bytes of len(COLUMNS) doubles of array("d")
+_ROW = struct.Struct(f"{len(COLUMNS)}d")
 
-    The row equals record_observables(state_from_flat(t, y, representation),
-    params) bit for bit: every value is computed once, by the same
-    operations as the core kernels.  A state outside the kernels' domain
-    (the one conjunction below fails, or the arithmetic raises) is handed
-    to record_observables itself, which raises what the kernels raise.
-    """
+# Each representation's quantum sector as the row writer's locals A, Ad, rho,
+# rhodot, Omega, Omegadot, x2, p2 and c, by the operations of state_moments
+# and state_effective_frequency.
+_MOMENT_FREQUENCY = """\
+Omega = half_hbar / x2
+rho = sqrt(2.0 * x2 / hbar)
+rhodot = 2.0 * c / (hbar * rho)
+Omegadot = -4.0 * c * Omega * Omega / hbar"""
+_SECTORS = {
+    "pinney": """\
+A, Ad, rho, rhodot = y
+inv = 1.0 / rho
+Omega = 1.0 / (rho * rho)
+Omegadot = -2.0 * rhodot / (rho * rho * rho) + 0.0
+x2 = half_hbar * rho * rho
+p2 = half_hbar * (rhodot * rhodot + inv * inv)
+c = half_hbar * rho * rhodot""",
+    "mode": """\
+A, Ad, fr, fi, gr, gi = y
+f, fdot = complex(fr, fi), complex(gr, gi)
+x2 = abs(f) ** 2
+c = (f * fdot.conjugate()).real
+p2 = abs(fdot) ** 2
+""" + _MOMENT_FREQUENCY,
+    "moments": "A, Ad, x2, c, p2 = y\n" + _MOMENT_FREQUENCY,
+}
+
+_ROW_WRITER = """\
+def make(params, rows):
     m, e, hbar = params.m, params.e, params.hbar
     m2 = m * m
     e2 = e * e
@@ -681,37 +711,10 @@ def make_row(representation: str, params: ModelParams):
     corr_scale = (hbar * e / m) ** 2
     leading_denom = 16.0 * m ** 6
     sqrt, inf = math.sqrt, math.inf
-
-    # each layout's state as (A, Ad, rho, rhodot, Omega, Omegadot, x2, p2, c)
-    def pinney(y):
-        A, Ad, rho, rhodot = y
-        inv = 1.0 / rho
-        return (A, Ad, rho, rhodot, 1.0 / (rho * rho),
-                -2.0 * rhodot / (rho * rho * rho) + 0.0, half_hbar * rho * rho,
-                half_hbar * (rhodot * rhodot + inv * inv),
-                half_hbar * rho * rhodot)
-
-    def moments(y):
-        A, Ad, x2, c, p2 = y
-        Omega = half_hbar / x2
-        rho = sqrt(2.0 * x2 / hbar)
-        return (A, Ad, rho, 2.0 * c / (hbar * rho), Omega,
-                -4.0 * c * Omega * Omega / hbar, x2, p2, c)
-
-    def mode(y):
-        A, Ad, fr, fi, gr, gi = y
-        f, fdot = complex(fr, fi), complex(gr, gi)
-        return moments((A, Ad, abs(f) ** 2, (f * fdot.conjugate()).real,
-                        abs(fdot) ** 2))
-
-    sector = {"pinney": pinney, "mode": mode, "moments": moments}.get(
-        representation)
-    if sector is None:
-        raise UsageError(f"unknown representation {representation!r}")
-
-    def row(t, y):
+    pack, write_bytes = _ROW.pack, rows.frombytes
+    def write(t, y):
         try:
-            A, Ad, rho, rhodot, Omega, Omegadot, x2, p2, c = sector(y)
+            {sector}
             omega = sqrt(m2 + (e * A) ** 2)
             omegadot = e2 * A * Ad / omega
             # occupation_closed_form
@@ -731,17 +734,58 @@ def make_row(representation: str, params: ModelParams):
             if (rho > 0.0 and x2 > 0.0 and p2 > 0.0 and Omega > 0.0
                     and vx2 > 0.0 and vp2 > 0.0 and 0.0 < omega < inf
                     and vx2 * vp2 - vc * vc >= heisenberg_floor):
-                return (t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
-                        omegadot, x2, p2, c, n_ours, n_cdms,
-                        e4 * (A * Ad) ** 2 / leading_denom, hx,
-                        0.5 * Ad * Ad + hx, corr_scale * n_ours)
+                write_bytes(pack(t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
+                                 omegadot, x2, p2, c, n_ours, n_cdms,
+                                 e4 * (A * Ad) ** 2 / leading_denom, hx,
+                                 0.5 * Ad * Ad + hx, corr_scale * n_ours))
+                return None
         except (ArithmeticError, ValueError):
             pass
-        # a global lookup at call time: perfbench --trace 1 wraps it
-        return record_observables(state_from_flat(t, y, representation),
-                                  params)
+        return _write_oracle_row(write_bytes, t, y, {layout!r}, params)
+    return write
+"""
 
-    return row
+
+@cache
+def _row_writer(layout):
+    """make(params, rows) -> the layout's row writer, compiled once per
+    process, with its source in linecache."""
+    if layout not in _SECTORS:
+        raise UsageError(f"unknown representation {layout!r}")
+    sector = _SECTORS[layout].replace("\n", "\n" + " " * 12)
+    return _exec(_ROW_WRITER.format(sector=sector, layout=layout),
+                 f"<semiosc.dynamics row {layout}>")
+
+
+def make_row_writer(representation: str, params: ModelParams, rows):
+    """on_sample(t, y) for make_rk4_run and run_adaptive: append the flat
+    state's 18 observables, in COLUMNS order, to the array("d") rows and
+    return None, or return the abort (status, t, reason) of a step failure
+    and append nothing.
+
+    The row equals record_observables(state_from_flat(t, y, representation),
+    params) bit for bit: every value is computed once, by the same
+    operations as the core kernels, and packed into rows in one write.  A
+    state outside the kernels' domain (the one conjunction fails, or the
+    arithmetic raises) is handed to record_observables itself, so the
+    kernels alone hold every domain check and error message.
+    """
+    return _row_writer(representation)(params, rows)
+
+
+def _write_oracle_row(write_bytes, t, y, representation, params):
+    """A row writer's fallback: write record_observables' row, or return the
+    abort of a step failure when the state has no valid observables."""
+    try:
+        # a global lookup at call time: perfbench --trace 1 wraps it
+        row = record_observables(state_from_flat(t, y, representation), params)
+    except SemiquantumError as exc:
+        return STATUS_STEPFAIL, t, f"state failed validation: {exc}"
+    except ArithmeticError as exc:
+        return (STATUS_STEPFAIL, t,
+                f"observables not representable: {_error_text(exc)}")
+    write_bytes(_ROW.pack(*row))
+    return None
 
 
 def fixed_grid(t_end: float, dt: float) -> tuple[int, float]:
@@ -844,22 +888,6 @@ def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
     return y, None
 
 
-def sampler(row, sink):
-    """on_sample for run_fixed and run_adaptive: sink(row(t, y)), or the
-    abort (status, t, reason) of a step failure when the state has no valid
-    observables."""
-    def on_sample(t, y):
-        try:
-            sink(row(t, y))
-        except SemiquantumError as exc:
-            return STATUS_STEPFAIL, t, f"state failed validation: {exc}"
-        except ArithmeticError as exc:
-            return (STATUS_STEPFAIL, t,
-                    f"observables not representable: {_error_text(exc)}")
-        return None
-    return on_sample
-
-
 def integrate(config: ScenarioConfig) -> Trajectory:
     """Run one scenario; returns sampled observables plus the termination status.
 
@@ -872,7 +900,7 @@ def integrate(config: ScenarioConfig) -> Trajectory:
     rep = config.representation
     y = flat_from_state(state0)
     rows = array("d", row0)
-    sample = sampler(make_row(rep, params), rows.extend)
+    sample = make_row_writer(rep, params, rows)
 
     if config.method == "rk4":
         n, h = fixed_grid(config.t_end, config.dt)

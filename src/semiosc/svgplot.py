@@ -99,14 +99,20 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
     """
     if not curves:
         raise UsageError("nothing to plot")
-    x_lo, x_hi = _span([_extent(xs) for _, xs, _ in curves])
+    # curves may share one xs object (an overlay's t): read each one once
+    distinct_xs = {id(xs): xs for _, xs, _ in curves}.values()
+    x_lo, x_hi = _span([_extent(xs) for xs in distinct_xs])
     y_lo, y_hi = _span([_extent(ys) for _, _, ys in curves])
+    binned = {id(xs) for xs in distinct_xs if len(xs) > 4 * PLOT_W
+              and all(map(le, xs, islice(xs, 1, None)))}
+    x_span, y_span = x_hi - x_lo, y_hi - y_lo
+    y_base = MARGIN_T + PLOT_H
 
     def px(x: float) -> float:
-        return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * PLOT_W
+        return MARGIN_L + (x - x_lo) / x_span * PLOT_W
 
     def py(y: float) -> float:
-        return MARGIN_T + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H
+        return y_base - (y - y_lo) / y_span * PLOT_H
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -148,10 +154,13 @@ def render_line_plot(curves, *, title: str, xlabel: str, ylabel: str,
 
     for i, (_, xs, ys) in enumerate(curves):
         color = PALETTE[i % len(PALETTE)]
-        if len(xs) > 4 * PLOT_W and all(map(le, xs, islice(xs, 1, None))):
+        if id(xs) in binned:
             keep = _m4(xs, ys, x_lo, x_hi, PLOT_W)
             xs, ys = [xs[j] for j in keep], [ys[j] for j in keep]
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        # px and py inlined, one format per point
+        pts = " ".join(["%.3f,%.3f" % (MARGIN_L + (x - x_lo) / x_span * PLOT_W,
+                                       y_base - (y - y_lo) / y_span * PLOT_H)
+                        for x, y in zip(xs, ys)])
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.3" '
                    f'points="{pts}"/>')
 

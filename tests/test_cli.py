@@ -207,6 +207,20 @@ def test_start_error_exits_2_naming_every_key_of_the_start(tmp_path, capsys):
                              "Adot0 = 1.0: the initial state is not "
                              "representable (")
 
+
+@pytest.mark.parametrize("command", ["simulate", "diagnose"])
+def test_tiny_explicit_width_exits_2_naming_omega(tmp_path, capsys, command):
+    # rho0^2 underflows to 0.0, so Omega = 1/rho0^2 is out of range
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(SMALL + "quantum_init = explicit\nrho0 = 1e-300\n"
+                   "rhodot0 = 0\n")
+    assert main([command, str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
+    detail = json.loads(capsys.readouterr().err.strip())["detail"]
+    assert detail.endswith("rho0 = 1e-300, rhodot0 = 0.0: the initial state "
+                           "is not representable (Omega = 1/rho^2 is not "
+                           "finite for rho = 1e-300)")
+
+
 @pytest.mark.parametrize("command, name, text, message", [
     ("simulate", "c.cfg", SMALL + "= 5\n", ":9: empty key"),
     ("simulate", "c.cfg",

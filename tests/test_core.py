@@ -111,6 +111,11 @@ def test_basis_validation():
     (GaussianMoments, (1.0, 0.0, 0.0), "<p^2> must be positive, got 0.0"),
     (PinneySector, (0.0, 0.0), "pinney width rho must be positive, got 0.0"),
     (effective_frequency, (0.0, 1.0), "rho must be positive, got 0.0"),
+    # rho^2 underflows to 0.0, or 1/rho^2 overflows
+    (effective_frequency, (1e-300, 0.0),
+     "Omega = 1/rho^2 is not finite for rho = 1e-300"),
+    (effective_frequency, (1e-155, 1.0),
+     "Omega = 1/rho^2 is not finite for rho = 1e-155"),
     # a vanished mode function fails GaussianMoments' own check
     (state_moments, (SemiState(0.0, 0.0, 0.0, ModeSector(0j, 1j)),
                      ModelParams(m=1.0, e=1.0)),

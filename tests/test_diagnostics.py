@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import re
+from array import array
 from functools import partial
 
 import pytest
@@ -602,6 +603,52 @@ def test_max_metrics():
                     _rec(t=2.0, N_ours=1.0, N_cdms=2.0, dN_leading=0.0))
     assert max_abs_discrepancy(recs) == 2.0
     assert max_abs_remainder(recs) == 1.0
+
+
+# the series metrics as generator expressions: their specification
+def _energy_drift_oracle(cols):
+    etot = cols["Etot"]
+    e0 = etot[0]
+    return max(abs(v - e0) for v in etot) / abs(e0)
+
+
+def _max_abs_discrepancy_oracle(cols):
+    return max(abs(a - b) for a, b in zip(cols["N_ours"], cols["N_cdms"]))
+
+
+def _max_abs_remainder_oracle(cols):
+    return max(abs((a - b) - d) for a, b, d in zip(cols["N_ours"], cols["N_cdms"],
+                                                   cols["dN_leading"]))
+
+
+def _metric_outcome(metric, arg):
+    try:
+        return "value", metric(arg).hex()
+    except Exception as exc:  # the exception itself is the compared outcome
+        return type(exc), str(exc)
+
+
+series_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1e308, -1e308]))
+
+
+@given(st.lists(st.tuples(series_value, series_value, series_value,
+                          series_value), min_size=2, max_size=40))
+@example([(1.0, math.nan, 0.0, 0.0), (math.nan, 2.0, 0.0, -0.0),
+          (3.0, -0.0, math.inf, math.inf)])
+@example([(-0.0, 0.0, -0.0, 0.0), (0.0, -0.0, 0.0, -0.0)])
+@settings(max_examples=300, deadline=None)
+def test_series_metrics_match_their_generator_expressions(rows):
+    cols = dict(zip(("Etot", "N_ours", "N_cdms", "dN_leading"),
+                    (array("d", column) for column in zip(*rows))))
+    recs = Records(cols)
+    for metric, oracle in [(max_abs_discrepancy, _max_abs_discrepancy_oracle),
+                           (max_abs_remainder, _max_abs_remainder_oracle)]:
+        assert _metric_outcome(metric, recs) == _metric_outcome(oracle, cols)
+    if cols["Etot"][0] != 0.0:
+        assert _metric_outcome(energy_drift, recs) == \
+            _metric_outcome(_energy_drift_oracle, cols)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,18 @@ Each generated run must reproduce run_fixed on partial(rk4_step, make_rhs)
 and make_guard bit for bit, from any grid step i0: its states, its abort
 and every sample it hands over; each generated Fehlberg step must reproduce
 rkf45_step on make_rhs bit for bit; the augmented right-hand side must be
-the moments flow and the pinney width flow.  The flat observable rows must
-reproduce record_observables bit for bit, raising on exactly the states
-where the oracle raises.  A row hands every state outside the kernels'
-domain to record_observables itself, and no valid run does so after its
-start row.
+the moments flow and the pinney width flow.  The row writers of
+make_row_writer must append record_observables' row bit for bit, and abort,
+appending nothing, on exactly the states where the oracle raises.  A writer
+hands every state outside the kernels' domain to record_observables itself,
+and no valid run does so after its start row.
 """
 
 import dataclasses
 import math
 import re
 import traceback
+from array import array
 from functools import partial
 
 import pytest
@@ -27,6 +28,7 @@ from semiosc import (
     ModelParams,
     PinneySector,
     SemiState,
+    SemiquantumError,
     UsageError,
     bundled_scenario_names,
     convert,
@@ -44,11 +46,10 @@ from semiosc.dynamics import (
     make_rhs,
     make_rk4_run,
     make_rkf45_step,
-    make_row,
+    make_row_writer,
     rk4_step,
     rkf45_step,
     run_fixed,
-    sampler,
     state_from_flat,
 )
 
@@ -200,7 +201,9 @@ def test_augmented_rhs_is_the_moments_and_pinney_width_flows(params, y, w):
 
 @pytest.mark.parametrize("make", [
     make_rhs, pytest.param(partial(make_rk4_run, rho_min=1e-8),
-                           id="make_rk4_run"), make_rkf45_step, make_row])
+                           id="make_rk4_run"), make_rkf45_step,
+    pytest.param(partial(make_row_writer, rows=array("d")),
+                 id="make_row_writer")])
 @pytest.mark.parametrize("name", ["bogus", "Pinney", ""])
 def test_unknown_layout_is_a_usage_error(make, name, unit_params):
     with pytest.raises(UsageError,
@@ -223,25 +226,52 @@ def test_generated_run_traceback_shows_its_source_line(unit_params):
 
 
 # ---------------------------------------------------------------------------
-# flat observable rows
+# sampled-row writers
 # ---------------------------------------------------------------------------
 
 def _oracle_row(t, y, representation, params):
     return record_observables(state_from_flat(t, y, representation), params)
 
 
-@given(representation=st.sampled_from(("pinney", "mode", "moments")),
+def _write_outcome(representation, params, t, y):
+    """(abort, bits of every value written) of one fresh writer's call."""
+    rows = array("d")
+    try:
+        abort = make_row_writer(representation, params, rows)(t, y)
+    except Exception as exc:  # the exception itself is the compared outcome
+        abort = type(exc), str(exc)
+    return abort, _bits(rows)
+
+
+def _oracle_outcome(representation, params, t, y):
+    """_write_outcome of the oracle: its row, or the step failure that its
+    exception maps to (a SemiquantumError is a state that failed
+    validation, an ArithmeticError one whose observables are not
+    representable)."""
+    try:
+        row = _oracle_row(t, y, representation, params)
+    except SemiquantumError as exc:
+        return ("aborted-stepfail", t, f"state failed validation: {exc}"), ()
+    except ArithmeticError as exc:
+        return ("aborted-stepfail", t, "observables not representable: "
+                f"{dynamics._error_text(exc)}"), ()
+    except Exception as exc:  # the exception itself is the compared outcome
+        return (type(exc), str(exc)), ()
+    return None, _bits(row)
+
+
+@given(representation=st.sampled_from(REPRESENTATIONS),
        params=params_st, t=st.floats(0.0, 100.0),
        A=st.floats(-3.0, 3.0), Adot=st.floats(-3.0, 3.0),
        rho=st.floats(0.2, 5.0), rhodot=st.floats(-3.0, 3.0))
 @settings(max_examples=300, deadline=None)
-def test_flat_row_matches_record_observables(representation, params, t, A, Adot,
-                                             rho, rhodot):
+def test_written_row_matches_record_observables(representation, params, t, A,
+                                                Adot, rho, rhodot):
     state = convert(SemiState(t, A, Adot, PinneySector(rho, rhodot)),
                     representation, params)
     y = flat_from_state(state)
-    assert _bits(make_row(representation, params)(t, y)) == \
-        _bits(_oracle_row(t, y, representation, params))
+    assert _write_outcome(representation, params, t, y) == \
+        (None, _bits(_oracle_row(t, y, representation, params)))
 
 
 # Components that break some kernel: nonpositive widths, non-finite values,
@@ -254,21 +284,58 @@ bad_component = st.one_of(
 )
 
 
-@given(data=st.data(), representation=st.sampled_from(("pinney", "mode", "moments")),
+@given(data=st.data(), representation=st.sampled_from(REPRESENTATIONS),
        params=params_st)
 @settings(max_examples=600, deadline=None)
-def test_flat_row_raises_exactly_when_oracle_raises(data, representation, params):
+def test_writer_aborts_exactly_when_oracle_raises(data, representation,
+                                                   params):
     y = tuple(data.draw(bad_component) for _ in range(WIDTHS[representation]))
-    fast = _outcome(make_row(representation, params), 1.5, y)
-    slow = _outcome(_oracle_row, 1.5, y, representation, params)
-    assert fast == slow
+    assert _write_outcome(representation, params, 1.5, y) == \
+        _oracle_outcome(representation, params, 1.5, y)
 
 
-def test_flat_row_rejects_huge_amplitude_like_oracle(unit_params):
-    y = (1e200, 1.0, 1.0, 0.0)
-    fast = _outcome(make_row("pinney", unit_params), 0.0, y)
-    assert fast[0] is OverflowError
-    assert fast == _outcome(_oracle_row, 0.0, y, "pinney", unit_params)
+# a valid state of each layout at A = 1, Adot = 1 for hbar = 1
+VALID = {"pinney": (1.0, 0.0), "moments": (0.5, 0.0, 0.5),
+         "mode": (math.sqrt(0.5), 0.0, 0.0, -math.sqrt(0.5))}
+
+
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_sampling_overflow_is_a_step_failure(representation, unit_params):
+    rows = array("d")
+    write = make_row_writer(representation, unit_params, rows)
+    y = (1.0, 1.0, *VALID[representation])
+    assert write(1.0, (1e200, *y[1:])) == (
+        "aborted-stepfail", 1.0,
+        "observables not representable: overflow: Numerical result out of "
+        "range")
+    assert len(rows) == 0
+    assert write(1.0, y) is None
+    assert _bits(rows) == _bits(_oracle_row(1.0, y, representation,
+                                            unit_params))
+
+
+@pytest.mark.parametrize("representation, y, message", [
+    ("moments", (1.0, 1.0, -1.0, 0.0, 1.0), "<x^2> must be positive, got -1.0"),
+    ("pinney", (1.0, 1.0, -1.0, 0.0),
+     "pinney width rho must be positive, got -1.0"),
+    ("mode", (1.0, 1.0, 0.0, 0.0, 0.0, -1.0), "<x^2> must be positive, got 0.0"),
+    # rho^2 underflows: Omega = 1/rho^2 is out of range
+    ("pinney", (1.0, 1.0, 1e-300, 0.0),
+     "Omega = 1/rho^2 is not finite for rho = 1e-300"),
+    # a fast rhodot: the vacuum moments' x2*p2 - c^2 cancels to just below
+    # the writer's Heisenberg floor, though above 0
+    ("pinney", (1.0, 1.0, 2.556565780583648, 1458261.2633403067),
+     "moments violate the Heisenberg bound: x2*p2 - c^2 = 0.24951171875 < "
+     "hbar^2/4 = 0.25"),
+], ids=["moments-negative-x2", "pinney-negative-rho", "mode-vanished-f",
+        "pinney-rho-squared-underflows", "pinney-below-heisenberg-floor"])
+def test_sampling_an_invalid_state_is_a_step_failure(representation, y,
+                                                     message, unit_params):
+    rows = array("d")
+    write = make_row_writer(representation, unit_params, rows)
+    assert write(1.0, y) == ("aborted-stepfail", 1.0,
+                             f"state failed validation: {message}")
+    assert len(rows) == 0
 
 
 @pytest.mark.parametrize("name, changes", [
@@ -286,27 +353,6 @@ def test_valid_runs_never_fall_back_to_the_oracle(monkeypatch, name, changes):
     traj = integrate(dataclasses.replace(load_scenario(name), **changes))
     assert traj.completed and len(traj.records) > 2
     assert len(calls) == 1  # the start row, from checked_start
-
-
-def test_sampling_overflow_is_a_step_failure(unit_params):
-    rows = []
-    on_sample = sampler(make_row("pinney", unit_params), rows.append)
-    status, t, reason = on_sample(1.0, (1e200, 1.0, 1.0, 0.0))
-    assert (status, t) == ("aborted-stepfail", 1.0)
-    assert reason == ("observables not representable: "
-                      "overflow: Numerical result out of range")
-    assert rows == []
-    assert on_sample(1.0, (1.0, 1.0, 1.0, 0.0)) is None
-    assert len(rows) == 1
-
-
-def test_sampling_an_invalid_state_is_a_step_failure(unit_params):
-    rows = []
-    on_sample = sampler(make_row("moments", unit_params), rows.append)
-    assert on_sample(1.0, (1.0, 1.0, -1.0, 0.0, 1.0)) == (
-        "aborted-stepfail", 1.0,
-        "state failed validation: <x^2> must be positive, got -1.0")
-    assert rows == []
 
 
 # ---------------------------------------------------------------------------
