@@ -222,7 +222,12 @@ def effective_frequency(rho: float, rhodot: float) -> tuple[float, float]:
     Omega = 1.0 / rho2 if rho2 > 0.0 else math.inf
     if Omega == math.inf:
         raise DomainError(f"Omega = 1/rho^2 is not finite for rho = {rho}")
-    return Omega, -2.0 * rhodot / (rho2 * rho) + 0.0
+    # below rho ~ 1.35e-108, rho^3 underflows to zero
+    rho3 = rho2 * rho
+    if not (rho3 > 0.0):
+        raise DomainError(f"Omegadot = -2 rhodot/rho^3 is not finite for "
+                          f"rho = {rho}")
+    return Omega, -2.0 * rhodot / rho3 + 0.0
 
 
 def pinney_residual(Omega: float, Omegadot: float, Omegaddot: float,

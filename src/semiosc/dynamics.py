@@ -9,9 +9,9 @@ moments   y = (A, Adot, x2, c, p2)            linear moment flow
 
 All three share the classical back-reaction Addot = -e^2 A <x^2>.  Observables
 are always computed from the exact state at sample times, never interpolated.
-The rates are written once, in LAYOUTS; the right-hand sides, the rk4 runs
-and the Fehlberg steps are generated from that table, and each
-representation's sampled-row writer from one template.
+The rates, the width floor and its abort reason are written once, in
+LAYOUTS; every per-layout function (right-hand side, rk4 run, Fehlberg step,
+guard and sampled-row writer) is generated from that table by _compiled.
 """
 
 from __future__ import annotations
@@ -402,34 +402,6 @@ def state_from_flat(t: float, y: tuple[float, ...], representation: str) -> Semi
     return SemiState(t, y[0], y[1], GaussianMoments(x2=y[2], p2=y[4], c=y[3]))
 
 
-def make_guard(representation: str, params: ModelParams, rho_min: float):
-    """Per-step sanity check: returns the abort (status, t, reason), else None.
-
-    The Pinney width floor translates to <x^2> <= hbar rho_min^2 / 2 in the
-    other representations.
-    """
-    isfinite = math.isfinite
-    floor = 0.5 * params.hbar * rho_min * rho_min
-    reason = "<x^2> fell to the width floor at t={t}"
-    if representation == "pinney" or representation == "augmented":
-        floor, reason = rho_min, "rho = {w} fell to the floor {floor} at t={t}"
-    index = 5 if representation == "augmented" else 2
-    mode = representation == "mode"
-
-    def guard(t, y):
-        for v in y:
-            if not isfinite(v):
-                return (STATUS_STEPFAIL, t,
-                        f"non-finite state component at t={t}")
-        w = y[2] * y[2] + y[3] * y[3] if mode else y[index]
-        if w <= floor:
-            return (STATUS_SINGULARITY, t,
-                    reason.format(w=w, floor=floor, t=t))
-        return None
-
-    return guard
-
-
 # ---------------------------------------------------------------------------
 # steppers
 # ---------------------------------------------------------------------------
@@ -478,25 +450,28 @@ def rkf45_step(rhs, t, y, h):
 # the equation table, and the code generated from it
 # ---------------------------------------------------------------------------
 
-# Each flat layout: its state names in order, each with its rate, and
-# make_guard's width-floor test.  Rates read the state, the prelude's w2 and
-# m2, e2, half_hbar and ne2 = -e2 (negated once, which is exact); floor tests
-# read rho_min and x2_floor = hbar rho_min^2 / 2.  A rate that is a bare
-# state name names a later component, as the rk4 run updates its state in
-# order.
+# Each flat layout: its state names in order, each with its rate; its
+# width-floor test; and that test's abort reason.  Rates read the state, the
+# prelude's w2 and m2, e2, half_hbar and ne2 = -e2 (negated once, which is
+# exact); floor tests and reasons read the state, rho_min and x2_floor =
+# hbar rho_min^2 / 2, and reasons t.  A rate that is a bare state name names
+# a later component, as the rk4 run updates its state in order.
 PRELUDE = "w2 = m2 + e2 * A * A"
 _MOMENTS = {"A": "Ad", "Ad": "ne2 * A * x2", "x2": "2.0 * c",
             "c": "p2 - w2 * x2", "p2": "-2.0 * w2 * c"}
 _WIDTH = {"r": "rd", "rd": "1.0 / (r * r * r) - w2 * r"}
+_WIDTH_FLOOR = ("r <= rho_min",
+                'f"rho = {r} fell to the floor {rho_min} at t={t}"')
+_X2_REASON = 'f"<x^2> fell to the width floor at t={t}"'
 LAYOUTS = {
     "pinney": ({"A": "Ad", "Ad": "ne2 * A * half_hbar * r * r", **_WIDTH},
-               "r <= rho_min"),
+               *_WIDTH_FLOOR),
     "mode": ({"A": "Ad", "Ad": "ne2 * A * (fr * fr + fi * fi)", "fr": "gr",
               "fi": "gi", "gr": "-w2 * fr", "gi": "-w2 * fi"},
-             "fr * fr + fi * fi <= x2_floor"),
-    "moments": (_MOMENTS, "x2 <= x2_floor"),
+             "fr * fr + fi * fi <= x2_floor", _X2_REASON),
+    "moments": (_MOMENTS, "x2 <= x2_floor", _X2_REASON),
     # the adiabatic-invariant check's flow: the moments and a pinney width
-    "augmented": ({**_MOMENTS, **_WIDTH}, "r <= rho_min"),
+    "augmented": ({**_MOMENTS, **_WIDTH}, *_WIDTH_FLOOR),
 }
 
 # Per kind: the stages after the first, then the results, term for term as
@@ -534,10 +509,20 @@ _FLOW = _HEAD + """\
         return ({results})
     return {name}
 """
-_RK4_RUN = _HEAD + """\
-    guard = make_guard({layout!r}, params, rho_min)
+# the guard after every step: one isfinite (x * 0.0 is nan exactly when x is
+# not finite), then the layout's floor test
+_GUARD = _HEAD + """\
     x2_floor = 0.5 * params.hbar * rho_min * rho_min
     isfinite = math.isfinite
+    def guard(t, y):
+        {state} = y
+        if not isfinite({finite}):
+            return STATUS_STEPFAIL, t, f"non-finite state component at t={{t}}"
+        if {floor}:
+            return STATUS_SINGULARITY, t, {reason}
+        return None
+"""
+_RK4_RUN = _GUARD + """\
     def run(y, h, n, sample_every=1, on_sample=None, i0=0):
         {state} = y
         hh, six = 0.5 * h, h / 6.0
@@ -558,6 +543,88 @@ _RK4_RUN = _HEAD + """\
         return ({state}), None
     return run
 """
+
+# One sampled row, packed as the bytes of len(COLUMNS) doubles of array("d")
+_ROW = struct.Struct(f"{len(COLUMNS)}d")
+
+# Each representation's quantum sector, from its LAYOUTS names, as the row
+# writer's locals rho, rhodot, Omega, Omegadot, x2, p2 and c, by the
+# operations of state_moments and state_effective_frequency.
+_MOMENT_FREQUENCY = """\
+Omega = half_hbar / x2
+rho = sqrt(2.0 * x2 / hbar)
+rhodot = 2.0 * c / (hbar * rho)
+Omegadot = -4.0 * c * Omega * Omega / hbar"""
+_SECTORS = {
+    "pinney": """\
+rho, rhodot = r, rd
+inv = 1.0 / r
+Omega = 1.0 / (r * r)
+Omegadot = -2.0 * rd / (r * r * r) + 0.0
+x2 = half_hbar * r * r
+p2 = half_hbar * (rd * rd + inv * inv)
+c = half_hbar * r * rd""",
+    "mode": """\
+f, fdot = complex(fr, fi), complex(gr, gi)
+x2 = abs(f) ** 2
+c = (f * fdot.conjugate()).real
+p2 = abs(fdot) ** 2
+""" + _MOMENT_FREQUENCY,
+    "moments": _MOMENT_FREQUENCY,
+}
+
+_ROW_WRITER = """\
+def make(params, rows):
+    m, e, hbar = params.m, params.e, params.hbar
+    m2 = m * m
+    e2 = e * e
+    e4 = e2 * e2
+    half_hbar = 0.5 * hbar
+    two_hbar = 2.0 * hbar
+    neg_hbar = -hbar
+    heisenberg_floor = 0.25 * hbar * hbar * (1.0 - HEISENBERG_TOL)
+    corr_scale = (hbar * e / m) ** 2
+    leading_denom = 16.0 * m ** 6
+    sqrt, inf = math.sqrt, math.inf
+    pack, write_bytes = _ROW.pack, rows.frombytes
+    def write(t, y):
+        try:
+            {state} = y
+            {sector}
+            omega = sqrt(m2 + (e * A) ** 2)
+            omegadot = e2 * A * Ad / omega
+            # occupation_closed_form
+            ratio = omega / Omega
+            d = sqrt(ratio) - sqrt(1.0 / ratio)
+            Omega3 = Omega ** 3
+            n_ours = 0.25 * d * d + Omegadot * Omegadot / (16.0 * omega * Omega3)
+            # quanta_expectation(vacuum_moments, drift_sheared_basis)
+            vx2 = half_hbar / Omega
+            vp2 = half_hbar * (Omega + Omegadot * Omegadot / (4.0 * Omega3))
+            vc = neg_hbar * Omegadot / (4.0 * Omega * Omega)
+            sigma = 0.5 * omegadot / omega
+            n_cdms = ((omega * omega + sigma * sigma) * vx2 + vp2
+                      + 2.0 * sigma * vc) / (two_hbar * omega) - 0.5
+            # energies, occupation_difference_leading
+            hx = 0.5 * (p2 + omega * omega * x2)
+            if (rho > 0.0 and x2 > 0.0 and p2 > 0.0 and Omega > 0.0
+                    and vx2 > 0.0 and vp2 > 0.0 and 0.0 < omega < inf
+                    and vx2 * vp2 - vc * vc >= heisenberg_floor):
+                write_bytes(pack(t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
+                                 omegadot, x2, p2, c, n_ours, n_cdms,
+                                 e4 * (A * Ad) ** 2 / leading_denom, hx,
+                                 0.5 * Ad * Ad + hx, corr_scale * n_ours))
+                return None
+        except (ArithmeticError, ValueError):
+            pass
+        return _write_oracle_row(write_bytes, t, y, {layout!r}, params)
+    return write
+"""
+
+# Each kind's template: make(params, rho_min) for all but the row writer's
+# make(params, rows)
+TEMPLATES = {"rhs": _FLOW, "rk4": _RK4_RUN, "rkf45": _FLOW,
+             "guard": _GUARD + "    return guard\n", "row": _ROW_WRITER}
 
 _WORD = re.compile(r"\b[A-Za-z_]\w*")
 
@@ -590,21 +657,23 @@ def _stages(rates, stages, indent):
 
 @cache
 def _compiled(kind, layout):
-    """make(params, rho_min) -> the layout's rhs, rk4 run or Fehlberg step,
-    compiled once per process, with its source in linecache."""
-    if layout not in LAYOUTS:
+    """make(params, rho_min or rows) -> the layout's function of one kind in
+    TEMPLATES, compiled once per process, with its source in linecache."""
+    if layout not in (_SECTORS if kind == "row" else LAYOUTS):
         raise UsageError(f"unknown representation {layout!r}")
-    rates, floor = LAYOUTS[layout]
+    rates, floor, reason = LAYOUTS[layout]
     names = list(rates)
-    stages, *results = TABLEAUS[kind]
+    # the guard and the row writer have no stages: the rhs's go unused
+    stages, *results = TABLEAUS.get(kind, TABLEAUS["rhs"])
     lines, k = _stages(rates, stages, " " * (16 if kind == "rk4" else 8))
     columns = [[_term(t, n, k) for n in names] for t in results]
     pad = " " * 12
-    source = (_RK4_RUN if kind == "rk4" else _FLOW).format(
+    source = TEMPLATES[kind].format(
         name="rhs" if kind == "rhs" else "step", h="" if kind == "rhs" else ", h",
         layout=layout, state=", ".join(names), stages="\n".join(lines),
         update="\n".join(f"{pad}{n} = {v}" for n, v in zip(names, columns[0])),
         finite=" + ".join(f"{n} * 0.0" for n in names), floor=floor,
+        reason=reason, sector=_SECTORS.get(layout, "").replace("\n", "\n" + pad),
         results="), (".join(f",\n{pad}".join(c) for c in columns))
     return _exec(source, f"<semiosc.dynamics {kind} {layout}>")
 
@@ -627,9 +696,8 @@ def make_rhs(representation: str, params: ModelParams):
 def make_rk4_run(representation: str, params: ModelParams, rho_min: float):
     """rk4 run(y, h, n, sample_every=1, on_sample=None, i0=0) -> (y, abort)
     with run_fixed's contract, guarded by make_guard after every step: one
-    loop generated from LAYOUTS, the state in locals, one isfinite (x * 0.0
-    is nan exactly when x is not finite) and the floor test inlined.
-    Bit-identical to run_fixed on partial(rk4_step, make_rhs) with
+    loop generated from LAYOUTS, the state in locals, the guard's tests
+    inlined.  Bit-identical to run_fixed on partial(rk4_step, make_rhs) with
     make_guard."""
     return _compiled("rk4", representation)(params, rho_min)
 
@@ -639,6 +707,28 @@ def make_rkf45_step(representation: str, params: ModelParams):
     from LAYOUTS: rkf45_step's operations on make_rhs in order, so
     bit-identical to it."""
     return _compiled("rkf45", representation)(params, None)
+
+
+def make_guard(representation: str, params: ModelParams, rho_min: float):
+    """Per-step check guard(t, y) -> the abort (status, t, reason) of a
+    non-finite state or of one at the LAYOUTS width floor, else None."""
+    return _compiled("guard", representation)(params, rho_min)
+
+
+def make_row_writer(representation: str, params: ModelParams, rows):
+    """on_sample(t, y) for make_rk4_run and run_adaptive: append the flat
+    state's 18 observables, in COLUMNS order, to the array("d") rows and
+    return None, or return the abort (status, t, reason) of a step failure
+    and append nothing.
+
+    The row equals record_observables(state_from_flat(t, y, representation),
+    params) bit for bit: every value is computed once, by the same
+    operations as the core kernels, and packed into rows in one write.  A
+    state outside the kernels' domain (the one conjunction fails, or the
+    arithmetic raises) is handed to record_observables itself, so the
+    kernels alone hold every domain check and error message.
+    """
+    return _compiled("row", representation)(params, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -666,111 +756,6 @@ def record_observables(state: SemiState, params: ModelParams) -> TimeSeriesRecor
         N_ours=n_ours, N_cdms=n_cdms,
         dN_leading=occupation_difference_leading(state.A, state.Adot, params),
         Hx=report.Hx, Etot=report.Etot, corr=report.corr)
-
-
-# One sampled row, packed as the bytes of len(COLUMNS) doubles of array("d")
-_ROW = struct.Struct(f"{len(COLUMNS)}d")
-
-# Each representation's quantum sector as the row writer's locals A, Ad, rho,
-# rhodot, Omega, Omegadot, x2, p2 and c, by the operations of state_moments
-# and state_effective_frequency.
-_MOMENT_FREQUENCY = """\
-Omega = half_hbar / x2
-rho = sqrt(2.0 * x2 / hbar)
-rhodot = 2.0 * c / (hbar * rho)
-Omegadot = -4.0 * c * Omega * Omega / hbar"""
-_SECTORS = {
-    "pinney": """\
-A, Ad, rho, rhodot = y
-inv = 1.0 / rho
-Omega = 1.0 / (rho * rho)
-Omegadot = -2.0 * rhodot / (rho * rho * rho) + 0.0
-x2 = half_hbar * rho * rho
-p2 = half_hbar * (rhodot * rhodot + inv * inv)
-c = half_hbar * rho * rhodot""",
-    "mode": """\
-A, Ad, fr, fi, gr, gi = y
-f, fdot = complex(fr, fi), complex(gr, gi)
-x2 = abs(f) ** 2
-c = (f * fdot.conjugate()).real
-p2 = abs(fdot) ** 2
-""" + _MOMENT_FREQUENCY,
-    "moments": "A, Ad, x2, c, p2 = y\n" + _MOMENT_FREQUENCY,
-}
-
-_ROW_WRITER = """\
-def make(params, rows):
-    m, e, hbar = params.m, params.e, params.hbar
-    m2 = m * m
-    e2 = e * e
-    e4 = e2 * e2
-    half_hbar = 0.5 * hbar
-    two_hbar = 2.0 * hbar
-    neg_hbar = -hbar
-    heisenberg_floor = 0.25 * hbar * hbar * (1.0 - HEISENBERG_TOL)
-    corr_scale = (hbar * e / m) ** 2
-    leading_denom = 16.0 * m ** 6
-    sqrt, inf = math.sqrt, math.inf
-    pack, write_bytes = _ROW.pack, rows.frombytes
-    def write(t, y):
-        try:
-            {sector}
-            omega = sqrt(m2 + (e * A) ** 2)
-            omegadot = e2 * A * Ad / omega
-            # occupation_closed_form
-            r = omega / Omega
-            d = sqrt(r) - sqrt(1.0 / r)
-            Omega3 = Omega ** 3
-            n_ours = 0.25 * d * d + Omegadot * Omegadot / (16.0 * omega * Omega3)
-            # quanta_expectation(vacuum_moments, drift_sheared_basis)
-            vx2 = half_hbar / Omega
-            vp2 = half_hbar * (Omega + Omegadot * Omegadot / (4.0 * Omega3))
-            vc = neg_hbar * Omegadot / (4.0 * Omega * Omega)
-            sigma = 0.5 * omegadot / omega
-            n_cdms = ((omega * omega + sigma * sigma) * vx2 + vp2
-                      + 2.0 * sigma * vc) / (two_hbar * omega) - 0.5
-            # energies, occupation_difference_leading
-            hx = 0.5 * (p2 + omega * omega * x2)
-            if (rho > 0.0 and x2 > 0.0 and p2 > 0.0 and Omega > 0.0
-                    and vx2 > 0.0 and vp2 > 0.0 and 0.0 < omega < inf
-                    and vx2 * vp2 - vc * vc >= heisenberg_floor):
-                write_bytes(pack(t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
-                                 omegadot, x2, p2, c, n_ours, n_cdms,
-                                 e4 * (A * Ad) ** 2 / leading_denom, hx,
-                                 0.5 * Ad * Ad + hx, corr_scale * n_ours))
-                return None
-        except (ArithmeticError, ValueError):
-            pass
-        return _write_oracle_row(write_bytes, t, y, {layout!r}, params)
-    return write
-"""
-
-
-@cache
-def _row_writer(layout):
-    """make(params, rows) -> the layout's row writer, compiled once per
-    process, with its source in linecache."""
-    if layout not in _SECTORS:
-        raise UsageError(f"unknown representation {layout!r}")
-    sector = _SECTORS[layout].replace("\n", "\n" + " " * 12)
-    return _exec(_ROW_WRITER.format(sector=sector, layout=layout),
-                 f"<semiosc.dynamics row {layout}>")
-
-
-def make_row_writer(representation: str, params: ModelParams, rows):
-    """on_sample(t, y) for make_rk4_run and run_adaptive: append the flat
-    state's 18 observables, in COLUMNS order, to the array("d") rows and
-    return None, or return the abort (status, t, reason) of a step failure
-    and append nothing.
-
-    The row equals record_observables(state_from_flat(t, y, representation),
-    params) bit for bit: every value is computed once, by the same
-    operations as the core kernels, and packed into rows in one write.  A
-    state outside the kernels' domain (the one conjunction fails, or the
-    arithmetic raises) is handed to record_observables itself, so the
-    kernels alone hold every domain check and error message.
-    """
-    return _row_writer(representation)(params, rows)
 
 
 def _write_oracle_row(write_bytes, t, y, representation, params):

@@ -221,6 +221,20 @@ def test_tiny_explicit_width_exits_2_naming_omega(tmp_path, capsys, command):
                            "finite for rho = 1e-300)")
 
 
+def test_explicit_width_whose_cube_underflows_exits_2_naming_omegadot(
+        tmp_path, capsys):
+    # rho0^2 = 1e-240 is representable, rho0^3 underflows to 0.0
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(SMALL + "quantum_init = explicit\nrho0 = 1e-120\n"
+                   "rhodot0 = 0\n")
+    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o")]) == \
+        EXIT_CONFIG
+    detail = json.loads(capsys.readouterr().err.strip())["detail"]
+    assert detail.endswith("rho0 = 1e-120, rhodot0 = 0.0: the initial state "
+                           "is not representable (Omegadot = -2 rhodot/rho^3 "
+                           "is not finite for rho = 1e-120)")
+
+
 @pytest.mark.parametrize("command, name, text, message", [
     ("simulate", "c.cfg", SMALL + "= 5\n", ":9: empty key"),
     ("simulate", "c.cfg",

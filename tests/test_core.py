@@ -120,6 +120,11 @@ def test_basis_validation():
     (state_moments, (SemiState(0.0, 0.0, 0.0, ModeSector(0j, 1j)),
                      ModelParams(m=1.0, e=1.0)),
      "<x^2> must be positive, got 0.0"),
+    # rho^2 is representable, rho^3 underflows to 0.0
+    (effective_frequency, (1e-120, 0.0),
+     "Omegadot = -2 rhodot/rho^3 is not finite for rho = 1e-120"),
+    (effective_frequency, (1.3e-108, 1.0),
+     "Omegadot = -2 rhodot/rho^3 is not finite for rho = 1.3e-108"),
 ])
 def test_kernels_name_the_argument_outside_their_domain(kernel, args, message):
     with pytest.raises(DomainError) as err:

@@ -519,6 +519,33 @@ def test_guards_abort_non_finite_and_collapsed_states(unit_params):
     assert mode(3.0, (1.0, 1.0, 1e-9, 0.0, 0.0, 1.0)) == (
         "aborted-singularity", 3.0, "<x^2> fell to the width floor at t=3.0")
     assert mode(3.0, (1.0, 1.0, 1.0, 0.0, 0.0, 1.0)) is None
+    # every layout at rho_min = 0.5 (x2_floor = hbar rho_min^2 / 2 = 0.125):
+    # a state with its width exactly at the floor, its reason, and the same
+    # state with its width just above.  augmented's x2 (component 2) is
+    # under the floor: its guard reads the pinney width, component 5.
+    nxt = math.nextafter
+    for layout, y, reason, above in [
+        ("pinney", (1.0, 1.0, 0.5, 0.0),
+         "rho = 0.5 fell to the floor 0.5 at t=4.0",
+         (1.0, 1.0, nxt(0.5, 1.0), 0.0)),
+        ("mode", (1.0, 1.0, 0.25, 0.25, 0.0, 2.0),
+         "<x^2> fell to the width floor at t=4.0",
+         (1.0, 1.0, 0.25, nxt(0.25, 1.0), 0.0, 2.0)),
+        ("moments", (1.0, 1.0, 0.125, 0.0, 2.0),
+         "<x^2> fell to the width floor at t=4.0",
+         (1.0, 1.0, nxt(0.125, 1.0), 0.0, 2.0)),
+        ("augmented", (1.0, 1.0, 0.01, 0.0, 25.0, 0.5, 0.0),
+         "rho = 0.5 fell to the floor 0.5 at t=4.0",
+         (1.0, 1.0, 0.01, 0.0, 25.0, nxt(0.5, 1.0), 0.0)),
+    ]:
+        guard = dynamics.make_guard(layout, unit_params, 0.5)
+        for index in (0, len(y) - 1):
+            for bad in (math.nan, math.inf, -math.inf):
+                assert guard(4.0, y[:index] + (bad,) + y[index + 1:]) == (
+                    "aborted-stepfail", 4.0,
+                    "non-finite state component at t=4.0"), (layout, index)
+        assert guard(4.0, y) == ("aborted-singularity", 4.0, reason), layout
+        assert guard(4.0, above) is None, layout
 
 
 def _failing_after(n, value):

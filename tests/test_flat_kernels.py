@@ -1,10 +1,13 @@
 """The flat hot path against its specification.
 
-make_rhs, every rk4 run of make_rk4_run and every Fehlberg step of
-make_rkf45_step are generated from one equation table (dynamics.LAYOUTS).
-Each generated run must reproduce run_fixed on partial(rk4_step, make_rhs)
-and make_guard bit for bit, from any grid step i0: its states, its abort
-and every sample it hands over; each generated Fehlberg step must reproduce
+Every per-layout function (make_rhs, make_rk4_run, make_rkf45_step,
+make_guard and make_row_writer) is generated by one dynamics._compiled from
+one equation table (dynamics.LAYOUTS), and each maker rejects an unknown
+layout with the same UsageError.  Each generated run must reproduce
+run_fixed on partial(rk4_step, make_rhs) and make_guard bit for bit, from
+any grid step i0: its states, its abort and every sample it hands over; as
+the run and the guard share LAYOUTS' floor, the guard's own literal oracle
+is in test_dynamics.  Each generated Fehlberg step must reproduce
 rkf45_step on make_rhs bit for bit; the augmented right-hand side must be
 the moments flow and the pinney width flow.  The row writers of
 make_row_writer must append record_observables' row bit for bit, and abort,
@@ -203,12 +206,20 @@ def test_augmented_rhs_is_the_moments_and_pinney_width_flows(params, y, w):
     make_rhs, pytest.param(partial(make_rk4_run, rho_min=1e-8),
                            id="make_rk4_run"), make_rkf45_step,
     pytest.param(partial(make_row_writer, rows=array("d")),
-                 id="make_row_writer")])
+                 id="make_row_writer"),
+    pytest.param(partial(make_guard, rho_min=1e-8), id="make_guard")])
 @pytest.mark.parametrize("name", ["bogus", "Pinney", ""])
 def test_unknown_layout_is_a_usage_error(make, name, unit_params):
     with pytest.raises(UsageError,
                        match=re.escape(f"unknown representation {name!r}")):
         make(name, unit_params)
+
+
+def test_augmented_has_no_row_writer(unit_params):
+    # the adiabatic-invariant check's flow is stepped, never sampled
+    with pytest.raises(UsageError,
+                       match=re.escape("unknown representation 'augmented'")):
+        make_row_writer("augmented", unit_params, array("d"))
 
 
 def test_generated_run_traceback_shows_its_source_line(unit_params):
