@@ -5,7 +5,6 @@ Prints one row per coupling plus the fitted power of max|N_ours - N_cdms|,
 and writes overlay/difference plots for the largest coupling.
 """
 
-import dataclasses
 import os
 import sys
 
@@ -28,8 +27,8 @@ def main() -> int:
         print(f"remainder ratio {couplings[i]} -> {couplings[i + 1]}: "
               f"{ratio:6.1f}  (e^6 law: 64)")
 
-    records = integrate(scenario_with(
-        dataclasses.replace(base, sample_every=1), e=couplings[0])).records
+    records = integrate(scenario_with(base, sample_every=1,
+                                      e=couplings[0])).records
     for kind, fname in (("number-overlay", "overlay.svg"),
                         ("number-difference", "difference.svg")):
         path = os.path.join(outdir, fname)

@@ -19,7 +19,6 @@ import os
 import sys
 import time
 from array import array
-from dataclasses import asdict
 
 from . import __version__
 from .config import (
@@ -149,6 +148,12 @@ def _write_json(payload: dict, path: str) -> None:
         fh.write("\n")
 
 
+def _config_dict(config: ScenarioConfig) -> dict:
+    """A config as a JSON object, with params a nested object: a named tuple
+    handed to json would be written as an array."""
+    return {**config._asdict(), "params": config.params._asdict()}
+
+
 def _write_manifest(outputs: dict, *, command: str, source: str, config: dict,
                     status: str, start: float, warnings: list[str],
                     abort_time: float | None = None,
@@ -193,7 +198,7 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     write_timeseries_csv(traj.records, csv_path)
     report = {
         "version": __version__,
-        "scenario": asdict(config),
+        "scenario": _config_dict(config),
         "status": traj.status,
         "abort_time": traj.abort_time,
         "abort_reason": traj.abort_reason,
@@ -213,7 +218,7 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     aborted = [] if traj.completed else [
         f"run aborted at t={traj.abort_time}: {traj.abort_reason}"]
     manifest = _write_manifest(
-        outputs, command=command, source=source, config=asdict(config),
+        outputs, command=command, source=source, config=_config_dict(config),
         status=traj.status, start=start, warnings=[*aborted, *extra_warnings],
         abort_time=traj.abort_time, abort_reason=traj.abort_reason)
     return manifest, report
@@ -322,7 +327,7 @@ def run_sweep(sweep_path: str, output_dir: str) -> dict:
                "manifest": os.path.join(output_dir, "manifest.json")}
     return _write_manifest(
         outputs, command="sweep", source=sweep_path,
-        config={"base": asdict(base), "axis": spec.axis,
+        config={"base": _config_dict(base), "axis": spec.axis,
                 "values": list(spec.values)},
         status=STATUS_COMPLETED, start=start, warnings=warnings)
 

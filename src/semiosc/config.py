@@ -8,8 +8,7 @@ sweep files; see the README for the documented schemas.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from importlib import resources
+from collections import namedtuple
 
 from .core import ModelParams, SemiquantumError, UsageError
 from .dynamics import CHOICES, FLOAT_KEYS, ScenarioConfig
@@ -47,13 +46,11 @@ class ConfigError(UsageError):
         super().__init__(f"{where}: {what}")
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A sweep: one base scenario plus one parameter axis with its values."""
+class SweepSpec(namedtuple("SweepSpec", "base axis values")):
+    """A sweep: one base scenario plus one parameter axis with its values
+    (a tuple of floats)."""
 
-    base: str
-    axis: str
-    values: tuple[float, ...]
+    __slots__ = ()
 
 
 def _read_pairs(text: str, source: str, keys, required) -> dict:
@@ -139,8 +136,15 @@ def parse_sweep_text(text: str, source: str = "<sweep>") -> SweepSpec:
 # bundled scenarios and file resolution
 # ---------------------------------------------------------------------------
 
+def _bundled():
+    """The bundled scenarios' directory.  importlib.resources is imported
+    here, off a command's start-up (on Python 3.12 it imports inspect)."""
+    from importlib import resources
+    return resources.files("semiosc").joinpath("scenarios")
+
+
 def bundled_scenario_names() -> tuple[str, ...]:
-    root = resources.files("semiosc").joinpath("scenarios")
+    root = _bundled()
     names = sorted(p.name[:-4] for p in root.iterdir() if p.name.endswith(".cfg"))
     return tuple(names)
 
@@ -164,8 +168,7 @@ def read_config_text(ref: str, relative_to: str | None = None) -> tuple[str, str
         raise FileNotFoundError(
             f"no config file {ref!r} and no bundled scenario of that name "
             f"(bundled: {', '.join(bundled)})")
-    text = resources.files("semiosc").joinpath("scenarios", name + ".cfg").read_text(
-        encoding="utf-8")
+    text = _bundled().joinpath(name + ".cfg").read_text(encoding="utf-8")
     return text, f"bundled:{name}"
 
 

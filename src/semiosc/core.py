@@ -14,7 +14,7 @@ Everything here is a pure function of its arguments; no mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "SemiquantumError",
@@ -85,8 +85,16 @@ def _positive(name: str, value: float) -> None:
         raise DomainError(f"{name} must be positive, got {value}")
 
 
-@dataclass(frozen=True)
-class ModelParams:
+def _remake(cls, iterable):
+    """A record's _make, and so its _replace, built through the constructor,
+    so that the checks in the record's __init__ run on that path too."""
+    return cls(*iterable)
+
+
+# The records are immutable named tuples.  A record with checks runs them in
+# __init__, after namedtuple's __new__ has bound every field.
+
+class ModelParams(namedtuple("ModelParams", "m e hbar", defaults=(1.0,))):
     """Physical constants of the model.
 
     m:    bare frequency of the quantum oscillator (inverse time)
@@ -94,11 +102,10 @@ class ModelParams:
     hbar: quantum of action
     """
 
-    m: float
-    e: float
-    hbar: float = 1.0
+    __slots__ = ()
+    _make = classmethod(_remake)
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args, **_kwargs) -> None:
         if not (self.m > 0.0) or not math.isfinite(self.m):
             raise DomainError(f"m must be positive and finite, got {self.m}")
         if not (self.hbar > 0.0) or not math.isfinite(self.hbar):
@@ -107,18 +114,16 @@ class ModelParams:
             raise DomainError(f"e must be nonnegative and finite, got {self.e}")
 
 
-@dataclass(frozen=True)
-class GaussianMoments:
+class GaussianMoments(namedtuple("GaussianMoments", "x2 p2 c")):
     """Second moments of the quantum oscillator (zero mean assumed).
 
     x2: <x^2>, p2: <p^2> (unit mass, so p = xdot), c: (1/2)<{x, p}>.
     """
 
-    x2: float
-    p2: float
-    c: float
+    __slots__ = ()
+    _make = classmethod(_remake)
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args, **_kwargs) -> None:
         _positive("<x^2>", self.x2)
         _positive("<p^2>", self.p2)
 
@@ -127,8 +132,7 @@ class GaussianMoments:
         return self.x2 * self.p2 - self.c * self.c - 0.25 * hbar * hbar
 
 
-@dataclass(frozen=True)
-class OscBasis:
+class OscBasis(namedtuple("OscBasis", "W sigma theta", defaults=(0.0, 0.0))):
     """An annihilation-operator family parameterized by (W, sigma, theta).
 
     The operator is  a = e^{i theta} / sqrt(2 hbar W) * [(W + i sigma) x + i p].
@@ -137,55 +141,45 @@ class OscBasis:
     from a basis never depend on theta.
     """
 
-    W: float
-    sigma: float = 0.0
-    theta: float = 0.0
+    __slots__ = ()
+    _make = classmethod(_remake)
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args, **_kwargs) -> None:
         if not (self.W > 0.0) or not math.isfinite(self.W):
             raise DomainError(f"basis frequency W must be positive, got {self.W}")
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(namedtuple("EnergyReport", "Hx Etot corr")):
     """Mean quantum energy, total energy, and the neglected-correction estimate."""
 
-    Hx: float
-    Etot: float
-    corr: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PinneySector:
+class PinneySector(namedtuple("PinneySector", "rho rhodot")):
     """Quantum sector as an Ermakov-Pinney width: rho > 0 and its rate."""
 
-    rho: float
-    rhodot: float
+    __slots__ = ()
+    _make = classmethod(_remake)
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args, **_kwargs) -> None:
         _positive("pinney width rho", self.rho)
 
 
-@dataclass(frozen=True)
-class ModeSector:
+class ModeSector(namedtuple("ModeSector", "f fdot")):
     """Quantum sector as a complex mode function f with fdot = df/dt.
 
     A physical mode carries Wronskian f*conj(fdot) - conj(f)*fdot = i*hbar;
     that is checked by validate_state (hbar lives in ModelParams, not here).
     """
 
-    f: complex
-    fdot: complex
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SemiState:
-    """Instantaneous state: classical (A, Adot) plus one quantum representation."""
+class SemiState(namedtuple("SemiState", "t A Adot quantum")):
+    """Instantaneous state: classical (A, Adot) plus one quantum representation
+    (a PinneySector, ModeSector or GaussianMoments)."""
 
-    t: float
-    A: float
-    Adot: float
-    quantum: PinneySector | ModeSector | GaussianMoments
+    __slots__ = ()
 
     @property
     def representation(self) -> str:

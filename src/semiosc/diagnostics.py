@@ -11,7 +11,7 @@ compensated).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import partial
 from itertools import repeat
 from operator import sub
@@ -56,15 +56,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    """Largest Lyapunov exponent estimate with its averaging window."""
+class LyapunovEstimate(namedtuple("LyapunovEstimate",
+                                  "value n_segments window failed note",
+                                  defaults=(False, ""))):
+    """Largest Lyapunov exponent estimate with its averaging window (t0, t1)."""
 
-    value: float
-    n_segments: int
-    window: tuple[float, float]
-    failed: bool = False
-    note: str = ""
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         """JSON-ready fields; a non-finite value is written as None (null)."""
@@ -74,16 +71,14 @@ class LyapunovEstimate:
                 "note": self.note}
 
 
-@dataclass(frozen=True)
-class DiscrepancyScaling:
-    """Power-law fit of max|N_ours - N_cdms| against the coupling."""
+class DiscrepancyScaling(namedtuple(
+        "DiscrepancyScaling",
+        "power couplings amplitudes remainders zero_signal note",
+        defaults=(False, ""))):
+    """Power-law fit of max|N_ours - N_cdms| against the coupling (power is
+    None without a fit; the other three are tuples over the couplings)."""
 
-    power: float | None
-    couplings: tuple[float, ...]
-    amplitudes: tuple[float, ...]
-    remainders: tuple[float, ...]
-    zero_signal: bool = False
-    note: str = ""
+    __slots__ = ()
 
 
 def _sum(values) -> float:
@@ -221,7 +216,7 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
     step never reads t), read through _main_rows.  The estimate is the
     same either way.
     """
-    pconf = replace(config, representation="pinney")
+    pconf = scenario_with(config, representation="pinney")
     y0 = flat_from_state(initial_state(pconf))
     reference = ()
     # benettin_lyapunov fails a longer segment unstepped; 1 / dt may overflow
@@ -258,7 +253,7 @@ def _order_legs(config: ScenarioConfig):
     """
     dt, every = config.dt, config.sample_every
     try:
-        replace(config, method="rk4", dt=2.0 * dt)
+        scenario_with(config, method="rk4", dt=2.0 * dt)
     except UsageError:
         return (dt, every), (dt / 2.0, 2 * every), (dt / 4.0, 4 * every)
     s = math.lcm(every, 2)
@@ -275,7 +270,8 @@ def _leg_flow(config: ScenarioConfig, main, dt: float, stride: int):
     """
     if dt == config.dt and (rows := _main_rows(config, main, stride)):
         return rows
-    traj = integrate(replace(config, method="rk4", dt=dt, sample_every=stride))
+    traj = integrate(scenario_with(config, method="rk4", dt=dt,
+                                   sample_every=stride))
     if not traj.completed:
         raise DiagnosticError(f"run at dt={dt} aborted: {traj.abort_reason}")
     return list(zip(*(traj.columns[k] for k in _FLOW)))
@@ -461,7 +457,8 @@ def adiabatic_invariant_drift(config: ScenarioConfig) -> float:
     also for an adaptive config, before any step is taken.
     """
     params = config.params
-    start = initial_state(replace(config, representation="pinney", method="rk4"))
+    start = initial_state(scenario_with(config, representation="pinney",
+                                        method="rk4"))
     y = (*flat_from_state(convert(start, "moments", params)),
          start.quantum.rho, start.quantum.rhodot)
     h = params.hbar

@@ -21,9 +21,8 @@ import math
 import re
 import struct
 from array import array
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from functools import cache, partial
-from typing import NamedTuple
 
 from .core import (
     HEISENBERG_TOL,
@@ -36,6 +35,7 @@ from .core import (
     SemiquantumError,
     UsageError,
     ValidationError,
+    _remake,
     energies,
     frequency,
     occupation_difference_leading,
@@ -100,9 +100,18 @@ CHOICES = {"representation": REPRESENTATIONS, "method": METHODS,
            "quantum_init": QUANTUM_INITS}
 
 
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything needed to reproduce one run.
+# ScenarioConfig's optional fields with their defaults, in field order
+_CONFIG_DEFAULTS = {"representation": "pinney", "method": "rk4", "dt": 1e-3,
+                    "rtol": 1e-10, "atol": 1e-12, "dt_init": 1e-3,
+                    "sample_every": 10, "quantum_init": "vacuum",
+                    "rho0": None, "rhodot0": None, "rho_min": 1e-8}
+
+
+class ScenarioConfig(namedtuple(
+        "ScenarioConfig", ("params", "A0", "Adot0", "t_end", *_CONFIG_DEFAULTS),
+        defaults=_CONFIG_DEFAULTS.values())):
+    """Everything needed to reproduce one run: params (a ModelParams), A0,
+    Adot0 and t_end, and the optional fields of _CONFIG_DEFAULTS.
 
     quantum_init selects the initial quantum sector:
       vacuum    rho0 = omega(A0)**-0.5, rhodot0 = 0 (instantaneous ground state)
@@ -114,26 +123,14 @@ class ScenarioConfig:
     method "rk4" is fixed-step classical Runge-Kutta with step dt;
     "adaptive" is an embedded 4(5) pair controlled by rtol/atol from dt_init.
     sample_every is the output stride in (accepted) steps; the initial state
-    and the final state are always recorded.
+    and the final state are always recorded.  Derive a changed config with
+    scenario_with, which runs every check again.
     """
 
-    params: ModelParams
-    A0: float
-    Adot0: float
-    t_end: float
-    representation: str = "pinney"
-    method: str = "rk4"
-    dt: float = 1e-3
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    dt_init: float = 1e-3
-    sample_every: int = 10
-    quantum_init: str = "vacuum"
-    rho0: float | None = None
-    rhodot0: float | None = None
-    rho_min: float = 1e-8
+    __slots__ = ()
+    _make = classmethod(_remake)
 
-    def __post_init__(self) -> None:
+    def __init__(self, *_args, **_kwargs) -> None:
         for key, allowed in CHOICES.items():
             if getattr(self, key) not in allowed:
                 raise UsageError(f"unknown {key} {getattr(self, key)!r}")
@@ -165,27 +162,13 @@ class ScenarioConfig:
                 raise UsageError(f"rho0 must be positive, got {self.rho0}")
 
 
-class TimeSeriesRecord(NamedTuple):
+class TimeSeriesRecord(namedtuple(
+        "TimeSeriesRecord",
+        "t A Adot rho rhodot Omega Omegadot omega omegadot x2 p2 c "
+        "N_ours N_cdms dN_leading Hx Etot corr")):
     """One sampled row of every observable.  Field order is the CSV schema."""
 
-    t: float
-    A: float
-    Adot: float
-    rho: float
-    rhodot: float
-    Omega: float
-    Omegadot: float
-    omega: float
-    omegadot: float
-    x2: float
-    p2: float
-    c: float
-    N_ours: float
-    N_cdms: float
-    dN_leading: float
-    Hx: float
-    Etot: float
-    corr: float
+    __slots__ = ()
 
 
 COLUMNS: tuple[str, ...] = TimeSeriesRecord._fields
@@ -222,15 +205,14 @@ def columns_from_rows(flat) -> dict:
     return {name: flat[i::width] for i, name in enumerate(COLUMNS)}
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory",
+                            "columns status abort_time abort_reason",
+                            defaults=(None, None))):
     """Result of integrate(): sampled observables as columns (name -> array of
-    float64, in COLUMNS order) plus how the run ended."""
+    float64, in COLUMNS order) plus how the run ended (abort_time and
+    abort_reason are None unless it aborted)."""
 
-    columns: dict
-    status: str
-    abort_time: float | None = None
-    abort_reason: str | None = None
+    __slots__ = ()
 
     @property
     def completed(self) -> bool:
@@ -373,10 +355,10 @@ def convert(state: SemiState, target: str, params: ModelParams) -> SemiState:
     if target == "pinney":
         return state
     if target == "moments":
-        return replace(state, quantum=state_moments(state, params))
+        return state._replace(quantum=state_moments(state, params))
     rho, rhodot = state.quantum.rho, state.quantum.rhodot
     amp = math.sqrt(0.5 * h)
-    return replace(state, quantum=ModeSector(complex(amp * rho, 0.0),
+    return state._replace(quantum=ModeSector(complex(amp * rho, 0.0),
                                              complex(amp * rhodot, -amp / rho)))
 
 
@@ -900,9 +882,11 @@ def integrate(config: ScenarioConfig) -> Trajectory:
 
 
 def scenario_with(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    """dataclasses.replace that also reaches into params (m, e, hbar)."""
+    """config with the given fields replaced, also reaching into params (m, e,
+    hbar).  The result is built through the constructors, so every check of
+    ScenarioConfig and ModelParams runs again."""
     param_changes = {k: changes.pop(k) for k in ("m", "e", "hbar")
                      if k in changes}
     if param_changes:
-        changes["params"] = replace(config.params, **param_changes)
-    return replace(config, **changes)
+        changes["params"] = config.params._replace(**param_changes)
+    return config._replace(**changes)

@@ -5,7 +5,6 @@ criterion.  Each test measures its own wall-clock time against the stated
 budget; all numerical tolerances are pinned here, not configurable.
 """
 
-import dataclasses
 import math
 import time
 
@@ -28,6 +27,7 @@ from semiosc import (
     occupation_difference_exact,
     occupation_numbers,
     quanta_expectation,
+    scenario_with,
     shearless_basis,
     vacuum_moments,
 )
@@ -76,7 +76,7 @@ def test_criterion_03_energy_conservation():
     start = time.perf_counter()
     cfg = load_scenario("vacuum-kick")  # rk4, dt = 1e-3, t_end = 100
     drift = energy_drift(integrate(cfg).records)
-    drift_half = energy_drift(integrate(dataclasses.replace(cfg, dt=5e-4)).records)
+    drift_half = energy_drift(integrate(scenario_with(cfg, dt=5e-4)).records)
     ratio = drift / drift_half
     elapsed = time.perf_counter() - start
     ok = drift <= 1e-7 and 10.0 <= ratio <= 22.0 and elapsed < 30.0
@@ -88,9 +88,9 @@ def test_criterion_04_representation_equivalence():
     # same scenario in all three representations; <x^2>(t) must agree
     # pointwise to 1e-8 relative at every shared sample over t_end = 50
     start = time.perf_counter()
-    cfg = dataclasses.replace(load_scenario("vacuum-kick"), t_end=50.0,
-                              dt=2.5e-4, sample_every=200)
-    runs = [integrate(dataclasses.replace(cfg, representation=rep))
+    cfg = scenario_with(load_scenario("vacuum-kick"), t_end=50.0,
+                        dt=2.5e-4, sample_every=200)
+    runs = [integrate(scenario_with(cfg, representation=rep))
             for rep in ("pinney", "mode", "moments")]
     worst = 0.0
     for a in range(3):
@@ -117,7 +117,7 @@ def test_criterion_06_exact_discrepancy_identity():
     # identity in (omega, omegadot, Omega, Omegadot) to 1e-10 absolute
     worst = 0.0
     for name, t_end in (("vacuum-kick", 10.0), ("strong", 5.0)):
-        cfg = dataclasses.replace(load_scenario(name), t_end=t_end, sample_every=1)
+        cfg = scenario_with(load_scenario(name), t_end=t_end, sample_every=1)
         for r in integrate(cfg).records:
             ident = occupation_difference_exact(r.omega, r.omegadot,
                                                 r.Omega, r.Omegadot)

@@ -723,8 +723,23 @@ def test_readme_manifest_table_matches_every_manifest(small_cfg, tmp_path):
         assert set(leg) == outputs["sweep-leg"]
 
 
+def test_params_is_a_json_object_in_report_and_sweep_manifest(small_cfg,
+                                                               tmp_path):
+    # json writes a named tuple as an array; the config's params stay nested
+    (tmp_path / "e.sweep").write_text(
+        "base = small.cfg\naxis = e\nvalues = 1.0, 0.5\n")
+    assert main(["simulate", small_cfg, "-o", str(tmp_path / "run")]) == EXIT_OK
+    assert main(["sweep", str(tmp_path / "e.sweep"), "-o",
+                 str(tmp_path / "sweep")]) == EXIT_OK
+    report = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
+    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    for params in (report["scenario"]["params"],
+                   manifest["config"]["base"]["params"]):
+        assert params == {"m": 1.0, "e": 1.0, "hbar": 1.0}
+
+
 # ---------------------------------------------------------------------------
-# runtime without numpy
+# fresh interpreters: the runtime without numpy, start-up, the scripts
 # ---------------------------------------------------------------------------
 
 def _python(args, cwd):
@@ -746,6 +761,28 @@ def test_cli_import_leaves_numpy_out(tmp_path):
     proc = _python(["-c", "import sys, semiosc.cli\n"
                     "assert 'numpy' not in sys.modules, 'numpy imported'\n"],
                    tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out(tmp_path):
+    # the records are named tuples: a command's start-up builds no dataclass
+    proc = _python(["-c", "import sys, semiosc.cli\n"
+                    "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+                    "assert not loaded, f'{loaded} imported'\n"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
+
+
+# each script with the arguments CI's "Experiment scripts" step gives it
+@pytest.mark.parametrize("argv", [
+    ["run_bundled_scenarios.py", "scenarios"],
+    ["discrepancy_sweep.py", "dsweep"],
+    ["chaos_probe.py", "free", "vacuum-kick"],
+], ids=lambda argv: argv[0])
+def test_experiment_script_exits_0(argv, tmp_path):
+    proc = _python([os.path.join(SCRIPTS, argv[0]), *argv[1:]], tmp_path)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -6,7 +6,6 @@ coupled-system number is trusted; coupled-system values are recorded as
 regression baselines, not asserted from first principles.
 """
 
-import dataclasses
 import json
 import math
 import re
@@ -86,7 +85,7 @@ def test_energy_drift_usage_errors():
 def test_energy_drift_halving_ratio(unit_params):
     cfg = quick_config(unit_params, t_end=20.0, dt=2e-3)
     d1 = energy_drift(integrate(cfg).records)
-    d2 = energy_drift(integrate(dataclasses.replace(cfg, dt=1e-3)).records)
+    d2 = energy_drift(integrate(scenario_with(cfg, dt=1e-3)).records)
     assert d1 / d2 == pytest.approx(16.0, abs=6.0)  # rk4 order
 
 
@@ -124,7 +123,7 @@ def test_lyapunov_integrable_scenario():
 
 
 def test_lyapunov_deterministic():
-    cfg = dataclasses.replace(load_scenario("vacuum-kick"), t_end=20.0)
+    cfg = scenario_with(load_scenario("vacuum-kick"), t_end=20.0)
     a = lyapunov_max(cfg)
     b = lyapunov_max(cfg)
     assert a == b  # bit-identical reports for identical configs
@@ -144,7 +143,7 @@ def test_reports_do_not_depend_on_the_pythons_sum(monkeypatch):
     # Python 3.12's sum(), shadowed into the module, moves no bit of either
     # report: its float sums add left to right on every supported Python
     assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
-    cfg = dataclasses.replace(load_scenario("vacuum-kick"), t_end=10.0)
+    cfg = scenario_with(load_scenario("vacuum-kick"), t_end=10.0)
     before = lyapunov_max(cfg), convergence_order(cfg)
     monkeypatch.setattr(diagnostics, "sum", _compensated_sum, raising=False)
     after = lyapunov_max(cfg), convergence_order(cfg)
@@ -513,7 +512,7 @@ def test_discrepancy_scaling_usage_errors():
 
 
 def test_discrepancy_scaling_zero_signal():
-    base = dataclasses.replace(load_scenario("adiabatic"), t_end=0.5)
+    base = scenario_with(load_scenario("adiabatic"), t_end=0.5)
     res = discrepancy_scaling(base, [0.0, 0.0, 0.0])
     assert res.zero_signal
     assert res.power is None
@@ -530,14 +529,14 @@ def test_discrepancy_scaling_zero_signal_integrates_once(monkeypatch):
         return integrate(config)
 
     monkeypatch.setattr(diagnostics, "integrate", counting)
-    base = dataclasses.replace(load_scenario("adiabatic"), t_end=0.5)
+    base = scenario_with(load_scenario("adiabatic"), t_end=0.5)
     res = discrepancy_scaling(base, [0.0, 0.0, 0.0])
     assert len(calls) == 1
     assert len(res.amplitudes) == len(res.remainders) == 3
 
 
 def test_discrepancy_scaling_short_family():
-    base = dataclasses.replace(load_scenario("adiabatic"), t_end=1.0)
+    base = scenario_with(load_scenario("adiabatic"), t_end=1.0)
     res = discrepancy_scaling(base, [0.2, 0.1, 0.05])
     assert res.power is not None
     assert 3.5 <= res.power <= 4.5
@@ -568,7 +567,7 @@ def test_power_law_fit(xs, ys, power, note):
 
 
 def test_discrepancy_scaling_rejects_coinciding_couplings():
-    base = dataclasses.replace(load_scenario("adiabatic"), t_end=0.5)
+    base = scenario_with(load_scenario("adiabatic"), t_end=0.5)
     with pytest.raises(DiagnosticError, match="coincide"):
         discrepancy_scaling(base, [0.1, 0.1, 0.1])
 
@@ -588,7 +587,7 @@ def test_fitted_amplitude_bounded_by_remainder():
     # exact-identity remainder bounds how far the fitted amplitudes can sit
     # from the closed-form leading prediction
     import semiosc
-    base = dataclasses.replace(load_scenario("adiabatic"), t_end=1.5)
+    base = scenario_with(load_scenario("adiabatic"), t_end=1.5)
     for e in (0.2, 0.1, 0.05):
         traj = integrate(semiosc.scenario_with(base, e=e))
         amp = max_abs_discrepancy(traj.records)
@@ -662,7 +661,7 @@ def test_adiabatic_invariant_smoke(unit_params):
 
 def test_adiabatic_invariant_drift_is_pinned():
     # bit for bit: the augmented flow is the moments and pinney flows
-    cfg = dataclasses.replace(load_scenario("vacuum-kick"), t_end=2.0)
+    cfg = scenario_with(load_scenario("vacuum-kick"), t_end=2.0)
     assert adiabatic_invariant_drift(cfg) == 7.66053886991358e-15
 
 

@@ -1,6 +1,5 @@
 """Integration tests: initial states, conversions, conservation, aborts."""
 
-import dataclasses
 import math
 
 import pytest
@@ -12,6 +11,7 @@ from semiosc import (
     GaussianMoments,
     ModeSector,
     ModelParams,
+    OscBasis,
     PinneySector,
     DomainError,
     ScenarioConfig,
@@ -26,6 +26,7 @@ from semiosc import (
     integrate,
     mode_wronskian,
     record_observables,
+    scenario_with,
     state_effective_frequency,
 )
 from conftest import quick_config
@@ -77,7 +78,7 @@ def test_init_adiabatic_suppresses_startup_transient():
                           dt=1e-3, sample_every=1, quantum_init="adiabatic")
     rem_adiabatic = max_abs_remainder(integrate(base).records)
     rem_vacuum = max_abs_remainder(
-        integrate(dataclasses.replace(base, quantum_init="vacuum")).records)
+        integrate(scenario_with(base, quantum_init="vacuum")).records)
     assert rem_adiabatic * 5.0 < rem_vacuum
 
 
@@ -225,7 +226,7 @@ def test_sampling_grid(unit_params):
 def test_record_columns_are_coherent(unit_params):
     cfg = quick_config(unit_params, t_end=3.0)
     for rep in ("pinney", "mode", "moments"):
-        traj = integrate(dataclasses.replace(cfg, representation=rep))
+        traj = integrate(scenario_with(cfg, representation=rep))
         assert traj.completed
         for r in traj.records:
             assert len(r) == len(COLUMNS)
@@ -284,7 +285,7 @@ def test_mode_state_wronskian_directly(unit_params):
 
 def test_representation_equivalence_smoke(unit_params):
     cfg = quick_config(unit_params, t_end=5.0, sample_every=100)
-    runs = [integrate(dataclasses.replace(cfg, representation=rep))
+    runs = [integrate(scenario_with(cfg, representation=rep))
             for rep in ("pinney", "mode", "moments")]
     for a, b in ((0, 1), (0, 2), (1, 2)):
         for ra, rb in zip(runs[a].records, runs[b].records):
@@ -294,8 +295,8 @@ def test_representation_equivalence_smoke(unit_params):
 def test_adaptive_agrees_with_fixed_step(unit_params):
     cfg = quick_config(unit_params, t_end=10.0, sample_every=10 ** 9)
     fixed = integrate(cfg)
-    adaptive = integrate(dataclasses.replace(cfg, method="adaptive",
-                                             rtol=1e-11, atol=1e-13))
+    adaptive = integrate(scenario_with(cfg, method="adaptive",
+                                       rtol=1e-11, atol=1e-13))
     assert adaptive.completed
     fa, fb = adaptive.records[-1], fixed.records[-1]
     assert fa.t == fb.t == pytest.approx(10.0, abs=1e-12)
@@ -307,7 +308,7 @@ def test_rk4_halving_shrinks_energy_drift(unit_params):
     from semiosc import energy_drift
     cfg = quick_config(unit_params, t_end=20.0, dt=2e-3)
     d1 = energy_drift(integrate(cfg).records)
-    d2 = energy_drift(integrate(dataclasses.replace(cfg, dt=1e-3)).records)
+    d2 = energy_drift(integrate(scenario_with(cfg, dt=1e-3)).records)
     assert 10.0 <= d1 / d2 <= 22.0
 
 
@@ -345,8 +346,8 @@ def test_parity_negates_A_and_Adot_only(representation, method, data):
     # the equations hold A only through A^2, e^2 A x^2 and A Adot; rounding
     # is sign-symmetric, so the mirrored run is exact, not approximate
     config, traj = data.draw(short_runs(representation, method))
-    mirror = integrate(dataclasses.replace(config, A0=-config.A0,
-                                           Adot0=-config.Adot0))
+    mirror = integrate(scenario_with(config, A0=-config.A0,
+                                     Adot0=-config.Adot0))
     assert mirror.completed
     for name in COLUMNS:
         sign = -1.0 if name in ("A", "Adot") else 1.0
@@ -362,7 +363,7 @@ def test_sampling_stride_selects_rows_of_every_step(representation, method,
     # sampling never touches the step: a stride-k run's rows are the
     # stride-1 run's rows 0, k, 2k, ... and its last row
     config, traj = data.draw(short_runs(representation, method))
-    strided = integrate(dataclasses.replace(config, sample_every=k))
+    strided = integrate(scenario_with(config, sample_every=k))
     rows = len(traj.columns["t"])
     keep = [*range(0, rows - 1, k), rows - 1]
     assert strided.completed
@@ -384,7 +385,7 @@ AGREEMENT_SHRINK = 8.0
 def _x2_gap(config):
     """Largest relative gap between the x2 columns of pinney, mode and
     moments runs of config; None when the runs do not all complete."""
-    runs = [integrate(dataclasses.replace(config, representation=rep))
+    runs = [integrate(scenario_with(config, representation=rep))
             for rep in ("pinney", "mode", "moments")]
     assert len({run.status for run in runs}) == 1, [r.status for r in runs]
     if not runs[0].completed:
@@ -413,7 +414,7 @@ def test_representations_agree_on_x2_or_converge_together(m, e, hbar, A0,
     assume(gap is not None)
     if gap <= AGREEMENT_FLOOR:
         return
-    half = _x2_gap(dataclasses.replace(config, dt=5e-4, sample_every=200))
+    half = _x2_gap(scenario_with(config, dt=5e-4, sample_every=200))
     event("above the floor: truncation")
     assert half is not None and half * AGREEMENT_SHRINK <= gap, (gap, half)
 
@@ -630,6 +631,47 @@ def test_config_validation():
                                              "t_end": 1.0, **changes})
         assert str(err.value) == message
 
+
+
+_PARAMS = ModelParams(m=1.0, e=1.0)
+_CONFIG = ScenarioConfig(params=_PARAMS, A0=0.0, Adot0=0.0, t_end=1.0)
+# (a valid record, changes that break it, the message of its check)
+RECORD_CHECKS = [
+    (_PARAMS, {"m": 0.0}, "m must be positive and finite, got 0.0"),
+    (_PARAMS, {"e": -0.1}, "e must be nonnegative and finite, got -0.1"),
+    (_PARAMS, {"hbar": math.inf}, "hbar must be positive and finite, got inf"),
+    (GaussianMoments(x2=0.5, p2=0.5, c=0.0), {"x2": -0.1},
+     "<x^2> must be positive, got -0.1"),
+    (GaussianMoments(x2=0.5, p2=0.5, c=0.0), {"p2": 0.0},
+     "<p^2> must be positive, got 0.0"),
+    (OscBasis(W=1.0), {"W": 0.0}, "basis frequency W must be positive, got 0.0"),
+    (PinneySector(1.0, 0.0), {"rho": -1.0},
+     "pinney width rho must be positive, got -1.0"),
+    (_CONFIG, {"dt": -1.0}, "dt must be positive, got -1.0"),
+    (_CONFIG, {"method": "euler"}, "unknown method 'euler'"),
+    (_CONFIG, {"dt": 0.3}, "dt = 0.3 does not divide t_end = 1.0 into whole steps"),
+]
+
+
+@pytest.mark.parametrize("record, changes, message", RECORD_CHECKS, ids=[
+    f"{type(record).__name__}-{key}" for record, changes, _ in RECORD_CHECKS
+    for key in changes])
+def test_every_construction_path_runs_the_record_checks(record, changes,
+                                                        message):
+    # the named tuples' _make and _replace build through the constructor
+    fields = {**record._asdict(), **changes}
+    paths = [lambda: type(record)(**fields),
+             lambda: type(record)._make(fields.values()),
+             lambda: record._replace(**changes)]
+    if record is _CONFIG:
+        paths.append(lambda: scenario_with(record, **changes))
+    if record is _PARAMS:
+        paths.append(lambda: scenario_with(_CONFIG, **changes))
+    error = UsageError if record is _CONFIG else DomainError
+    for path in paths:
+        with pytest.raises(error) as err:
+            path()
+        assert str(err.value) == message
 
 def test_initial_state_matches_requested_representation(unit_params):
     for rep in ("pinney", "mode", "moments"):

@@ -16,7 +16,6 @@ hands every state outside the kernels' domain to record_observables itself,
 and no valid run does so after its start row.
 """
 
-import dataclasses
 import math
 import re
 import traceback
@@ -39,6 +38,7 @@ from semiosc import (
     integrate,
     load_scenario,
     record_observables,
+    scenario_with,
 )
 from semiosc import dynamics
 from semiosc.dynamics import (
@@ -361,7 +361,7 @@ def test_valid_runs_never_fall_back_to_the_oracle(monkeypatch, name, changes):
     oracle = dynamics.record_observables
     monkeypatch.setattr(dynamics, "record_observables",
                         lambda *args: calls.append(args) or oracle(*args))
-    traj = integrate(dataclasses.replace(load_scenario(name), **changes))
+    traj = integrate(scenario_with(load_scenario(name), **changes))
     assert traj.completed and len(traj.records) > 2
     assert len(calls) == 1  # the start row, from checked_start
 
@@ -383,14 +383,14 @@ def test_convergence_order_matches_full_integrate_runs():
     for t_end, factors, s in [
             (4.0, (2.0, 1.0, 0.5), 6),       # 2dt divides t_end: lcm(3, 2)
             (4.004, (1.0, 0.5, 0.25), 3)]:   # 1001 steps: sample_every
-        config = dataclasses.replace(load_scenario("vacuum-kick"), t_end=t_end,
-                                     representation="mode", dt=0.004,
-                                     sample_every=3)
+        config = scenario_with(load_scenario("vacuum-kick"), t_end=t_end,
+                               representation="mode", dt=0.004,
+                               sample_every=3)
         n = round(t_end / config.dt)
         legs = []
         for f in factors:
-            rows = integrate(dataclasses.replace(config, dt=config.dt * f,
-                                                 sample_every=1)).records
+            rows = integrate(scenario_with(config, dt=config.dt * f,
+                                           sample_every=1)).records
             picked = (rows[round(k / f)] for k in [*range(0, n, s), n])
             legs.append([(r.A, r.Adot, r.rho, r.rhodot) for r in picked])
         errors = [math.sqrt(_left_sum(_left_sum((x - y) ** 2
