@@ -10,8 +10,9 @@ moments   y = (A, Adot, x2, c, p2)            linear moment flow
 All three share the classical back-reaction Addot = -e^2 A <x^2>.  Observables
 are always computed from the exact state at sample times, never interpolated.
 The rates, the width floor and its abort reason are written once, in
-LAYOUTS; every per-layout function (right-hand side, rk4 run, Fehlberg step,
-guard and sampled-row writer) is generated from that table by _compiled.
+LAYOUTS; every per-layout function (right-hand side, rk4 run, adaptive run,
+Fehlberg step, guard and sampled-row writer) is generated from that table by
+_compiled.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ __all__ = [
     "record_observables",
     "make_rhs",
     "make_rk4_run",
+    "make_adaptive_run",
     "make_rkf45_step",
     "make_row_writer",
     "make_guard",
@@ -525,6 +527,63 @@ _RK4_RUN = _GUARD + """\
         return ({state}), None
     return run
 """
+# run_adaptive on the Fehlberg step and the guard, y5 in NAME_new and err in
+# NAME_err; the norm's abs and max are inlined, with the builtins' results
+_ADAPTIVE_RUN = _GUARD + """\
+    sqrt, inf = math.sqrt, math.inf
+    def run(y, t_end, h0, rtol, atol, sample_every, on_sample):
+        {state} = y
+        max_attempts, width = MAX_STEP_ATTEMPTS, len(y)
+        t = last_sampled_t = 0.0
+        h, accepted, attempts = min(h0, t_end), 0, 0
+        while True:  # not `while t < t_end`, which CPython 3.11 does not specialize
+            if not t < t_end:
+                break
+            if attempts == max_attempts:
+                return ({state}), (STATUS_STEPFAIL, t, f"{{attempts}} step "
+                    f"attempts did not reach t_end = {{t_end}}")
+            attempts += 1
+            clamped = h >= t_end - t
+            if clamped:
+                h = t_end - t
+            try:
+{stages}
+{update}
+            except (ZeroDivisionError, OverflowError):
+                return ({state}), (STATUS_SINGULARITY, t, SINGULAR_STEP)
+            enorm = inf
+            if isfinite({checked}):
+                try:
+                    acc = 0.0
+{norm}
+                    enorm = sqrt(acc / width)
+                except OverflowError:
+                    pass
+            if enorm > 1.0:
+                h *= 0.2 if not isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
+                if h < 1e-14 * max(1.0, abs(t)):
+                    return ({state}), (STATUS_STEPFAIL, t,
+                        f"step size underflow at t={{t}}")
+                continue
+            t = t_end if clamped else t + h
+            {state} = {new}
+            accepted += 1
+            if not isfinite({finite}) or {floor}:
+                return ({state}), guard(t, ({state}))
+            if (accepted % sample_every == 0
+                    or t >= t_end) and t != last_sampled_t:
+                hit, last_sampled_t = on_sample(t, ({state})), t
+                if hit is not None:
+                    return ({state}), hit
+            h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2)) if enorm > 0.0 else 5.0
+        return ({state}), None
+    return run
+"""
+# one component's term: max(p, q) keeps p unless q > p
+_NORM_TERM = """\
+                    p = {y} if {y} >= 0.0 else -{y}
+                    q = {y}_new if {y}_new >= 0.0 else -{y}_new
+                    acc += ({y}_err / (atol + rtol * (q if q > p else p))) ** 2"""
 
 # One sampled row, packed as the bytes of len(COLUMNS) doubles of array("d")
 _ROW = struct.Struct(f"{len(COLUMNS)}d")
@@ -606,7 +665,8 @@ def make(params, rows):
 # Each kind's template: make(params, rho_min) for all but the row writer's
 # make(params, rows)
 TEMPLATES = {"rhs": _FLOW, "rk4": _RK4_RUN, "rkf45": _FLOW,
-             "guard": _GUARD + "    return guard\n", "row": _ROW_WRITER}
+             "adaptive": _ADAPTIVE_RUN, "guard": _GUARD + "    return guard\n",
+             "row": _ROW_WRITER}
 
 _WORD = re.compile(r"\b[A-Za-z_]\w*")
 
@@ -640,23 +700,35 @@ def _stages(rates, stages, indent):
 @cache
 def _compiled(kind, layout):
     """make(params, rho_min or rows) -> the layout's function of one kind in
-    TEMPLATES, compiled once per process, with its source in linecache."""
+    TEMPLATES (the adaptive run on TABLEAUS["rkf45"]), compiled once per
+    process, with its source in linecache."""
     if layout not in (_SECTORS if kind == "row" else LAYOUTS):
         raise UsageError(f"unknown representation {layout!r}")
     rates, floor, reason = LAYOUTS[layout]
     names = list(rates)
     # the guard and the row writer have no stages: the rhs's go unused
-    stages, *results = TABLEAUS.get(kind, TABLEAUS["rhs"])
-    lines, k = _stages(rates, stages, " " * (16 if kind == "rk4" else 8))
+    stages, *results = TABLEAUS.get("rkf45" if kind == "adaptive" else kind,
+                                    TABLEAUS["rhs"])
+    lines, k = _stages(rates, stages,
+                       " " * (16 if kind in ("rk4", "adaptive") else 8))
     columns = [[_term(t, n, k) for n in names] for t in results]
-    pad = " " * 12
+    # the rk4 run updates its state in place, the adaptive run keeps y5, err
+    suffixes = ("_new", "_err") if kind == "adaptive" else ("",)
+    pad = " " * (16 if kind == "adaptive" else 12)
+    # built for the adaptive run alone: built for every kind, these short
+    # strings cost an rk4 command 0.1-0.3 MB more peak RSS (CPython 3.11)
+    fields = {} if kind != "adaptive" else {
+        "new": ", ".join(f"{n}_new" for n in names),
+        "checked": " + ".join(f"{n}{s} * 0.0" for s in suffixes for n in names),
+        "norm": "\n".join(_NORM_TERM.format(y=n) for n in names)}
     source = TEMPLATES[kind].format(
         name="rhs" if kind == "rhs" else "step", h="" if kind == "rhs" else ", h",
         layout=layout, state=", ".join(names), stages="\n".join(lines),
-        update="\n".join(f"{pad}{n} = {v}" for n, v in zip(names, columns[0])),
+        update="\n".join(f"{pad}{n}{s} = {v}" for s, c in zip(suffixes, columns)
+                         for n, v in zip(names, c)),
         finite=" + ".join(f"{n} * 0.0" for n in names), floor=floor,
         reason=reason, sector=_SECTORS.get(layout, "").replace("\n", "\n" + pad),
-        results="), (".join(f",\n{pad}".join(c) for c in columns))
+        results="), (".join(f",\n{pad}".join(c) for c in columns), **fields)
     return _exec(source, f"<semiosc.dynamics {kind} {layout}>")
 
 
@@ -684,6 +756,14 @@ def make_rk4_run(representation: str, params: ModelParams, rho_min: float):
     return _compiled("rk4", representation)(params, rho_min)
 
 
+def make_adaptive_run(representation: str, params: ModelParams,
+                      rho_min: float):
+    """Fehlberg 4(5) run(y, t_end, h0, rtol, atol, sample_every, on_sample)
+    -> (y, abort): one generated loop, bit-identical to run_adaptive on
+    make_rkf45_step with make_guard."""
+    return _compiled("adaptive", representation)(params, rho_min)
+
+
 def make_rkf45_step(representation: str, params: ModelParams):
     """Fehlberg 4(5) step(t, y, h) -> (y5, err) for run_adaptive, generated
     from LAYOUTS: rkf45_step's operations on make_rhs in order, so
@@ -698,7 +778,7 @@ def make_guard(representation: str, params: ModelParams, rho_min: float):
 
 
 def make_row_writer(representation: str, params: ModelParams, rows):
-    """on_sample(t, y) for make_rk4_run and run_adaptive: append the flat
+    """on_sample(t, y) for the rk4 and adaptive runs: append the flat
     state's 18 observables, in COLUMNS order, to the array("d") rows and
     return None, or return the abort (status, t, reason) of a step failure
     and append nothing.
@@ -794,9 +874,9 @@ def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
 
 def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
                  on_sample):
-    """The adaptive loop: embedded steps (y5, err) = step(t, y, h) from
-    t = 0 to t_end, from h = h0, controlled by the rms of err against
-    atol + rtol * max|y|.
+    """The generic adaptive loop, make_adaptive_run's oracle: embedded
+    steps (y5, err) = step(t, y, h) from t = 0 to t_end, from h = h0,
+    controlled by the rms of err against atol + rtol * max|y|.
 
     guard and on_sample work as in run_fixed, counting accepted steps; a
     time is sampled at most once.  A step that raises stops the run as a
@@ -874,10 +954,9 @@ def integrate(config: ScenarioConfig) -> Trajectory:
         run = make_rk4_run(rep, params, config.rho_min)
         _, abort = run(y, h, n, config.sample_every, sample)
     else:
-        _, abort = run_adaptive(make_rkf45_step(rep, params), y, config.t_end,
-                                config.dt_init, config.rtol, config.atol,
-                                config.sample_every,
-                                make_guard(rep, params, config.rho_min), sample)
+        run = make_adaptive_run(rep, params, config.rho_min)
+        _, abort = run(y, config.t_end, config.dt_init, config.rtol,
+                       config.atol, config.sample_every, sample)
     return Trajectory(columns_from_rows(rows), *(abort or (STATUS_COMPLETED,)))
 
 

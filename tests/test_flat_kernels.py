@@ -1,13 +1,17 @@
 """The flat hot path against its specification.
 
-Every per-layout function (make_rhs, make_rk4_run, make_rkf45_step,
-make_guard and make_row_writer) is generated by one dynamics._compiled from
-one equation table (dynamics.LAYOUTS), and each maker rejects an unknown
-layout with the same UsageError.  Each generated run must reproduce
-run_fixed on partial(rk4_step, make_rhs) and make_guard bit for bit, from
-any grid step i0: its states, its abort and every sample it hands over; as
-the run and the guard share LAYOUTS' floor, the guard's own literal oracle
-is in test_dynamics.  Each generated Fehlberg step must reproduce
+Every per-layout function (make_rhs, make_rk4_run, make_adaptive_run,
+make_rkf45_step, make_guard and make_row_writer) is generated by one
+dynamics._compiled from one equation table (dynamics.LAYOUTS), and each
+maker rejects an unknown layout with the same UsageError.  Each generated
+rk4 run must reproduce run_fixed on partial(rk4_step, make_rhs) and
+make_guard bit for bit, from any grid step i0: its states, its abort and
+every sample it hands over; as the run and the guard share LAYOUTS' floor,
+the guard's own literal oracle is in test_dynamics.  Each generated
+adaptive run must so reproduce run_adaptive on make_rkf45_step and
+make_guard, under any attempt bound, and every generated loop must jump
+back unconditionally, so that CPython 3.11 specializes it within its first
+calls.  Each generated Fehlberg step must reproduce
 rkf45_step on make_rhs bit for bit; the augmented right-hand side must be
 the moments flow and the pinney width flow.  The row writers of
 make_row_writer must append record_observables' row bit for bit, and abort,
@@ -16,6 +20,7 @@ hands every state outside the kernels' domain to record_observables itself,
 and no valid run does so after its start row.
 """
 
+import dis
 import math
 import re
 import traceback
@@ -45,6 +50,7 @@ from semiosc.dynamics import (
     METHODS,
     REPRESENTATIONS,
     flat_from_state,
+    make_adaptive_run,
     make_guard,
     make_rhs,
     make_rk4_run,
@@ -52,6 +58,7 @@ from semiosc.dynamics import (
     make_row_writer,
     rk4_step,
     rkf45_step,
+    run_adaptive,
     run_fixed,
     state_from_flat,
 )
@@ -101,9 +108,9 @@ def _state(representation, y, w):
     return tuple(state)
 
 
-def _run_outcome(run, y, h, n, sample_every, i0, refuse):
-    """Bits of (final y, abort, every (t, y) sampled); the refuse-th sample
-    is refused (0: none is)."""
+def _run_outcome(run, refuse):
+    """Bits of (final y, abort, every (t, y) sampled) of run(on_sample); the
+    refuse-th sample is refused (0: none is)."""
     seen = []
 
     def on_sample(t, y):
@@ -112,7 +119,7 @@ def _run_outcome(run, y, h, n, sample_every, i0, refuse):
             return "refused", t, f"sample {refuse}"
         return None
 
-    y, abort = run(y, h, n, sample_every, on_sample, i0)
+    y, abort = run(on_sample)
     if abort is not None:
         abort = (abort[0], abort[1].hex(), abort[2])
     return _bits(y), abort, seen
@@ -153,8 +160,9 @@ def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
     def oracle(y, h, n, sample_every, on_sample, i0):
         return run_fixed(step, y, h, n, sample_every, guard, on_sample, i0)
 
-    outcome = _run_outcome(run, y, h, n, sample_every, i0, refuse)
-    assert outcome == _run_outcome(oracle, y, h, n, sample_every, i0, refuse)
+    outcome = _run_outcome(partial(run, y, h, n, sample_every, i0=i0), refuse)
+    assert outcome == _run_outcome(
+        partial(oracle, y, h, n, sample_every, i0=i0), refuse)
     event("completed" if outcome[1] is None else f"{outcome[1][0]}: "
           f"{outcome[1][2].split(' ')[0]}")
 
@@ -188,6 +196,68 @@ def test_generated_rkf45_matches_rkf45_step(representation, params, y, w, h):
             break
 
 
+def _adaptive_example(**changes):
+    """An example of the adaptive run test: a smooth run over t = 1 with one
+    case's changes."""
+    return example(**{"params": UNIT, "y": (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0),
+                      "w": (1.0, 1.0), "t_end": 1.0, "h0": 0.1, "rtol": 1e-8,
+                      "atol": 1e-8, "sample_every": 3, "refuse": 0,
+                      "rho_min": 1e-8, "max_attempts": 10 ** 7, **changes})
+
+
+@pytest.mark.parametrize("representation", list(WIDTHS))
+@given(params=params_st,
+       y=st.tuples(*[component] * 7) | st.tuples(*[st.floats(-3.0, 3.0)] * 7),
+       w=st.tuples(floor_component, floor_component),
+       t_end=st.floats(0.01, 2.0), h0=st.floats(1e-4, 1.0),
+       rtol=st.floats(1e-9, 1e-3), atol=st.floats(1e-9, 1e-3),
+       sample_every=st.integers(1, 30),
+       refuse=st.integers(0, 12), rho_min=st.floats(1e-8, 1.0),
+       max_attempts=st.one_of(st.just(10 ** 7), st.integers(1, 60)))
+@_adaptive_example(h0=1.0, rtol=1e-10, atol=1e-10)  # rejected steps
+@_adaptive_example(t_end=0.05, h0=0.5, rtol=1e-3, atol=1e-3)  # clamped at once
+@_adaptive_example(sample_every=1, refuse=2)  # a refused sample
+@_adaptive_example(y=(1e200, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0))  # y5 not finite
+@_adaptive_example(rtol=1e-300, atol=1e-300)  # the step size underflows
+# a width whose cube underflows: the first stage raises (pinney, augmented)
+@_adaptive_example(w=(1e-110, 1e-110))
+@_adaptive_example(max_attempts=10)  # the attempt bound
+# the width reaches the floor mid-run
+@_adaptive_example(y=(0.0, 0.0, 0.0, -2.0, 0.5, 0.0, -2.0), w=(0.6, 0.6),
+                   t_end=2.0, rho_min=0.5)
+@settings(max_examples=60, deadline=None)
+def test_generated_adaptive_run_matches_run_adaptive(
+        representation, params, y, w, t_end, h0, rtol, atol, sample_every,
+        refuse, rho_min, max_attempts):
+    y = _state(representation, y, w)
+    run = make_adaptive_run(representation, params, rho_min)
+    step = make_rkf45_step(representation, params)
+    guard = make_guard(representation, params, rho_min)
+    with pytest.MonkeyPatch.context() as patch:
+        # both read the bound when they run
+        patch.setattr(dynamics, "MAX_STEP_ATTEMPTS", max_attempts)
+        outcome = _run_outcome(partial(run, y, t_end, h0, rtol, atol,
+                                       sample_every), refuse)
+        assert outcome == _run_outcome(
+            lambda on_sample: run_adaptive(step, y, t_end, h0, rtol, atol,
+                                           sample_every, guard, on_sample),
+            refuse)
+    event("completed" if outcome[1] is None else f"{outcome[1][0]}: "
+          f"{outcome[1][2].split(' ')[0]}")
+
+
+@pytest.mark.parametrize("kind", ["rk4", "adaptive"])
+@pytest.mark.parametrize("layout", list(WIDTHS))
+def test_generated_loops_jump_backward_unconditionally(kind, layout,
+                                                       unit_params):
+    # CPython 3.11 specializes a code object after 8 calls or 8
+    # JUMP_BACKWARDs; a POP_JUMP_BACKWARD_IF_* back edge (`while t < t_end:`)
+    # does not count, so a run called fewer than 8 times would stay generic
+    run = dynamics._compiled(kind, layout)(unit_params, 1e-8)
+    names = {i.opname for i in dis.get_instructions(run)}
+    assert not [name for name in names if name.startswith("POP_JUMP_BACKWARD")]
+
+
 @given(params=params_st, y=st.tuples(*[component] * 7),
        w=st.tuples(floor_component, floor_component))
 @settings(max_examples=200, deadline=None)
@@ -204,7 +274,9 @@ def test_augmented_rhs_is_the_moments_and_pinney_width_flows(params, y, w):
 
 @pytest.mark.parametrize("make", [
     make_rhs, pytest.param(partial(make_rk4_run, rho_min=1e-8),
-                           id="make_rk4_run"), make_rkf45_step,
+                           id="make_rk4_run"),
+    pytest.param(partial(make_adaptive_run, rho_min=1e-8),
+                 id="make_adaptive_run"), make_rkf45_step,
     pytest.param(partial(make_row_writer, rows=array("d")),
                  id="make_row_writer"),
     pytest.param(partial(make_guard, rho_min=1e-8), id="make_guard")])
