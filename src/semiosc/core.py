@@ -211,17 +211,7 @@ def effective_frequency(rho: float, rhodot: float) -> tuple[float, float]:
     # 1/(rho*rho) rather than (1/rho)**2: rounds back to the exact frequency
     # for vacuum-initialized widths rho = omega**-0.5.  The +0.0 flushes the
     # negative zero that -2.0 * 0.0 would otherwise print into CSV output.
-    rho2 = rho * rho
-    # below rho ~ 1e-154, rho^2 underflows to zero or 1/rho^2 overflows
-    Omega = 1.0 / rho2 if rho2 > 0.0 else math.inf
-    if Omega == math.inf:
-        raise DomainError(f"Omega = 1/rho^2 is not finite for rho = {rho}")
-    # below rho ~ 1.35e-108, rho^3 underflows to zero
-    rho3 = rho2 * rho
-    if not (rho3 > 0.0):
-        raise DomainError(f"Omegadot = -2 rhodot/rho^3 is not finite for "
-                          f"rho = {rho}")
-    return Omega, -2.0 * rhodot / rho3 + 0.0
+    return 1.0 / (rho * rho), -2.0 * rhodot / (rho * rho * rho) + 0.0
 
 
 def pinney_residual(Omega: float, Omegadot: float, Omegaddot: float,

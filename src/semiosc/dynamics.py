@@ -11,8 +11,7 @@ All three share the classical back-reaction Addot = -e^2 A <x^2>.  Observables
 are always computed from the exact state at sample times, never interpolated.
 The rates, the width floor and its abort reason are written once, in
 LAYOUTS; every per-layout function (right-hand side, rk4 run, adaptive run,
-Fehlberg step, guard and sampled-row writer) is generated from that table by
-_compiled.
+guard and sampled-row writer) is generated from that table by _compiled.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ __all__ = [
     "make_rhs",
     "make_rk4_run",
     "make_adaptive_run",
-    "make_rkf45_step",
     "make_row_writer",
     "make_guard",
     "run_fixed",
@@ -83,6 +81,9 @@ STATUS_COMPLETED = "completed"
 STATUS_SINGULARITY = "aborted-singularity"
 STATUS_STEPFAIL = "aborted-stepfail"
 SINGULAR_STEP = "singular right-hand side evaluation"  # a step that raised
+# a start or a sample whose kernels raised ArithmeticError: the overflow,
+# underflow to zero or division by zero of some quantity derived from it
+OUT_OF_RANGE = "a derived quantity is outside double range"
 
 # Work bounds (cf. ODEPACK's MXSTEP): rk4 configs with more steps are
 # rejected, an adaptive run stops after this many step attempts.  Both are
@@ -319,16 +320,10 @@ def _bad_start(config: ScenarioConfig, why) -> DomainError:
     if config.quantum_init == "explicit":
         keys.update(rho0=config.rho0, rhodot0=config.rhodot0)
     named = ", ".join(f"{k} = {v}" for k, v in keys.items())
+    if isinstance(why, ArithmeticError):
+        why = OUT_OF_RANGE
     return DomainError(f"{named}: the initial state is not representable "
-                       f"({_error_text(why)})")
-
-
-def _error_text(why) -> str:
-    """An error as text: an OverflowError, whose str() is often an errno
-    tuple, reads 'overflow: <message>'; anything else keeps str()."""
-    if isinstance(why, OverflowError) and why.args:
-        return f"overflow: {why.args[-1]}"
-    return str(why)
+                       f"({why})")
 
 
 # ---------------------------------------------------------------------------
@@ -466,19 +461,20 @@ TABLEAUS = {
     "rhs": ((), "{k1}"),
     "rk4": (("{y} + hh * {k1}", "{y} + hh * {k2}", "{y} + h * {k3}"),
             "{y} + six * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"),
-    "rkf45": (("{y} + 0.25 * h * {k1}",
-               "{y} + h * (0.09375 * {k1} + 0.28125 * {k2})",
-               "{y} + h * (1932.0 / 2197.0 * {k1} - 7200.0 / 2197.0 * {k2}"
-               " + 7296.0 / 2197.0 * {k3})",
-               "{y} + h * (439.0 / 216.0 * {k1} - 8.0 * {k2}"
-               " + 3680.0 / 513.0 * {k3} - 845.0 / 4104.0 * {k4})",
-               "{y} + h * (-8.0 / 27.0 * {k1} + 2.0 * {k2} - 3544.0 / 2565.0"
-               " * {k3} + 1859.0 / 4104.0 * {k4} - 11.0 / 40.0 * {k5})"),
-              "{y} + h * (16.0 / 135.0 * {k1} + 6656.0 / 12825.0 * {k3}"
-              " + 28561.0 / 56430.0 * {k4} - 9.0 / 50.0 * {k5}"
-              " + 2.0 / 55.0 * {k6})",
-              "h * ({k1} / 360.0 - 128.0 / 4275.0 * {k3} - 2197.0 / 75240.0"
-              " * {k4} + {k5} / 50.0 + 2.0 / 55.0 * {k6})"),
+    "adaptive": (("{y} + 0.25 * h * {k1}",
+                  "{y} + h * (0.09375 * {k1} + 0.28125 * {k2})",
+                  "{y} + h * (1932.0 / 2197.0 * {k1} - 7200.0 / 2197.0 * {k2}"
+                  " + 7296.0 / 2197.0 * {k3})",
+                  "{y} + h * (439.0 / 216.0 * {k1} - 8.0 * {k2}"
+                  " + 3680.0 / 513.0 * {k3} - 845.0 / 4104.0 * {k4})",
+                  "{y} + h * (-8.0 / 27.0 * {k1} + 2.0 * {k2}"
+                  " - 3544.0 / 2565.0 * {k3} + 1859.0 / 4104.0 * {k4}"
+                  " - 11.0 / 40.0 * {k5})"),
+                 "{y} + h * (16.0 / 135.0 * {k1} + 6656.0 / 12825.0 * {k3}"
+                 " + 28561.0 / 56430.0 * {k4} - 9.0 / 50.0 * {k5}"
+                 " + 2.0 / 55.0 * {k6})",
+                 "h * ({k1} / 360.0 - 128.0 / 4275.0 * {k3} - 2197.0 / 75240.0"
+                 " * {k4} + {k5} / 50.0 + 2.0 / 55.0 * {k6})"),
 }
 
 _HEAD = """\
@@ -486,12 +482,12 @@ def make(params, rho_min):
     m2, e2, half_hbar = params.m * params.m, params.e * params.e, 0.5 * params.hbar
     ne2 = -e2
 """
-_FLOW = _HEAD + """\
-    def {name}(t, y{h}):
+_RHS = _HEAD + """\
+    def rhs(t, y):
         {state} = y
 {stages}
         return ({results})
-    return {name}
+    return rhs
 """
 # the guard after every step: one isfinite (x * 0.0 is nan exactly when x is
 # not finite), then the layout's floor test
@@ -527,7 +523,7 @@ _RK4_RUN = _GUARD + """\
         return ({state}), None
     return run
 """
-# run_adaptive on the Fehlberg step and the guard, y5 in NAME_new and err in
+# run_adaptive on rkf45_step and the guard, y5 in NAME_new and err in
 # NAME_err; the norm's abs and max are inlined, with the builtins' results
 _ADAPTIVE_RUN = _GUARD + """\
     sqrt, inf = math.sqrt, math.inf
@@ -664,9 +660,8 @@ def make(params, rows):
 
 # Each kind's template: make(params, rho_min) for all but the row writer's
 # make(params, rows)
-TEMPLATES = {"rhs": _FLOW, "rk4": _RK4_RUN, "rkf45": _FLOW,
-             "adaptive": _ADAPTIVE_RUN, "guard": _GUARD + "    return guard\n",
-             "row": _ROW_WRITER}
+TEMPLATES = {"rhs": _RHS, "rk4": _RK4_RUN, "adaptive": _ADAPTIVE_RUN,
+             "guard": _GUARD + "    return guard\n", "row": _ROW_WRITER}
 
 _WORD = re.compile(r"\b[A-Za-z_]\w*")
 
@@ -700,15 +695,13 @@ def _stages(rates, stages, indent):
 @cache
 def _compiled(kind, layout):
     """make(params, rho_min or rows) -> the layout's function of one kind in
-    TEMPLATES (the adaptive run on TABLEAUS["rkf45"]), compiled once per
-    process, with its source in linecache."""
+    TEMPLATES, compiled once per process, with its source in linecache."""
     if layout not in (_SECTORS if kind == "row" else LAYOUTS):
         raise UsageError(f"unknown representation {layout!r}")
     rates, floor, reason = LAYOUTS[layout]
     names = list(rates)
     # the guard and the row writer have no stages: the rhs's go unused
-    stages, *results = TABLEAUS.get("rkf45" if kind == "adaptive" else kind,
-                                    TABLEAUS["rhs"])
+    stages, *results = TABLEAUS.get(kind, TABLEAUS["rhs"])
     lines, k = _stages(rates, stages,
                        " " * (16 if kind in ("rk4", "adaptive") else 8))
     columns = [[_term(t, n, k) for n in names] for t in results]
@@ -722,7 +715,6 @@ def _compiled(kind, layout):
         "checked": " + ".join(f"{n}{s} * 0.0" for s in suffixes for n in names),
         "norm": "\n".join(_NORM_TERM.format(y=n) for n in names)}
     source = TEMPLATES[kind].format(
-        name="rhs" if kind == "rhs" else "step", h="" if kind == "rhs" else ", h",
         layout=layout, state=", ".join(names), stages="\n".join(lines),
         update="\n".join(f"{pad}{n}{s} = {v}" for s, c in zip(suffixes, columns)
                          for n, v in zip(names, c)),
@@ -760,15 +752,8 @@ def make_adaptive_run(representation: str, params: ModelParams,
                       rho_min: float):
     """Fehlberg 4(5) run(y, t_end, h0, rtol, atol, sample_every, on_sample)
     -> (y, abort): one generated loop, bit-identical to run_adaptive on
-    make_rkf45_step with make_guard."""
+    partial(rkf45_step, make_rhs) with make_guard."""
     return _compiled("adaptive", representation)(params, rho_min)
-
-
-def make_rkf45_step(representation: str, params: ModelParams):
-    """Fehlberg 4(5) step(t, y, h) -> (y5, err) for run_adaptive, generated
-    from LAYOUTS: rkf45_step's operations on make_rhs in order, so
-    bit-identical to it."""
-    return _compiled("rkf45", representation)(params, None)
 
 
 def make_guard(representation: str, params: ModelParams, rho_min: float):
@@ -788,7 +773,7 @@ def make_row_writer(representation: str, params: ModelParams, rows):
     operations as the core kernels, and packed into rows in one write.  A
     state outside the kernels' domain (the one conjunction fails, or the
     arithmetic raises) is handed to record_observables itself, so the
-    kernels alone hold every domain check and error message.
+    kernels alone hold every domain check and its message.
     """
     return _compiled("row", representation)(params, rows)
 
@@ -828,9 +813,9 @@ def _write_oracle_row(write_bytes, t, y, representation, params):
         row = record_observables(state_from_flat(t, y, representation), params)
     except SemiquantumError as exc:
         return STATUS_STEPFAIL, t, f"state failed validation: {exc}"
-    except ArithmeticError as exc:
+    except ArithmeticError:
         return (STATUS_STEPFAIL, t,
-                f"observables not representable: {_error_text(exc)}")
+                f"observables not representable: {OUT_OF_RANGE}")
     write_bytes(_ROW.pack(*row))
     return None
 

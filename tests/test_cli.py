@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import time
 
 import jsonschema
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semiosc import (
@@ -210,20 +211,21 @@ def test_start_error_exits_2_naming_every_key_of_the_start(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["simulate", "diagnose"])
 def test_tiny_explicit_width_exits_2_naming_omega(tmp_path, capsys, command):
-    # rho0^2 underflows to 0.0, so Omega = 1/rho0^2 is out of range
+    # rho0^2 underflows to 0.0, so Omega = 1/rho0^2 divides by zero
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(SMALL + "quantum_init = explicit\nrho0 = 1e-300\n"
                    "rhodot0 = 0\n")
     assert main([command, str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
     detail = json.loads(capsys.readouterr().err.strip())["detail"]
     assert detail.endswith("rho0 = 1e-300, rhodot0 = 0.0: the initial state "
-                           "is not representable (Omega = 1/rho^2 is not "
-                           "finite for rho = 1e-300)")
+                           "is not representable (a derived quantity is "
+                           "outside double range)")
 
 
 def test_explicit_width_whose_cube_underflows_exits_2_naming_omegadot(
         tmp_path, capsys):
-    # rho0^2 = 1e-240 is representable, rho0^3 underflows to 0.0
+    # rho0^2 = 1e-240 is representable, rho0^3 underflows to 0.0, so
+    # Omegadot = -2 rhodot0/rho0^3 divides by zero
     cfg = tmp_path / "narrow.cfg"
     cfg.write_text(SMALL + "quantum_init = explicit\nrho0 = 1e-120\n"
                    "rhodot0 = 0\n")
@@ -231,8 +233,8 @@ def test_explicit_width_whose_cube_underflows_exits_2_naming_omegadot(
         EXIT_CONFIG
     detail = json.loads(capsys.readouterr().err.strip())["detail"]
     assert detail.endswith("rho0 = 1e-120, rhodot0 = 0.0: the initial state "
-                           "is not representable (Omegadot = -2 rhodot/rho^3 "
-                           "is not finite for rho = 1e-120)")
+                           "is not representable (a derived quantity is "
+                           "outside double range)")
 
 
 @pytest.mark.parametrize("command, name, text, message", [
@@ -804,6 +806,9 @@ def test_sweep_runs_with_numpy_blocked(tmp_path):
 # ---------------------------------------------------------------------------
 
 PROBES = ("nan", "inf", "1e308", "1e-320", "0", "-1", "1e18", "abc", "", "0x10")
+# what an arithmetic error's str() reads; no detail main() prints holds it
+BARE_TEXT = ("Numerical result out of range", "division by zero",
+             "math domain error")
 TINY = {"m": "1.0", "e": "1.0", "hbar": "1.0", "A0": "1.0", "Adot0": "1.0",
         "t_end": "0.01", "dt": "0.002", "sample_every": "2", "rho0": "1.0",
         "rhodot0": "0.0"}
@@ -814,6 +819,7 @@ overrides_st = st.lists(st.sampled_from(sorted(SCENARIO_KEYS)), max_size=3,
 
 
 @given(command=st.sampled_from(["simulate", "diagnose"]), overrides=overrides_st)
+@example(command="simulate", overrides={"e": "1e308"})  # (e A0)^2 overflows
 @settings(max_examples=120, deadline=None)
 def test_main_runs_or_exits_with_a_documented_code(command, overrides):
     text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())
@@ -829,6 +835,9 @@ def test_main_runs_or_exits_with_a_documented_code(command, overrides):
         code = main([command, cfg, "-o", out])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_ABORT, EXIT_IO), \
             (text, err.getvalue())
+        if code == EXIT_CONFIG:
+            assert not any(bare in err.getvalue() for bare in BARE_TEXT), \
+                (text, err.getvalue())
         if code == EXIT_ABORT:
             assert os.path.isfile(os.path.join(out, "manifest.json"))
             assert read_timeseries_csv(os.path.join(out, "timeseries.csv"))
@@ -837,3 +846,37 @@ def test_main_runs_or_exits_with_a_documented_code(command, overrides):
             _strict_json(os.path.join(out, "manifest.json"))
             jsonschema.validate(_strict_json(os.path.join(out, "diagnostics.json")),
                                 _schema())
+
+
+# Each start key set alone to each extreme, on every representation, method
+# and quantum_init, with TINY's other values: 180 simulate runs per key, and
+# how many of them exit 0, 2 and 3.
+EXTREMES = (1e-300, 1e-200, 1e-154, 1e-120, 1e-100, 1e100, 1e154, 1e200,
+            1e300, -1e300)
+EXTREME_EXITS = {"m": (0, 180, 0), "e": (90, 90, 0), "hbar": (90, 60, 30),
+                 "A0": (90, 66, 24), "Adot0": (90, 66, 24),
+                 "rho0": (120, 60, 0), "rhodot0": (150, 30, 0)}
+
+
+@pytest.mark.parametrize("key", EXTREME_EXITS)
+def test_extreme_start_runs_or_exits_naming_its_key(key, tmp_path, capsys,
+                                                     monkeypatch):
+    for module in (dynamics, diagnostics):
+        monkeypatch.setattr(module, "MAX_RK4_STEPS", 2000)
+    monkeypatch.setattr(dynamics, "MAX_STEP_ATTEMPTS", 200)
+    cfg, out = tmp_path / "c.cfg", str(tmp_path / "out")
+    codes = []
+    for value, *choices in itertools.product(
+            EXTREMES, *dynamics.CHOICES.values()):
+        overrides = {key: repr(value), **dict(zip(dynamics.CHOICES, choices))}
+        cfg.write_text("".join(f"{k} = {v}\n"
+                               for k, v in {**TINY, **overrides}.items()))
+        codes.append(main(["simulate", str(cfg), "-o", out]))
+        err = capsys.readouterr().err
+        assert not any(bare in err for bare in BARE_TEXT), (overrides, err)
+        if codes[-1] == EXIT_CONFIG:
+            detail = json.loads(err)["detail"].removeprefix(f"{cfg}: ")
+            assert re.search(rf"\b{key}\b", detail), (overrides, detail)
+            assert str(value) in detail, (overrides, detail)
+    assert tuple(map(codes.count, (EXIT_OK, EXIT_CONFIG, EXIT_ABORT))) == \
+        EXTREME_EXITS[key]

@@ -485,13 +485,14 @@ def test_start_dividing_by_zero_is_rejected_naming_the_start():
     (dict(m=1e308, e=1.0, hbar=1.0), {},
      "m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: ",
      "pinney width rho must be positive, got 0.0"),
-    # an OverflowError reads as text, not as its errno tuple
+    # an OverflowError reads as the one out-of-range wording, not as its
+    # errno tuple
     (dict(m=1.0, e=1e308, hbar=1.0), {},
      "m = 1.0, e = 1e+308, hbar = 1.0, A0 = 1.0, Adot0 = 1.0: ",
-     "overflow: Numerical result out of range"),
+     dynamics.OUT_OF_RANGE),
     (dict(m=1.0, e=1.0, hbar=1e308), {},
      "m = 1.0, e = 1.0, hbar = 1e+308, A0 = 1.0, Adot0 = 1.0: ",
-     "overflow: Numerical result out of range"),
+     dynamics.OUT_OF_RANGE),
     (dict(m=1e308, e=1.0, hbar=1.0),
      dict(quantum_init="explicit", rho0=1.0, rhodot0=0.0),
      "m = 1e+308, e = 1.0, hbar = 1.0, A0 = 1.0, Adot0 = 1.0, rho0 = 1.0, "
