@@ -209,8 +209,8 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
     """Largest Lyapunov exponent of the scenario's (A, Adot, rho, rhodot) flow.
 
     Always runs in the pinney representation with the config's fixed step,
-    each copy guarded by rho_min after every step as integrate()'s run is;
-    the initial displacement is applied to A.  `main`, integrate(config)
+    each copy stopped at rho_min or a non-finite state as integrate()'s run
+    is; the initial displacement is applied to A.  `main`, integrate(config)
     when the caller has it, supplies the reference's segment ends where it
     is that copy: a pinney run whose step equals the segment's (the pinney
     step never reads t), read through _main_rows.  The estimate is the

@@ -489,8 +489,8 @@ _RHS = _HEAD + """\
         return ({results})
     return rhs
 """
-# the guard after every step: one isfinite (x * 0.0 is nan exactly when x is
-# not finite), then the layout's floor test
+# the guard of a step, the abort of every run: one isfinite (x * 0.0 is nan
+# exactly when x is not finite), then the layout's floor test
 _GUARD = _HEAD + """\
     x2_floor = 0.5 * params.hbar * rho_min * rho_min
     isfinite = math.isfinite
@@ -502,29 +502,58 @@ _GUARD = _HEAD + """\
             return STATUS_SINGULARITY, t, {reason}
         return None
 """
+# The rk4 run tests the guard's floor after every step, and finiteness only
+# at its checkpoints: every sample_every-th step and the last, or the last
+# alone without on_sample.  Every update is y + six * (...), and inf + x and
+# nan + x are not finite, so a component that is not finite stays so up to
+# the next checkpoint.  A state found not finite (at a checkpoint, the floor
+# test or a raising stage) more than one step after the last checkpoint ck,
+# whose state NAME_ck keeps, is retaken from ck by the same run with every
+# step a checkpoint: the retake stops at the first bad step, with the abort
+# of the guard after every step.
 _RK4_RUN = _GUARD + """\
+    def skip(t, y):
+        return None
     def run(y, h, n, sample_every=1, on_sample=None, i0=0):
-        {state} = y
+        {state} = {checkpoint} = y
         hh, six = 0.5 * h, h / 6.0
+        stride = sample_every if on_sample is not None else n
+        ck, nxt = 0, min(stride, n)
         for i in range(1, n + 1):
             try:
 {stages}
             except (ZeroDivisionError, OverflowError):
-                return ({state}), (STATUS_SINGULARITY, (i0 + i - 1) * h,
-                                  SINGULAR_STEP)
+                if i == ck + 1 or isfinite({finite}):
+                    return ({state}), (STATUS_SINGULARITY, (i0 + i - 1) * h,
+                                      SINGULAR_STEP)
+                break
 {update}
-            if not isfinite({finite}) or {floor}:
-                return ({state}), guard((i0 + i) * h, ({state}))
-            if on_sample is not None and (i % sample_every == 0 or i == n):
-                t = (i0 + i) * h
-                hit = on_sample(t, ({state}))
-                if hit is not None:
-                    return ({state}), hit
-        return ({state}), None
+            if {floor}:
+                break
+            if i == nxt:
+                if not isfinite({finite}):
+                    break
+{keep}
+                ck = i
+                nxt += stride
+                if nxt > n:
+                    nxt = n
+                if on_sample is not None:
+                    t = (i0 + i) * h
+                    hit = on_sample(t, ({state}))
+                    if hit is not None:
+                        return ({state}), hit
+        else:
+            return ({state}), None
+        if i > ck + 1 and not isfinite({finite}):
+            return run(({checkpoint}), h, i - ck, 1, skip, i0 + ck)
+        return ({state}), guard((i0 + i) * h, ({state}))
     return run
 """
 # run_adaptive on rkf45_step and the guard, y5 in NAME_new and err in
-# NAME_err; the norm's abs and max are inlined, with the builtins' results
+# NAME_err; the norm's abs and max are inlined, with the builtins' results.
+# A step is accepted only with a finite enorm, which needs every NAME_new
+# finite, so after it the guard's floor test alone can fire.
 _ADAPTIVE_RUN = _GUARD + """\
     sqrt, inf = math.sqrt, math.inf
     def run(y, t_end, h0, rtol, atol, sample_every, on_sample):
@@ -564,7 +593,7 @@ _ADAPTIVE_RUN = _GUARD + """\
             t = t_end if clamped else t + h
             {state} = {new}
             accepted += 1
-            if not isfinite({finite}) or {floor}:
+            if {floor}:
                 return ({state}), guard(t, ({state}))
             if (accepted % sample_every == 0
                     or t >= t_end) and t != last_sampled_t:
@@ -708,12 +737,19 @@ def _compiled(kind, layout):
     # the rk4 run updates its state in place, the adaptive run keeps y5, err
     suffixes = ("_new", "_err") if kind == "adaptive" else ("",)
     pad = " " * (16 if kind == "adaptive" else 12)
-    # built for the adaptive run alone: built for every kind, these short
-    # strings cost an rk4 command 0.1-0.3 MB more peak RSS (CPython 3.11)
-    fields = {} if kind != "adaptive" else {
-        "new": ", ".join(f"{n}_new" for n in names),
-        "checked": " + ".join(f"{n}{s} * 0.0" for s in suffixes for n in names),
-        "norm": "\n".join(_NORM_TERM.format(y=n) for n in names)}
+    # each run's own fields, built for its kind alone: built for every kind,
+    # such short strings cost an rk4 command 0.1-0.3 MB more peak RSS
+    # (CPython 3.11)
+    fields = {}
+    if kind == "rk4":
+        fields = {"checkpoint": ", ".join(f"{n}_ck" for n in names),
+                  "keep": "\n".join(f"{pad}    {n}_ck = {n}" for n in names)}
+    elif kind == "adaptive":
+        fields = {
+            "new": ", ".join(f"{n}_new" for n in names),
+            "checked": " + ".join(f"{n}{s} * 0.0" for s in suffixes
+                                  for n in names),
+            "norm": "\n".join(_NORM_TERM.format(y=n) for n in names)}
     source = TEMPLATES[kind].format(
         layout=layout, state=", ".join(names), stages="\n".join(lines),
         update="\n".join(f"{pad}{n}{s} = {v}" for s, c in zip(suffixes, columns)
@@ -741,10 +777,13 @@ def make_rhs(representation: str, params: ModelParams):
 
 def make_rk4_run(representation: str, params: ModelParams, rho_min: float):
     """rk4 run(y, h, n, sample_every=1, on_sample=None, i0=0) -> (y, abort)
-    with run_fixed's contract, guarded by make_guard after every step: one
-    loop generated from LAYOUTS, the state in locals, the guard's tests
-    inlined.  Bit-identical to run_fixed on partial(rk4_step, make_rhs) with
-    make_guard."""
+    with run_fixed's contract: one loop generated from LAYOUTS, the state in
+    locals, the guard's tests inlined.  The floor test runs after every step,
+    the finiteness test at every sampled step and the last; a state found
+    not finite later than one step after such a checkpoint is retaken from
+    it step by step, so the abort names the first bad step.  Bit-identical
+    to run_fixed on partial(rk4_step, make_rhs) with make_guard after every
+    step."""
     return _compiled("rk4", representation)(params, rho_min)
 
 

@@ -4,20 +4,24 @@ Every per-layout function (make_rhs, make_rk4_run, make_adaptive_run,
 make_guard and make_row_writer) is generated by one dynamics._compiled from
 one equation table (dynamics.LAYOUTS), and each maker rejects an unknown
 layout with the same UsageError.  Each generated rk4 run must reproduce
-run_fixed on partial(rk4_step, make_rhs) and make_guard bit for bit, from
-any grid step i0: its states, its abort and every sample it hands over; as
-the run and the guard share LAYOUTS' floor, the guard's own literal oracle
-is in test_dynamics.  Each generated adaptive run must so reproduce
-run_adaptive on partial(rkf45_step, make_rhs) and make_guard, under any
-attempt bound, and every generated loop must jump back unconditionally, so
-that CPython 3.11 specializes it within its first calls.  The augmented
-right-hand side must be the moments flow and the pinney width flow.  The
-row writers of make_row_writer must append record_observables' row bit for
-bit, and abort, appending nothing, on exactly the states where the oracle
-raises: a state failing validation, or one whose observables leave double
-range, with dynamics.OUT_OF_RANGE as the reason.  A writer hands every
-state outside the kernels' domain to record_observables itself, and no
-valid run does so after its start row.
+run_fixed on partial(rk4_step, make_rhs) and make_guard after every step
+bit for bit, from any grid step i0, with a sink and without one: its
+states, its abort and every sample it hands over.  The run tests
+finiteness only at its checkpoints, so examples whose first bad step (a
+non-finite state, a stage that raises, the floor) lies strictly inside a
+block of sample_every steps hold its retake of the block to the oracle's
+abort.  As the run and the guard share LAYOUTS' floor, the guard's own
+literal oracle is in test_dynamics.  Each generated adaptive run must so
+reproduce run_adaptive on partial(rkf45_step, make_rhs) and make_guard,
+under any attempt bound, and every generated loop must jump back
+unconditionally, so that CPython 3.11 specializes it within its first
+calls.  The augmented right-hand side must be the moments flow and the
+pinney width flow.  The row writers of make_row_writer must append
+record_observables' row bit for bit, and abort, appending nothing, on
+exactly the states where the oracle raises: a state failing validation, or
+one whose observables leave double range, with dynamics.OUT_OF_RANGE as the
+reason.  A writer hands every state outside the kernels' domain to
+record_observables itself, and no valid run does so after its start row.
 """
 
 import dis
@@ -124,6 +128,29 @@ def _run_outcome(run, refuse):
     return _bits(y), abort, seen
 
 
+# Runs whose first bad step lies strictly inside a block of sample_every
+# steps, after the first block: neither that step nor the one before it is a
+# checkpoint, so the generated run finds it only by retaking the block from
+# its checkpoint (test_examples_fail_strictly_inside_a_block holds each to
+# its path).  In moments, <x^2> rotates through 1.8e308 and overflows at
+# step 11 of blocks of 4.
+NONFINITE_INSIDE = dict(params=ModelParams(m=1.0, e=0.0, hbar=1.0),
+                        y=(0.0, 0.0, 0.0, 2e306, 1.78e308, 0.0, 0.0),
+                        w=(1.78e308, 1.0), h=0.05, n=60, sample_every=4, i0=0,
+                        refuse=0, rho_min=1e-8)
+# In pinney the width falls on a straight line at rate -1e110 (1 / rho^3
+# changes that rate by about 1e-16 of itself per step of 1e-212), and stage
+# 4 of step 5 lands near 1e-110, whose cube underflows: finite steps 1-4, in
+# blocks of 3
+SINGULAR_INSIDE = dict(params=UNIT, y=(0.0, 0.0, 0.0, -1e110, 0.0, 0.0, 0.0),
+                       w=(5e-102 + 1e-110, 1.0), h=1e-212, n=20,
+                       sample_every=3, i0=7, refuse=0, rho_min=1e-300)
+# In pinney the width reaches the floor at step 13, in blocks of 5
+FLOOR_INSIDE = dict(params=UNIT, y=(0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 0.0),
+                    w=(0.6, 1.0), h=0.01, n=100, sample_every=5, i0=40,
+                    refuse=0, rho_min=0.3)
+
+
 @pytest.mark.parametrize("representation", list(WIDTHS))
 @given(params=params_st, y=st.tuples(*[component] * 7),
        w=st.tuples(floor_component, floor_component),
@@ -147,6 +174,9 @@ def _run_outcome(run, refuse):
          h=0.01, n=5, sample_every=1, i0=0, refuse=0, rho_min=1.0)  # at rest
 @example(params=UNIT, y=(1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0), w=(1.0, 0.5),
          h=0.01, n=50, sample_every=4, i0=0, refuse=3, rho_min=1e-8)
+@example(**NONFINITE_INSIDE)
+@example(**SINGULAR_INSIDE)
+@example(**FLOOR_INSIDE)
 @settings(max_examples=80, deadline=None)
 def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
                                              n, sample_every, i0, refuse,
@@ -162,8 +192,34 @@ def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
     outcome = _run_outcome(partial(run, y, h, n, sample_every, i0=i0), refuse)
     assert outcome == _run_outcome(
         partial(oracle, y, h, n, sample_every, i0=i0), refuse)
+    # Benettin's call: no sink, so the last step is the one checkpoint
+    assert _run_outcome(lambda _: run(y, h, n, i0=i0), 0) == \
+        _run_outcome(lambda _: oracle(y, h, n, 1, None, i0), 0)
     event("completed" if outcome[1] is None else f"{outcome[1][0]}: "
           f"{outcome[1][2].split(' ')[0]}")
+
+
+@pytest.mark.parametrize("representation, case, reason", [
+    ("moments", NONFINITE_INSIDE, "non-finite state component"),
+    ("pinney", SINGULAR_INSIDE, dynamics.SINGULAR_STEP),
+    ("pinney", FLOOR_INSIDE, "rho = ")])
+def test_examples_fail_strictly_inside_a_block(representation, case, reason):
+    # the oracle stops at step i, the one that raised or failed the guard,
+    # after the first block, with neither i nor i - 1 a checkpoint
+    steps = []
+    step = partial(rk4_step, make_rhs(representation, case["params"]))
+
+    def traced(t, y, h):
+        steps.append(t)
+        return step(t, y, h)
+
+    _, abort = run_fixed(traced, _state(representation, case["y"], case["w"]),
+                         case["h"], case["n"], 1,
+                         make_guard(representation, case["params"],
+                                    case["rho_min"]), None, case["i0"])
+    i, every = len(steps), case["sample_every"]
+    assert abort[2].startswith(reason), abort
+    assert every < i < case["n"] and i % every not in (0, 1), i
 
 
 def _adaptive_example(**changes):
