@@ -10,8 +10,6 @@ Exit codes: 0 success, 2 config error, 3 runtime abort, 4 I/O error.
 CSV and SVG bytes are deterministic for a given config and package version.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

@@ -5,8 +5,6 @@ inline), keys may appear once.  The same format drives single scenarios and
 sweep files; see the README for the documented schemas.
 """
 
-from __future__ import annotations
-
 import os
 from collections import namedtuple
 

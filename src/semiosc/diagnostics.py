@@ -8,8 +8,6 @@ identical configs produce bit-identical reports on every supported Python
 compensated).
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import partial

@@ -14,8 +14,6 @@ LAYOUTS; every per-layout function (right-hand side, rk4 run, adaptive run,
 guard and sampled-row writer) is generated from that table by _compiled.
 """
 
-from __future__ import annotations
-
 import linecache
 import math
 import re
@@ -25,7 +23,6 @@ from collections import namedtuple
 from functools import cache, partial
 
 from .core import (
-    HEISENBERG_TOL,
     DomainError,
     GaussianMoments,
     ModelParams,
@@ -648,7 +645,6 @@ def make(params, rows):
     half_hbar = 0.5 * hbar
     two_hbar = 2.0 * hbar
     neg_hbar = -hbar
-    heisenberg_floor = 0.25 * hbar * hbar * (1.0 - HEISENBERG_TOL)
     corr_scale = (hbar * e / m) ** 2
     leading_denom = 16.0 * m ** 6
     sqrt, inf = math.sqrt, math.inf
@@ -664,7 +660,8 @@ def make(params, rows):
             d = sqrt(ratio) - sqrt(1.0 / ratio)
             Omega3 = Omega ** 3
             n_ours = 0.25 * d * d + Omegadot * Omegadot / (16.0 * omega * Omega3)
-            # quanta_expectation(vacuum_moments, drift_sheared_basis)
+            # _quanta(vacuum_moments, drift_sheared_basis), with no
+            # Heisenberg test, as in occupation_numbers
             vx2 = half_hbar / Omega
             vp2 = half_hbar * (Omega + Omegadot * Omegadot / (4.0 * Omega3))
             vc = neg_hbar * Omegadot / (4.0 * Omega * Omega)
@@ -674,8 +671,7 @@ def make(params, rows):
             # energies, occupation_difference_leading
             hx = 0.5 * (p2 + omega * omega * x2)
             if (rho > 0.0 and x2 > 0.0 and p2 > 0.0 and Omega > 0.0
-                    and vx2 > 0.0 and vp2 > 0.0 and 0.0 < omega < inf
-                    and vx2 * vp2 - vc * vc >= heisenberg_floor):
+                    and vx2 > 0.0 and vp2 > 0.0 and 0.0 < omega < inf):
                 write_bytes(pack(t, A, Ad, rho, rhodot, Omega, Omegadot, omega,
                                  omegadot, x2, p2, c, n_ours, n_cdms,
                                  e4 * (A * Ad) ** 2 / leading_denom, hx,

@@ -5,8 +5,6 @@ the package version (no timestamps, no generated ids), so repeated runs of
 the same scenario diff clean.
 """
 
-from __future__ import annotations
-
 import math
 from bisect import bisect_left
 from itertools import islice

@@ -8,8 +8,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 import tempfile
 import time
 
@@ -21,7 +19,6 @@ from hypothesis import strategies as st
 from semiosc import (
     COLUMNS,
     UsageError,
-    bundled_scenario_names,
     diagnostics,
     dynamics,
     integrate,
@@ -40,6 +37,7 @@ from semiosc.cli import (
     write_timeseries_csv,
 )
 from semiosc.svgplot import render_line_plot
+from test_runtime_only import _strict_json, run_python
 
 SMALL = """\
 m = 1.0
@@ -80,14 +78,6 @@ def _schema():
     root = os.path.dirname(semiosc.__file__)
     with open(os.path.join(root, "report.schema.json")) as fh:
         return json.load(fh)
-
-
-def _strict_json(path):
-    """RFC 8259 JSON only: NaN and Infinity tokens raise."""
-    def reject(token):
-        raise ValueError(f"{path}: {token} is not JSON")
-    with open(path) as fh:
-        return json.load(fh, parse_constant=reject)
 
 
 # ---------------------------------------------------------------------------
@@ -209,34 +199,6 @@ def test_start_error_exits_2_naming_every_key_of_the_start(tmp_path, capsys):
                              "representable (")
 
 
-@pytest.mark.parametrize("command", ["simulate", "diagnose"])
-def test_tiny_explicit_width_exits_2_naming_omega(tmp_path, capsys, command):
-    # rho0^2 underflows to 0.0, so Omega = 1/rho0^2 divides by zero
-    cfg = tmp_path / "narrow.cfg"
-    cfg.write_text(SMALL + "quantum_init = explicit\nrho0 = 1e-300\n"
-                   "rhodot0 = 0\n")
-    assert main([command, str(cfg), "-o", str(tmp_path / "o")]) == EXIT_CONFIG
-    detail = json.loads(capsys.readouterr().err.strip())["detail"]
-    assert detail.endswith("rho0 = 1e-300, rhodot0 = 0.0: the initial state "
-                           "is not representable (a derived quantity is "
-                           "outside double range)")
-
-
-def test_explicit_width_whose_cube_underflows_exits_2_naming_omegadot(
-        tmp_path, capsys):
-    # rho0^2 = 1e-240 is representable, rho0^3 underflows to 0.0, so
-    # Omegadot = -2 rhodot0/rho0^3 divides by zero
-    cfg = tmp_path / "narrow.cfg"
-    cfg.write_text(SMALL + "quantum_init = explicit\nrho0 = 1e-120\n"
-                   "rhodot0 = 0\n")
-    assert main(["simulate", str(cfg), "-o", str(tmp_path / "o")]) == \
-        EXIT_CONFIG
-    detail = json.loads(capsys.readouterr().err.strip())["detail"]
-    assert detail.endswith("rho0 = 1e-120, rhodot0 = 0.0: the initial state "
-                           "is not representable (a derived quantity is "
-                           "outside double range)")
-
-
 @pytest.mark.parametrize("command, name, text, message", [
     ("simulate", "c.cfg", SMALL + "= 5\n", ":9: empty key"),
     ("simulate", "c.cfg",
@@ -244,11 +206,8 @@ def test_explicit_width_whose_cube_underflows_exits_2_naming_omegadot(
      ": rho0 must be positive, got -1.0"),
     ("simulate", "c.cfg", SMALL + "rho_min = 0\n",
      ": rho_min must be positive, got 0.0"),
-    ("simulate", "c.cfg", SMALL.replace("dt = 0.002", "dt = 0"),
-     ": dt must be positive, got 0.0"),
     ("simulate", "c.cfg", SMALL + "dt_init = -1\n",
      ": dt_init must be positive, got -1.0"),
-    ("simulate", "c.cfg", SMALL + "rtol = 0\n", ": rtol must be positive, got 0.0"),
     ("simulate", "c.cfg", SMALL + "atol = -1e-12\n",
      ": atol must be positive, got -1e-12"),
     ("sweep", "s.sweep", "base = free\naxis = e\nvalues = ,\n",
@@ -626,40 +585,6 @@ def test_diagnose_full_report(small_cfg, tmp_path):
     assert 3.5 <= report["convergence_order"] <= 4.5
 
 
-# scenario -> whether its order study measures an order.  free and
-# adiabatic have no truncation error to measure: their legs differ by
-# round-off, and the observed order comes out negative.
-BUNDLED_ORDERS = {"adiabatic": False, "free": False, "strong": True,
-                  "vacuum-kick": True}
-
-
-@pytest.mark.parametrize("name", sorted(bundled_scenario_names()))
-def test_bundled_scenario_gets_an_order_or_null_with_a_warning(name, tmp_path):
-    out = tmp_path / "diag"
-    assert main(["diagnose", name, "-o", str(out)]) == EXIT_OK
-    order = _strict_json(out / "diagnostics.json")["convergence_order"]
-    warnings = json.loads((out / "manifest.json").read_text())["warnings"]
-    failed = [w for w in warnings if w.startswith("convergence order failed")]
-    if BUNDLED_ORDERS[name]:
-        assert 3.6 <= order <= 4.4 and not failed, (order, warnings)
-    else:
-        assert order is None, order
-        assert len(failed) == 1 and "not finite and positive" in failed[0]
-
-
-def test_diagnose_short_run_writes_null_lyapunov(tmp_path, capsys):
-    # t_end = 1 is one Benettin segment, discarded as transient: no value
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text(SMALL.replace("t_end = 3.0", "t_end = 1.0"))
-    out = tmp_path / "diag"
-    assert main(["diagnose", str(cfg), "-o", str(out)]) == EXIT_OK
-    report = _strict_json(out / "diagnostics.json")
-    jsonschema.validate(report, _schema())
-    assert report["lyapunov"]["value"] is None
-    assert report["lyapunov"]["failed"]
-    assert "lyapunov estimate flagged" in capsys.readouterr().err
-
-
 def test_run_scenario_api_returns_manifest(small_cfg, tmp_path):
     manifest = run_scenario(small_cfg, str(tmp_path / "out"))
     assert manifest["status"] == "completed"
@@ -741,64 +666,22 @@ def test_params_is_a_json_object_in_report_and_sweep_manifest(small_cfg,
 
 
 # ---------------------------------------------------------------------------
-# fresh interpreters: the runtime without numpy, start-up, the scripts
+# fresh interpreters: start-up; test_runtime_only.py runs the commands
 # ---------------------------------------------------------------------------
 
-def _python(args, cwd):
-    import semiosc
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(semiosc.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
-
-
-def test_python_m_semiosc_runs_the_cli(tmp_path):
-    proc = _python(["-m", "semiosc", "--version"], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "semiosc 0.1.0\n"
-
-
 def test_cli_import_leaves_numpy_out(tmp_path):
-    proc = _python(["-c", "import sys, semiosc.cli\n"
-                    "assert 'numpy' not in sys.modules, 'numpy imported'\n"],
-                   tmp_path)
+    proc = run_python(["-c", "import sys, semiosc.cli\n"
+                       "assert 'numpy' not in sys.modules, 'numpy imported'\n"],
+                      tmp_path, block_numpy=False)
     assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_import_leaves_dataclasses_and_inspect_out(tmp_path):
     # the records are named tuples: a command's start-up builds no dataclass
-    proc = _python(["-c", "import sys, semiosc.cli\n"
-                    "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
-                    "assert not loaded, f'{loaded} imported'\n"], tmp_path)
+    proc = run_python(["-c", "import sys, semiosc.cli\n"
+                       "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+                       "assert not loaded, f'{loaded} imported'\n"], tmp_path)
     assert proc.returncode == 0, proc.stderr
-
-
-SCRIPTS = os.path.join(os.path.dirname(__file__), os.pardir, "scripts")
-
-
-# each script with the arguments CI's "Experiment scripts" step gives it
-@pytest.mark.parametrize("argv", [
-    ["run_bundled_scenarios.py", "scenarios"],
-    ["discrepancy_sweep.py", "dsweep"],
-    ["chaos_probe.py", "free", "vacuum-kick"],
-], ids=lambda argv: argv[0])
-def test_experiment_script_exits_0(argv, tmp_path):
-    proc = _python([os.path.join(SCRIPTS, argv[0]), *argv[1:]], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-
-
-def test_sweep_runs_with_numpy_blocked(tmp_path):
-    (tmp_path / "e.sweep").write_text(
-        "base = adiabatic\naxis = e\nvalues = 0.2, 0.1, 0.05\n")
-    proc = _python(["-c", "import sys\n"
-                    "sys.modules['numpy'] = None  # any import of numpy fails\n"
-                    "from semiosc.cli import main\n"
-                    "raise SystemExit(main(['sweep', 'e.sweep', '-o', 'sw']))\n"],
-                   tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "sw" / "manifest.json").read_text())
-    assert 3.7 <= manifest["outputs"]["discrepancy_power"] <= 4.3
 
 
 # ---------------------------------------------------------------------------
@@ -820,6 +703,8 @@ overrides_st = st.lists(st.sampled_from(sorted(SCENARIO_KEYS)), max_size=3,
 
 @given(command=st.sampled_from(["simulate", "diagnose"]), overrides=overrides_st)
 @example(command="simulate", overrides={"e": "1e308"})  # (e A0)^2 overflows
+# no Benettin segment survives t_end = 0.01: the report's Lyapunov value is null
+@example(command="diagnose", overrides={})
 @settings(max_examples=120, deadline=None)
 def test_main_runs_or_exits_with_a_documented_code(command, overrides):
     text = "".join(f"{k} = {v}\n" for k, v in {**TINY, **overrides}.items())
@@ -850,12 +735,13 @@ def test_main_runs_or_exits_with_a_documented_code(command, overrides):
 
 # Each start key set alone to each extreme, on every representation, method
 # and quantum_init, with TINY's other values: 180 simulate runs per key, and
-# how many of them exit 0, 2 and 3.
+# how many of them exit 0, 2 and 3.  The six explicit rhodot0 = 1e100 starts
+# exit 3 in their first step: p2 ~ 1e200 overflows.
 EXTREMES = (1e-300, 1e-200, 1e-154, 1e-120, 1e-100, 1e100, 1e154, 1e200,
             1e300, -1e300)
 EXTREME_EXITS = {"m": (0, 180, 0), "e": (90, 90, 0), "hbar": (90, 60, 30),
                  "A0": (90, 66, 24), "Adot0": (90, 66, 24),
-                 "rho0": (120, 60, 0), "rhodot0": (150, 30, 0)}
+                 "rho0": (120, 60, 0), "rhodot0": (150, 24, 6)}
 
 
 @pytest.mark.parametrize("key", EXTREME_EXITS)

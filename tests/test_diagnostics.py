@@ -357,10 +357,6 @@ _ABORT_NOTE = re.compile(r"(singular evaluation|trajectory aborted: .*) "
 @example(m=1.3121187091902449, e=1.8782983255570211, A0=-0.7127745738707256,
          Adot0=-1.7004036172163197, rho0=1.0175981784906194,
          rhodot0=-2.8257552745507923, floor=0.2426339893426231 / 1.0175981784906194)
-# floors at step 190 after a whole segment: t=1.9000000000000001, not 1.9
-@example(m=0.8887256039908371, e=0.6204864235917862, A0=0.6276297907847099,
-         Adot0=-2.7249114461876993, rho0=1.0778798124031204,
-         rhodot0=2.3514411608369885, floor=0.2665836395765614 / 1.0778798124031204)
 def test_lyapunov_fails_where_the_run_stops(m, e, A0, Adot0, rho0, rhodot0,
                                             floor):
     # the run's step is the segment's (6.0 / 600 == 1.0 / 100), so the

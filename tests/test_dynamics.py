@@ -384,11 +384,22 @@ AGREEMENT_SHRINK = 8.0
 
 def _x2_gap(config):
     """Largest relative gap between the x2 columns of pinney, mode and
-    moments runs of config; None when the runs do not all complete."""
+    moments runs of config; None when the runs do not all complete.
+
+    The runs end alike, but for one case: a width that bounces off a
+    minimum too narrow for the step.  rk4 can step the pinney width through
+    zero there, and that run stops at its floor, while the mode and moments
+    flows, which are linear and have no singular point, step on."""
     runs = [integrate(scenario_with(config, representation=rep))
             for rep in ("pinney", "mode", "moments")]
-    assert len({run.status for run in runs}) == 1, [r.status for r in runs]
-    if not runs[0].completed:
+    pinney, mode, moments = runs
+    assert mode.status == moments.status, [r.status for r in runs]
+    if pinney.status != mode.status:
+        assert mode.completed, mode.abort_reason
+        assert pinney.status == "aborted-singularity", pinney.abort_reason
+        assert "fell to the floor" in pinney.abort_reason, pinney.abort_reason
+        return None
+    if not pinney.completed:
         return None
     columns = [run.columns["x2"] for run in runs]
     return max(abs(a - b) / abs(a) for i, xa in enumerate(columns)
@@ -401,6 +412,11 @@ def _x2_gap(config):
 @example(m=1.0136647484778445, e=1.6757372360613112, hbar=0.2449535393741133,
          A0=1.15582162913776, Adot0=-2.428614904490181,
          quantum_init="adiabatic")  # gap 9.8e-7 at dt, 6.2e-8 at dt/2
+# rho0 = 16.5, rhodot0 = -364: the width bounces at 0.0033 near t = 0.045,
+# which rk4 at dt = 1e-3 steps through zero in pinney; mode and moments
+# complete
+@example(m=0.5, e=0.375, hbar=1.0, A0=0.375, Adot0=1.59375,
+         quantum_init="adiabatic")
 @settings(max_examples=50, deadline=None)
 def test_representations_agree_on_x2_or_converge_together(m, e, hbar, A0,
                                                           Adot0, quantum_init):
