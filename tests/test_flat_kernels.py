@@ -50,6 +50,7 @@ from semiosc import (
     scenario_with,
 )
 from semiosc import dynamics
+from semiosc.core import HEISENBERG_TOL, vacuum_moments
 from semiosc.dynamics import (
     METHODS,
     REPRESENTATIONS,
@@ -376,10 +377,6 @@ def _oracle_outcome(representation, params, t, y):
        params=params_st, t=st.floats(0.0, 100.0),
        A=st.floats(-3.0, 3.0), Adot=st.floats(-3.0, 3.0),
        rho=st.floats(0.2, 5.0), rhodot=st.floats(-3.0, 3.0))
-# a fast rhodot: x2*p2 - c^2 of the vacuum moments, hbar^2/4 by construction,
-# cancels to 0.2495...; neither the writer nor the oracle tests it
-@example(representation="pinney", params=UNIT, t=1.0, A=1.0, Adot=1.0,
-         rho=2.556565780583648, rhodot=1458261.2633403067)
 @settings(max_examples=300, deadline=None)
 def test_written_row_matches_record_observables(representation, params, t, A,
                                                 Adot, rho, rhodot):
@@ -452,6 +449,19 @@ def test_sampling_an_invalid_state_is_a_step_failure(representation, y,
     write = make_row_writer(representation, unit_params, rows)
     assert write(1.0, y) == ("aborted-stepfail", 1.0, reason)
     assert len(rows) == 0
+
+
+def test_sampling_a_fast_width_rate_writes_its_row(unit_params):
+    # x2*p2 - c^2 of the vacuum moments, hbar^2/4 by construction, cancels to
+    # just below the Heisenberg floor; neither the writer nor the oracle
+    # tests it, so the state is sampled
+    y = (1.0, 1.0, 2.556565780583648, 1458261.2633403067)
+    row = _oracle_row(1.0, y, "pinney", unit_params)
+    vac = vacuum_moments(row.Omega, row.Omegadot, unit_params.hbar)
+    assert vac.x2 * vac.p2 - vac.c * vac.c < 0.25 * (1.0 - HEISENBERG_TOL)
+    rows = array("d")
+    assert make_row_writer("pinney", unit_params, rows)(1.0, y) is None
+    assert _bits(rows) == _bits(row)
 
 
 @pytest.mark.parametrize("name, changes", [
