@@ -29,6 +29,7 @@ from .dynamics import (
     convert,
     fixed_grid,
     flat_from_state,
+    ignore_sample,
     initial_state,
     integrate,
     make_rk4_run,
@@ -109,11 +110,11 @@ TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 
 def benettin_lyapunov(run, y0, *, dt, horizon,
                       reference=()) -> LyapunovEstimate:
-    """Benettin estimate on the flow of an rk4 run(y, h, n, i0=i0) -> (y,
-    abort): make_rk4_run's protocol, or partial(run_fixed,
+    """Benettin estimate on the flow of an rk4 run(y, h, n, sample_every=,
+    on_sample=, i0=) -> (y, abort): make_rk4_run's, or partial(run_fixed,
     partial(rk4_step, rhs)).  Segment k is the run of n_sub steps from grid
-    step i0 = k * n_sub, so every time it reports is a step's (i0 + i) * h,
-    as integrate()'s run reports it.
+    step i0 = k * n_sub, sampled at its last step only, into ignore_sample;
+    every time it reports is a step's (i0 + i) * h, as integrate()'s is.
 
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
@@ -154,6 +155,7 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
     if skip >= n_seg:
         return finish()
     n_sub, h = fixed_grid(RENORM_INTERVAL, dt)
+    segment = partial(run, sample_every=n_sub, on_sample=ignore_sample)
     absorbed = (f"displacement {DISPLACEMENT} absorbed: the companion equals "
                 f"the reference at t=")
 
@@ -167,8 +169,8 @@ def benettin_lyapunov(run, y0, *, dt, horizon,
         if seg < len(reference):
             y_ref, ref_abort = reference[seg], None
         else:
-            y_ref, ref_abort = run(y_ref, h, n_sub, i0=i0)
-        y_cmp, cmp_abort = run(y_cmp, h, n_sub, i0=i0)
+            y_ref, ref_abort = segment(y_ref, h, n_sub, i0=i0)
+        y_cmp, cmp_abort = segment(y_cmp, h, n_sub, i0=i0)
         aborts = [a for a in (ref_abort, cmp_abort) if a is not None]
         if aborts:
             _, t_stop, why = min(aborts, key=lambda a: a[1])

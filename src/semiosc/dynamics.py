@@ -153,6 +153,9 @@ class ScenarioConfig(namedtuple(
             if not math.isclose(h, self.dt, rel_tol=1e-9):
                 raise UsageError(f"dt = {self.dt} does not divide t_end = "
                                  f"{self.t_end} into whole steps")
+        if not isinstance(self.sample_every, int):
+            raise UsageError(f"sample_every must be an integer, got "
+                             f"{self.sample_every}")
         if self.sample_every < 1:
             raise UsageError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.quantum_init == "explicit":
@@ -382,6 +385,10 @@ def state_from_flat(t: float, y: tuple[float, ...], representation: str) -> Semi
 # steppers
 # ---------------------------------------------------------------------------
 
+def ignore_sample(t, y):
+    """on_sample that keeps nothing, for an rk4 retake and Benettin segments."""
+
+
 def rk4_step(rhs, t, y, h):
     """One classical fourth-order Runge-Kutta step."""
     k1 = rhs(t, y)
@@ -450,14 +457,14 @@ LAYOUTS = {
     "augmented": ({**_MOMENTS, **_WIDTH}, *_WIDTH_FLOOR),
 }
 
-# Per kind: the stages after the first, then the results, term for term as
-# rk4_step and rkf45_step write them, on each component y and the rates k1,
-# k2, ... of the stages so far (hh = 0.5 * h and six = h / 6.0 are rk4_step's
-# leading products).
+# Per kind: the stages after the first, the suffixes of the names that keep
+# the results, then the results, term for term as rk4_step and rkf45_step
+# write them, on each component y and the rates k1, k2, ... of the stages so
+# far (hh = 0.5 * h and six = h / 6.0 are rk4_step's leading products).
 TABLEAUS = {
-    "rhs": ((), "{k1}"),
+    "rhs": ((), ("",), "{k1}"),
     "rk4": (("{y} + hh * {k1}", "{y} + hh * {k2}", "{y} + h * {k3}"),
-            "{y} + six * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"),
+            ("",), "{y} + six * ({k1} + 2.0 * ({k2} + {k3}) + {k4})"),
     "adaptive": (("{y} + 0.25 * h * {k1}",
                   "{y} + h * (0.09375 * {k1} + 0.28125 * {k2})",
                   "{y} + h * (1932.0 / 2197.0 * {k1} - 7200.0 / 2197.0 * {k2}"
@@ -466,7 +473,7 @@ TABLEAUS = {
                   " + 3680.0 / 513.0 * {k3} - 845.0 / 4104.0 * {k4})",
                   "{y} + h * (-8.0 / 27.0 * {k1} + 2.0 * {k2}"
                   " - 3544.0 / 2565.0 * {k3} + 1859.0 / 4104.0 * {k4}"
-                  " - 11.0 / 40.0 * {k5})"),
+                  " - 11.0 / 40.0 * {k5})"), ("_new", "_err"),
                  "{y} + h * (16.0 / 135.0 * {k1} + 6656.0 / 12825.0 * {k3}"
                  " + 28561.0 / 56430.0 * {k4} - 9.0 / 50.0 * {k5}"
                  " + 2.0 / 55.0 * {k6})",
@@ -482,7 +489,7 @@ def make(params, rho_min):
 _RHS = _HEAD + """\
     def rhs(t, y):
         {state} = y
-{stages}
+        {stages}
         return ({results})
     return rhs
 """
@@ -500,50 +507,46 @@ _GUARD = _HEAD + """\
         return None
 """
 # The rk4 run tests the guard's floor after every step, and finiteness only
-# at its checkpoints: every sample_every-th step and the last, or the last
-# alone without on_sample.  Every update is y + six * (...), and inf + x and
+# at its checkpoints: every sample_every-th step and the last, where it hands
+# the state to on_sample.  Every update is y + six * (...), and inf + x and
 # nan + x are not finite, so a component that is not finite stays so up to
 # the next checkpoint.  A state found not finite (at a checkpoint, the floor
 # test or a raising stage) more than one step after the last checkpoint ck,
 # whose state NAME_ck keeps, is retaken from ck by the same run with every
-# step a checkpoint: the retake stops at the first bad step, with the abort
-# of the guard after every step.
+# step a checkpoint and ignore_sample as its sink: the retake stops at the
+# first bad step, with the abort of the guard after every step.
 _RK4_RUN = _GUARD + """\
-    def skip(t, y):
-        return None
-    def run(y, h, n, sample_every=1, on_sample=None, i0=0):
+    def run(y, h, n, sample_every, on_sample, i0=0):
         {state} = {checkpoint} = y
         hh, six = 0.5 * h, h / 6.0
-        stride = sample_every if on_sample is not None else n
-        ck, nxt = 0, min(stride, n)
+        ck, nxt = 0, min(sample_every, n)
         for i in range(1, n + 1):
             try:
-{stages}
+                {stages}
             except (ZeroDivisionError, OverflowError):
                 if i == ck + 1 or isfinite({finite}):
                     return ({state}), (STATUS_SINGULARITY, (i0 + i - 1) * h,
                                       SINGULAR_STEP)
                 break
-{update}
+            {update}
             if {floor}:
                 break
             if i == nxt:
                 if not isfinite({finite}):
                     break
-{keep}
+                {keep}
                 ck = i
-                nxt += stride
+                nxt += sample_every
                 if nxt > n:
                     nxt = n
-                if on_sample is not None:
-                    t = (i0 + i) * h
-                    hit = on_sample(t, ({state}))
-                    if hit is not None:
-                        return ({state}), hit
+                t = (i0 + i) * h
+                hit = on_sample(t, ({state}))
+                if hit is not None:
+                    return ({state}), hit
         else:
             return ({state}), None
         if i > ck + 1 and not isfinite({finite}):
-            return run(({checkpoint}), h, i - ck, 1, skip, i0 + ck)
+            return run(({checkpoint}), h, i - ck, 1, ignore_sample, i0 + ck)
         return ({state}), guard((i0 + i) * h, ({state}))
     return run
 """
@@ -569,15 +572,15 @@ _ADAPTIVE_RUN = _GUARD + """\
             if clamped:
                 h = t_end - t
             try:
-{stages}
-{update}
+                {stages}
+                {update}
             except (ZeroDivisionError, OverflowError):
                 return ({state}), (STATUS_SINGULARITY, t, SINGULAR_STEP)
             enorm = inf
             if isfinite({checked}):
                 try:
                     acc = 0.0
-{norm}
+                    {norm}
                     enorm = sqrt(acc / width)
                 except OverflowError:
                     pass
@@ -603,9 +606,9 @@ _ADAPTIVE_RUN = _GUARD + """\
 """
 # one component's term: max(p, q) keeps p unless q > p
 _NORM_TERM = """\
-                    p = {y} if {y} >= 0.0 else -{y}
-                    q = {y}_new if {y}_new >= 0.0 else -{y}_new
-                    acc += ({y}_err / (atol + rtol * (q if q > p else p))) ** 2"""
+p = {y} if {y} >= 0.0 else -{y}
+q = {y}_new if {y}_new >= 0.0 else -{y}_new
+acc += ({y}_err / (atol + rtol * (q if q > p else p))) ** 2"""
 
 # One sampled row, packed as the bytes of len(COLUMNS) doubles of array("d")
 _ROW = struct.Struct(f"{len(COLUMNS)}d")
@@ -689,6 +692,7 @@ TEMPLATES = {"rhs": _RHS, "rk4": _RK4_RUN, "adaptive": _ADAPTIVE_RUN,
              "guard": _GUARD + "    return guard\n", "row": _ROW_WRITER}
 
 _WORD = re.compile(r"\b[A-Za-z_]\w*")
+_BLOCK = re.compile(r"^( *)\{(\w+)\}$", re.M)  # a field alone on its line
 
 
 def _term(template, name, k):
@@ -697,7 +701,7 @@ def _term(template, name, k):
                                       for i, kj in enumerate(k)})
 
 
-def _stages(rates, stages, indent):
+def _stages(rates, stages):
     """Source lines of every stage, and k: k[j][name] is the rate of name at
     stage j + 1, a state name or the local dNAME_(j + 1).  Stage j + 1 > 1
     holds its state in NAME_(j + 1)."""
@@ -706,53 +710,47 @@ def _stages(rates, stages, indent):
     for j in range(len(stages) + 1):
         suffix = f"_{j + 1}" if j else ""
         if j:
-            lines += [f"{indent}{n}{suffix} = {_term(stages[j - 1], n, k)}"
+            lines += [f"{n}{suffix} = {_term(stages[j - 1], n, k)}"
                       for n in rates]
         on_stage = partial(_WORD.sub, lambda w: w[0] + suffix
                            if w[0] in rates else w[0])
         k.append({n: f"d{n}_{j + 1}" if n in named else on_stage(rate)
                   for n, rate in rates.items()})
-        lines.append(indent + on_stage(PRELUDE))
-        lines += [f"{indent}{k[j][n]} = {on_stage(rates[n])}" for n in named]
+        lines.append(on_stage(PRELUDE))
+        lines += [f"{k[j][n]} = {on_stage(rates[n])}" for n in named]
     return lines, k
 
 
 @cache
 def _compiled(kind, layout):
     """make(params, rho_min or rows) -> the layout's function of one kind in
-    TEMPLATES, compiled once per process, with its source in linecache."""
+    TEMPLATES, compiled once per process, with its source in linecache.
+    Every kind fills its template from one table of fields, each block field
+    (_BLOCK) indented to its line's column."""
     if layout not in (_SECTORS if kind == "row" else LAYOUTS):
         raise UsageError(f"unknown representation {layout!r}")
     rates, floor, reason = LAYOUTS[layout]
     names = list(rates)
     # the guard and the row writer have no stages: the rhs's go unused
-    stages, *results = TABLEAUS.get(kind, TABLEAUS["rhs"])
-    lines, k = _stages(rates, stages,
-                       " " * (16 if kind in ("rk4", "adaptive") else 8))
+    stages, suffixes, *results = TABLEAUS.get(kind, TABLEAUS["rhs"])
+    lines, k = _stages(rates, stages)
     columns = [[_term(t, n, k) for n in names] for t in results]
-    # the rk4 run updates its state in place, the adaptive run keeps y5, err
-    suffixes = ("_new", "_err") if kind == "adaptive" else ("",)
-    pad = " " * (16 if kind == "adaptive" else 12)
-    # each run's own fields, built for its kind alone: built for every kind,
-    # such short strings cost an rk4 command 0.1-0.3 MB more peak RSS
-    # (CPython 3.11)
-    fields = {}
-    if kind == "rk4":
-        fields = {"checkpoint": ", ".join(f"{n}_ck" for n in names),
-                  "keep": "\n".join(f"{pad}    {n}_ck = {n}" for n in names)}
-    elif kind == "adaptive":
-        fields = {
-            "new": ", ".join(f"{n}_new" for n in names),
-            "checked": " + ".join(f"{n}{s} * 0.0" for s in suffixes
-                                  for n in names),
-            "norm": "\n".join(_NORM_TERM.format(y=n) for n in names)}
-    source = TEMPLATES[kind].format(
-        layout=layout, state=", ".join(names), stages="\n".join(lines),
-        update="\n".join(f"{pad}{n}{s} = {v}" for s, c in zip(suffixes, columns)
-                         for n, v in zip(names, c)),
-        finite=" + ".join(f"{n} * 0.0" for n in names), floor=floor,
-        reason=reason, sector=_SECTORS.get(layout, "").replace("\n", "\n" + pad),
-        results="), (".join(f",\n{pad}".join(c) for c in columns), **fields)
+    blocks = {"stages": lines, "keep": [f"{n}_ck = {n}" for n in names],
+              "update": [f"{n}{s} = {v}" for s, c in zip(suffixes, columns)
+                         for n, v in zip(names, c)],
+              "norm": [_NORM_TERM.format(y=n) for n in names],
+              "sector": [_SECTORS.get(layout, "")]}
+    template = TEMPLATES[kind]
+    indents = {name: "\n" + col for col, name in _BLOCK.findall(template)}
+    source = template.format(
+        layout=layout, state=", ".join(names), floor=floor, reason=reason,
+        finite=" + ".join(f"{n} * 0.0" for n in names),
+        checked=" + ".join(f"{n}{s} * 0.0" for s in suffixes for n in names),
+        new=", ".join(n + suffixes[0] for n in names),
+        results=", ".join(columns[0]),
+        checkpoint=", ".join(f"{n}_ck" for n in names),
+        **{name: "\n".join(block).replace("\n", indents.get(name, "\n"))
+           for name, block in blocks.items()})
     return _exec(source, f"<semiosc.dynamics {kind} {layout}>")
 
 
@@ -772,8 +770,8 @@ def make_rhs(representation: str, params: ModelParams):
 
 
 def make_rk4_run(representation: str, params: ModelParams, rho_min: float):
-    """rk4 run(y, h, n, sample_every=1, on_sample=None, i0=0) -> (y, abort)
-    with run_fixed's contract: one loop generated from LAYOUTS, the state in
+    """rk4 run(y, h, n, sample_every, on_sample, i0=0) -> (y, abort) with
+    run_fixed's contract: one loop generated from LAYOUTS, the state in
     locals, the guard's tests inlined.  The floor test runs after every step,
     the finiteness test at every sampled step and the last; a state found
     not finite later than one step after such a checkpoint is retaken from

@@ -73,11 +73,18 @@ def small_cfg(tmp_path):
     return str(path)
 
 
-def _schema():
+def _schema(name="report"):
     import semiosc
     root = os.path.dirname(semiosc.__file__)
-    with open(os.path.join(root, "report.schema.json")) as fh:
+    with open(os.path.join(root, f"{name}.schema.json")) as fh:
         return json.load(fh)
+
+
+def _manifest(out):
+    """out's manifest.json, validated against manifest.schema.json."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    jsonschema.validate(manifest, _schema("manifest"))
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +95,7 @@ def test_simulate_produces_all_artifacts(small_cfg, tmp_path):
     out = tmp_path / "out"
     code = main(["simulate", small_cfg, "-o", str(out)])
     assert code == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["status"] == "completed"
     assert manifest["version"]
     for key in ("timeseries_csv", "diagnostics_json", "manifest"):
@@ -237,7 +244,7 @@ def test_simulate_singularity_exits_3_with_partial_csv(tmp_path, capsys):
     assert main(["simulate", str(cfg), "-o", str(out)]) == EXIT_ABORT
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "runtime-abort"
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["status"] == "aborted-singularity"
     assert manifest["abort_reason"]
     records = read_timeseries_csv(str(out / "timeseries.csv"))
@@ -255,7 +262,7 @@ def test_simulate_step_attempt_bound_exits_3_with_partial_csv(
     out = tmp_path / "out"
     assert main(["simulate", str(cfg), "-o", str(out)]) == EXIT_ABORT
     assert json.loads(capsys.readouterr().err.strip())["error"] == "runtime-abort"
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["status"] == "aborted-stepfail"
     assert manifest["abort_reason"].startswith("40 step attempts")
     records = read_timeseries_csv(str(out / "timeseries.csv"))
@@ -442,7 +449,7 @@ def test_sweep_aggregate_and_power(tmp_path):
         report = json.loads((leg / "diagnostics.json").read_text())
         assert row["status"] == "completed"
         assert report["lyapunov"]["value"] == float(row["lyapunov"])
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert 3.7 <= manifest["outputs"]["discrepancy_power"] <= 4.3
 
 
@@ -451,7 +458,7 @@ def test_sweep_single_leg_notes_insufficient(tmp_path, capsys):
     sweep.write_text("base = adiabatic\naxis = e\nvalues = 0.1\n")
     out = tmp_path / "sw"
     assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["outputs"]["discrepancy_power"] is None
     assert any("insufficient legs" in w for w in manifest["warnings"])
     agg = (out / "aggregate.csv").read_text().splitlines()
@@ -463,7 +470,7 @@ def test_sweep_zero_leg_rejects_the_fit_as_mixed(tmp_path, capsys):
     sweep.write_text("base = adiabatic\naxis = e\nvalues = 0.1, 0.05, 0.0\n")
     out = tmp_path / "sw"
     assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["outputs"]["discrepancy_power"] is None
     assert any(w.startswith("mixed") for w in manifest["warnings"])
     assert "warning: mixed" in capsys.readouterr().err
@@ -502,7 +509,7 @@ def test_sweep_flags_aborted_leg_but_exits_0(tmp_path):
     assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
     agg = (out / "aggregate.csv").read_text().splitlines()
     assert any("aborted-singularity" in line for line in agg[1:])
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert any("aborted" in w for w in manifest["warnings"])
 
 
@@ -541,7 +548,7 @@ def test_main_stderr_and_exit_codes(small_cfg, tmp_path, capsys):
     sweep.write_text(f"base = {sing.name}\naxis = A0\nvalues = 0.0, 0.1\n")
     out = tmp_path / "sw"
     assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert len(manifest["warnings"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         f"warning: {w}" for w in manifest["warnings"]]
@@ -566,7 +573,7 @@ def test_sweep_base_resolved_relative_to_sweep_file(tmp_path):
     sweep.write_text("base = local.cfg\naxis = Adot0\nvalues = 0.5, 1.0\n")
     out = tmp_path / "sw"
     assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert any("no discrepancy power fit" in w for w in manifest["warnings"])
 
 
@@ -587,6 +594,7 @@ def test_diagnose_full_report(small_cfg, tmp_path):
 
 def test_run_scenario_api_returns_manifest(small_cfg, tmp_path):
     manifest = run_scenario(small_cfg, str(tmp_path / "out"))
+    jsonschema.validate(manifest, _schema("manifest"))
     assert manifest["status"] == "completed"
     assert manifest["command"] == "simulate"
     assert manifest["config"]["params"]["m"] == 1.0
@@ -607,7 +615,7 @@ def test_duration_counts_reading_the_config(command, small_cfg, tmp_path,
     monkeypatch.setattr(cli, "read_config_text", slow_read)
     out = tmp_path / command
     assert main([command, small_cfg, "-o", str(out)]) == EXIT_OK
-    manifest = json.loads((out / "manifest.json").read_text())
+    manifest = _manifest(out)
     assert manifest["duration_seconds"] >= 0.05
 
 
@@ -631,16 +639,16 @@ def _readme_manifest_tables():
 
 def test_readme_manifest_table_matches_every_manifest(small_cfg, tmp_path):
     keys, outputs = _readme_manifest_tables()
+    schema = _schema("manifest")  # the table's authority
+    assert keys == set(schema["required"]) == set(schema["properties"])
     (tmp_path / "e.sweep").write_text(
         "base = small.cfg\naxis = e\nvalues = 1.0, 0.5\n")
     manifests = {}
     for command, ref in (("simulate", small_cfg), ("diagnose", small_cfg),
                          ("sweep", str(tmp_path / "e.sweep"))):
         assert main([command, ref, "-o", str(tmp_path / command)]) == EXIT_OK
-        manifests[command] = json.loads(
-            (tmp_path / command / "manifest.json").read_text())
-    manifests["sweep-leg"] = json.loads(
-        (tmp_path / "sweep" / "leg00" / "manifest.json").read_text())
+        manifests[command] = _manifest(tmp_path / command)
+    manifests["sweep-leg"] = _manifest(tmp_path / "sweep" / "leg00")
     assert set(outputs) == set(manifests)
     for command, manifest in manifests.items():
         assert manifest["command"] == command
@@ -659,7 +667,7 @@ def test_params_is_a_json_object_in_report_and_sweep_manifest(small_cfg,
     assert main(["sweep", str(tmp_path / "e.sweep"), "-o",
                  str(tmp_path / "sweep")]) == EXIT_OK
     report = json.loads((tmp_path / "run" / "diagnostics.json").read_text())
-    manifest = json.loads((tmp_path / "sweep" / "manifest.json").read_text())
+    manifest = _manifest(tmp_path / "sweep")
     for params in (report["scenario"]["params"],
                    manifest["config"]["base"]["params"]):
         assert params == {"m": 1.0, "e": 1.0, "hbar": 1.0}
@@ -728,7 +736,8 @@ def test_main_runs_or_exits_with_a_documented_code(command, overrides):
             assert read_timeseries_csv(os.path.join(out, "timeseries.csv"))
         if code == EXIT_OK:
             read_timeseries_csv(os.path.join(out, "timeseries.csv"))  # finite
-            _strict_json(os.path.join(out, "manifest.json"))
+            jsonschema.validate(_strict_json(os.path.join(out, "manifest.json")),
+                                _schema("manifest"))
             jsonschema.validate(_strict_json(os.path.join(out, "diagnostics.json")),
                                 _schema())
 

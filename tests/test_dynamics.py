@@ -642,6 +642,8 @@ def test_config_validation():
         ({"quantum_init": "explicit"},  # rho0 missing
          "explicit quantum_init requires rho0 and rhodot0"),
         ({"sample_every": 0}, "sample_every must be >= 1, got 0"),
+        ({"sample_every": 2.5}, "sample_every must be an integer, got 2.5"),
+        ({"sample_every": 10.0}, "sample_every must be an integer, got 10.0"),
     ]:
         with pytest.raises(UsageError) as err:
             ScenarioConfig(params=params, **{"A0": 0.0, "Adot0": 0.0,

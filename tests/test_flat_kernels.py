@@ -5,12 +5,12 @@ make_guard and make_row_writer) is generated by one dynamics._compiled from
 one equation table (dynamics.LAYOUTS), and each maker rejects an unknown
 layout with the same UsageError.  Each generated rk4 run must reproduce
 run_fixed on partial(rk4_step, make_rhs) and make_guard after every step
-bit for bit, from any grid step i0, with a sink and without one: its
-states, its abort and every sample it hands over.  The run tests
-finiteness only at its checkpoints, so examples whose first bad step (a
-non-finite state, a stage that raises, the floor) lies strictly inside a
-block of sample_every steps hold its retake of the block to the oracle's
-abort.  As the run and the guard share LAYOUTS' floor, the guard's own
+bit for bit, from any grid step i0: its states, its abort and every
+sample it hands over.  The run tests finiteness only at its checkpoints,
+so examples whose first bad step (a non-finite state, a stage that raises,
+the floor) lies strictly inside a block of sample_every steps hold its
+retake of the block to the oracle's abort, also in the single block of
+benettin_lyapunov's sample_every == n.  As the run and the guard share LAYOUTS' floor, the guard's own
 literal oracle is in test_dynamics.  Each generated adaptive run must so
 reproduce run_adaptive on partial(rkf45_step, make_rhs) and make_guard,
 under any attempt bound, and every generated loop must jump back
@@ -150,6 +150,10 @@ SINGULAR_INSIDE = dict(params=UNIT, y=(0.0, 0.0, 0.0, -1e110, 0.0, 0.0, 0.0),
 FLOOR_INSIDE = dict(params=UNIT, y=(0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 0.0),
                     w=(0.6, 1.0), h=0.01, n=100, sample_every=5, i0=40,
                     refuse=0, rho_min=0.3)
+# The same runs under benettin_lyapunov's arguments, sample_every == n: the
+# bad step lies strictly inside the single block, retaken from checkpoint 0
+SINGLE_BLOCK = [{**case, "sample_every": case["n"]}
+                for case in (NONFINITE_INSIDE, SINGULAR_INSIDE, FLOOR_INSIDE)]
 
 
 @pytest.mark.parametrize("representation", list(WIDTHS))
@@ -178,6 +182,9 @@ FLOOR_INSIDE = dict(params=UNIT, y=(0.0, 0.0, 0.0, -3.0, 0.0, 0.0, 0.0),
 @example(**NONFINITE_INSIDE)
 @example(**SINGULAR_INSIDE)
 @example(**FLOOR_INSIDE)
+@example(**SINGLE_BLOCK[0])
+@example(**SINGLE_BLOCK[1])
+@example(**SINGLE_BLOCK[2])
 @settings(max_examples=80, deadline=None)
 def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
                                              n, sample_every, i0, refuse,
@@ -193,9 +200,6 @@ def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
     outcome = _run_outcome(partial(run, y, h, n, sample_every, i0=i0), refuse)
     assert outcome == _run_outcome(
         partial(oracle, y, h, n, sample_every, i0=i0), refuse)
-    # Benettin's call: no sink, so the last step is the one checkpoint
-    assert _run_outcome(lambda _: run(y, h, n, i0=i0), 0) == \
-        _run_outcome(lambda _: oracle(y, h, n, 1, None, i0), 0)
     event("completed" if outcome[1] is None else f"{outcome[1][0]}: "
           f"{outcome[1][2].split(' ')[0]}")
 
@@ -203,10 +207,14 @@ def test_generated_rk4_run_matches_run_fixed(representation, params, y, w, h,
 @pytest.mark.parametrize("representation, case, reason", [
     ("moments", NONFINITE_INSIDE, "non-finite state component"),
     ("pinney", SINGULAR_INSIDE, dynamics.SINGULAR_STEP),
-    ("pinney", FLOOR_INSIDE, "rho = ")])
+    ("pinney", FLOOR_INSIDE, "rho = "),
+    ("moments", SINGLE_BLOCK[0], "non-finite state component"),
+    ("pinney", SINGLE_BLOCK[1], dynamics.SINGULAR_STEP),
+    ("pinney", SINGLE_BLOCK[2], "rho = ")])
 def test_examples_fail_strictly_inside_a_block(representation, case, reason):
     # the oracle stops at step i, the one that raised or failed the guard,
-    # after the first block, with neither i nor i - 1 a checkpoint
+    # after the first block or inside the single one, with neither i nor
+    # i - 1 a checkpoint
     steps = []
     step = partial(rk4_step, make_rhs(representation, case["params"]))
 
@@ -220,7 +228,8 @@ def test_examples_fail_strictly_inside_a_block(representation, case, reason):
                                     case["rho_min"]), None, case["i0"])
     i, every = len(steps), case["sample_every"]
     assert abort[2].startswith(reason), abort
-    assert every < i < case["n"] and i % every not in (0, 1), i
+    assert every < i < case["n"] or i < case["n"] == every, i
+    assert i % every not in (0, 1), i
 
 
 def _adaptive_example(**changes):

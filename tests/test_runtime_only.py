@@ -40,17 +40,17 @@ def run_python(args, cwd, block_numpy=True):
 # the shared checks
 # ---------------------------------------------------------------------------
 
-MANIFEST_KEYS = {"command", "config_source", "config", "version", "status",
-                 "duration_seconds", "outputs", "warnings", "abort_time",
-                 "abort_reason"}
-
-
 def _strict_json(path):
     """RFC 8259 JSON only: NaN and Infinity tokens raise."""
     def reject(token):
         raise ValueError(f"{path}: {token} is not JSON")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh, parse_constant=reject)
+
+
+# the keys the package's manifest schema requires, which it alone allows
+MANIFEST_KEYS = set(_strict_json(os.path.join(
+    os.path.dirname(semiosc.__file__), "manifest.schema.json"))["required"])
 
 
 # a line main() writes to stderr: a warning or a JSON error
