@@ -17,6 +17,7 @@ from operator import sub
 from .core import (
     DiagnosticError,
     GaussianMoments,
+    ModelParams,
     OscBasis,
     UsageError,
     quanta_expectation,
@@ -33,8 +34,6 @@ from .dynamics import (
     initial_state,
     integrate,
     make_rk4_run,
-    rk4_step,
-    run_fixed,
     scenario_with,
 )
 
@@ -111,10 +110,12 @@ TRANSIENT_FRACTION = 0.1  # leading share of segments discarded
 def benettin_lyapunov(run, y0, *, dt, horizon,
                       reference=()) -> LyapunovEstimate:
     """Benettin estimate on the flow of an rk4 run(y, h, n, sample_every=,
-    on_sample=, i0=) -> (y, abort): make_rk4_run's, or partial(run_fixed,
-    partial(rk4_step, rhs)).  Segment k is the run of n_sub steps from grid
-    step i0 = k * n_sub, sampled at its last step only, into ignore_sample;
-    every time it reports is a step's (i0 + i) * h, as integrate()'s is.
+    on_sample=, i0=) -> (y, abort) with make_rk4_run's contract: the
+    program's make_rk4_run run, or in tests partial(run_fixed,
+    partial(rk4_step, rhs)) with tests/oracles.py's run_fixed.  Segment k is
+    the run of n_sub steps from grid step i0 = k * n_sub, sampled at its
+    last step only, into ignore_sample; every time it reports is a step's
+    (i0 + i) * h, as integrate()'s is.
 
     Two copies of the system start DISPLACEMENT apart in the first
     component; after every RENORM_INTERVAL the log separation growth is
@@ -204,9 +205,9 @@ def _main_rows(config: ScenarioConfig, main, steps: int):
                       for c in _FLOW)))
 
 
-def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
-                 main=None) -> LyapunovEstimate:
-    """Largest Lyapunov exponent of the scenario's (A, Adot, rho, rhodot) flow.
+def lyapunov_max(config: ScenarioConfig, main=None) -> LyapunovEstimate:
+    """Largest Lyapunov exponent of the scenario's (A, Adot, rho, rhodot)
+    flow over the horizon config.t_end.
 
     Always runs in the pinney representation with the config's fixed step,
     each copy stopped at rho_min or a non-finite state as integrate()'s run
@@ -228,8 +229,7 @@ def lyapunov_max(config: ScenarioConfig, horizon: float | None = None,
             reference = rows[1:n // n_sub + 1]
     return benettin_lyapunov(
         make_rk4_run("pinney", config.params, config.rho_min), y0,
-        dt=config.dt, horizon=config.t_end if horizon is None else horizon,
-        reference=reference)
+        dt=config.dt, horizon=config.t_end, reference=reference)
 
 
 # ---------------------------------------------------------------------------
@@ -313,19 +313,23 @@ def convergence_order(config: ScenarioConfig, main=None) -> float:
 
 
 def linear_test_order() -> float:
-    """Self-test of the stepper on Addot = -A against the exact cosine.
+    """Self-test of the program's rk4 run on fddot = -f against the exact
+    cosine.
 
-    Uses true errors at t = 5 for A(0)=1, Adot(0)=0 at dt = 0.04, 0.02 and
-    0.01, so the estimate is anchored to a known solution rather than
-    self-convergence.
+    Steps make_rk4_run's mode run at e = 0 from A = Adot = 0, where A stays
+    0 and w2 is exactly 1.0, so (Re f, Re fdot) takes the rk4 steps of
+    (x, v)' = (v, -x) term for term from (1, 0); (Im f, Im fdot) starts at
+    (0, 1), keeping |f|^2 = 1 far above the width floor.  Uses true errors
+    at t = 5 at dt = 0.04, 0.02 and 0.01, so the estimate is anchored to a
+    known solution rather than self-convergence.
     """
     t_end = 5.0
-    step = partial(rk4_step, lambda t, y: (y[1], -y[0]))
+    run = make_rk4_run("mode", ModelParams(m=1.0, e=0.0, hbar=1.0), 1e-8)
     errs = []
     for dt in (0.04, 0.02, 0.01):
         n, h = fixed_grid(t_end, dt)
-        y, _ = run_fixed(step, (1.0, 0.0), h, n)
-        errs.append(math.hypot(y[0] - math.cos(t_end), y[1] + math.sin(t_end)))
+        y, _ = run((0.0, 0.0, 1.0, 0.0, 0.0, 1.0), h, n, n, ignore_sample)
+        errs.append(math.hypot(y[2] - math.cos(t_end), y[4] + math.sin(t_end)))
     return _observed_order(errs)
 
 

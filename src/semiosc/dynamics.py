@@ -63,8 +63,6 @@ __all__ = [
     "make_adaptive_run",
     "make_row_writer",
     "make_guard",
-    "run_fixed",
-    "run_adaptive",
     "flat_from_state",
     "state_from_flat",
     "Records",
@@ -550,10 +548,11 @@ _RK4_RUN = _GUARD + """\
         return ({state}), guard((i0 + i) * h, ({state}))
     return run
 """
-# run_adaptive on rkf45_step and the guard, y5 in NAME_new and err in
-# NAME_err; the norm's abs and max are inlined, with the builtins' results.
-# A step is accepted only with a finite enorm, which needs every NAME_new
-# finite, so after it the guard's floor test alone can fire.
+# run_adaptive (tests/oracles.py) on rkf45_step and the guard, y5 in
+# NAME_new and err in NAME_err; the norm's abs and max are inlined, with the
+# builtins' results.  A step is accepted only with a finite enorm, which
+# needs every NAME_new finite, so after it the guard's floor test alone can
+# fire.
 _ADAPTIVE_RUN = _GUARD + """\
     sqrt, inf = math.sqrt, math.inf
     def run(y, t_end, h0, rtol, atol, sample_every, on_sample):
@@ -770,21 +769,37 @@ def make_rhs(representation: str, params: ModelParams):
 
 
 def make_rk4_run(representation: str, params: ModelParams, rho_min: float):
-    """rk4 run(y, h, n, sample_every, on_sample, i0=0) -> (y, abort) with
-    run_fixed's contract: one loop generated from LAYOUTS, the state in
-    locals, the guard's tests inlined.  The floor test runs after every step,
-    the finiteness test at every sampled step and the last; a state found
-    not finite later than one step after such a checkpoint is retaken from
-    it step by step, so the abort names the first bad step.  Bit-identical
-    to run_fixed on partial(rk4_step, make_rhs) with make_guard after every
-    step."""
+    """rk4 run(y, h, n, sample_every, on_sample, i0=0) -> (y, abort): n
+    steps after the first i0 of the grid, in one loop generated from
+    LAYOUTS, the state in locals, the guard's tests inlined.
+
+    Step i of the run ends at t = (i0 + i) * h, so a run continued from
+    step i0 reports the times a run from 0 would.  After every
+    sample_every-th step and the last, on_sample(t, y) may return an abort
+    (status, t, reason) to stop.  A stage that raises ZeroDivisionError or
+    OverflowError stops the run as a singularity at its step's start time;
+    a state not finite or at the width floor, with make_guard's abort.
+    Returns (y, abort): the last state reached and None, or the abort that
+    stopped the run.  The floor test runs after every step, the finiteness
+    test at every sampled step and the last; a state found not finite later
+    than one step after such a checkpoint is retaken from it step by step,
+    so the abort names the first bad step.  Bit-identical to run_fixed
+    (tests/oracles.py) on partial(rk4_step, make_rhs) with make_guard after
+    every step."""
     return _compiled("rk4", representation)(params, rho_min)
 
 
 def make_adaptive_run(representation: str, params: ModelParams,
                       rho_min: float):
     """Fehlberg 4(5) run(y, t_end, h0, rtol, atol, sample_every, on_sample)
-    -> (y, abort): one generated loop, bit-identical to run_adaptive on
+    -> (y, abort): one generated loop from t = 0 to t_end, from h = h0,
+    controlled by the rms of the embedded error against atol + rtol * max|y|.
+
+    on_sample works as in make_rk4_run's run, counting accepted steps; a
+    time is sampled at most once.  A step that raises stops the run as a
+    singularity; a step below 1e-14 * max(1, |t|), or MAX_STEP_ATTEMPTS
+    accepted and rejected steps short of t_end, as a step failure.
+    Bit-identical to run_adaptive (tests/oracles.py) on
     partial(rkf45_step, make_rhs) with make_guard."""
     return _compiled("adaptive", representation)(params, rho_min)
 
@@ -857,100 +872,6 @@ def fixed_grid(t_end: float, dt: float) -> tuple[int, float]:
     """The fixed step grid over [0, t_end] nearest to step dt: (n, t_end / n)."""
     n = max(1, round(t_end / dt))
     return n, t_end / n
-
-
-def run_fixed(step, y, h, n, sample_every=1, guard=None, on_sample=None,
-              i0=0):
-    """The fixed-step loop: n steps y <- step(t, y, h) after the first i0.
-
-    Step i of the run is step i0 + i of the grid and ends at t = (i0 + i) * h,
-    so a run continued from step i0 reports the times a run from 0 would.
-    After each step guard(t, y) may return an abort (status, t, reason) to
-    stop; after every sample_every-th step and the last one so may
-    on_sample(t, y).  A step that raises ZeroDivisionError or OverflowError
-    stops the run as a singularity at the step's start time.  Returns
-    (y, abort): the last state reached and None, or the abort that stopped
-    the run, unchanged.
-    """
-    t = i0 * h
-    for i in range(1, n + 1):
-        try:
-            y = step(t, y, h)
-        except (ZeroDivisionError, OverflowError):
-            return y, (STATUS_SINGULARITY, t, SINGULAR_STEP)
-        t = (i0 + i) * h
-        if guard is not None:
-            hit = guard(t, y)
-            if hit is not None:
-                return y, hit
-        if on_sample is not None and (i % sample_every == 0 or i == n):
-            hit = on_sample(t, y)
-            if hit is not None:
-                return y, hit
-    return y, None
-
-
-def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
-                 on_sample):
-    """The generic adaptive loop, make_adaptive_run's oracle: embedded
-    steps (y5, err) = step(t, y, h) from t = 0 to t_end, from h = h0,
-    controlled by the rms of err against atol + rtol * max|y|.
-
-    guard and on_sample work as in run_fixed, counting accepted steps; a
-    time is sampled at most once.  A step that raises stops the run as a
-    singularity; a step below 1e-14 * max(1, |t|), or MAX_STEP_ATTEMPTS
-    accepted and rejected steps short of t_end, as a step failure.  Returns
-    (y, abort) as run_fixed does, the abort as one (status, t, reason).
-    """
-    isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
-    width = len(y)
-    t = 0.0
-    h = min(h0, t_end)
-    accepted = attempts = 0
-    last_sampled_t = 0.0
-    while t < t_end:
-        if attempts == MAX_STEP_ATTEMPTS:
-            return y, (STATUS_STEPFAIL, t, f"{attempts} step attempts did not "
-                       f"reach t_end = {t_end}")
-        attempts += 1
-        clamped = h >= t_end - t
-        if clamped:
-            h = t_end - t
-        try:
-            ynew, err = step(t, y, h)
-        except (ZeroDivisionError, OverflowError):
-            return y, (STATUS_SINGULARITY, t, SINGULAR_STEP)
-        enorm = inf
-        try:
-            acc = 0.0
-            for e, a, b in zip(err, y, ynew):
-                if not (isfinite(e) and isfinite(b)):
-                    break
-                acc += (e / (atol + rtol * max(abs(a), abs(b)))) ** 2
-            else:
-                enorm = sqrt(acc / width)
-        except OverflowError:
-            pass
-        if enorm > 1.0:
-            h *= 0.2 if not isfinite(enorm) else max(0.2, 0.9 * enorm ** -0.2)
-            if h < 1e-14 * max(1.0, abs(t)):
-                return y, (STATUS_STEPFAIL, t, f"step size underflow at t={t}")
-            continue
-        t = t_end if clamped else t + h
-        y = ynew
-        accepted += 1
-        hit = guard(t, y)
-        if hit is None and (accepted % sample_every == 0
-                            or t >= t_end) and t != last_sampled_t:
-            hit = on_sample(t, y)
-            last_sampled_t = t
-        if hit is not None:
-            return y, hit
-        if enorm > 0.0:
-            h *= min(5.0, max(0.2, 0.9 * enorm ** -0.2))
-        else:
-            h *= 5.0
-    return y, None
 
 
 def integrate(config: ScenarioConfig) -> Trajectory:

@@ -182,7 +182,7 @@ def test_criterion_09_bogoliubov_unitarity():
 
 def test_criterion_10_diagnostics_self_tests():
     order = linear_test_order()
-    est = lyapunov_max(load_scenario("free"), horizon=50.0)
+    est = lyapunov_max(scenario_with(load_scenario("free"), t_end=50.0))
     ok = 3.7 <= order <= 4.3 and not est.failed and abs(est.value) <= 1e-3
     _criterion(10, "rk4 order ~4 on the linear problem; lambda <= 1e-3 at e=0",
                ok, f"order {order:.3f}, lambda {est.value:.2e}")

@@ -39,8 +39,9 @@ from semiosc import (
 from semiosc import diagnostics
 from semiosc.core import SemiquantumError
 from semiosc.diagnostics import LyapunovEstimate, power_law_fit
-from semiosc.dynamics import COLUMNS, Records, rk4_step, run_fixed
+from semiosc.dynamics import COLUMNS, Records, ignore_sample, rk4_step
 from conftest import quick_config
+from oracles import run_fixed
 
 
 def _rec(t=0.0, Etot=1.0, N_ours=0.0, N_cdms=0.0, dN_leading=0.0):
@@ -109,12 +110,20 @@ def test_lyapunov_harmonic_self_test():
     est = benettin_lyapunov(_run(rhs), (1.0, 0.0), dt=1e-2, horizon=100.0)
     assert not est.failed
     assert abs(est.value) <= 1e-3
+    # past its last segment end a shorter reference is stepped on
+    y, ends = (1.0, 0.0), []
+    for k in range(3):
+        y, _ = _run(rhs)(y, 0.01, 100, sample_every=100,
+                         on_sample=ignore_sample, i0=100 * k)
+        ends.append(y)
+    assert benettin_lyapunov(_run(rhs), (1.0, 0.0), dt=1e-2, horizon=100.0,
+                             reference=ends) == est
 
 
 def test_lyapunov_integrable_scenario():
     free = load_scenario("free")
     for horizon in (50.0, 50.6):
-        est = lyapunov_max(free, horizon=horizon)
+        est = lyapunov_max(scenario_with(free, t_end=horizon))
         assert not est.failed
         assert abs(est.value) <= 1e-3
         # whole segments within the horizon, the first 10% discarded
@@ -321,8 +330,7 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     # the first example shares the Benettin grid (1.0 / 100 == 3.0 / 300),
     # the second does not (1.0 / 33 != 3.0 / 100); in the third the run's
     # last row (step 52, sampled off the stride of 10) is no segment's end;
-    # in the fourth the run holds four segment ends, and at t_end / 2 the
-    # estimate uses two
+    # in the fourth the run holds four segment ends
     try:
         cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
                              A0=A0, Adot0=Adot0, t_end=t_end, dt=dt,
@@ -332,11 +340,6 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     main = integrate(cfg)
     assert (lyapunov_max(cfg, main=main).to_dict()
             == lyapunov_max(cfg).to_dict())
-    # past the run the reference is stepped on; short of its end the run
-    # holds more segment ends than the estimate uses
-    for horizon in (t_end + 2.0, t_end / 2.0):
-        assert (lyapunov_max(cfg, horizon, main).to_dict()
-                == lyapunov_max(cfg, horizon).to_dict())
     outcomes = []
     for reused in (main, None):
         try:

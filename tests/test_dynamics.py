@@ -30,6 +30,7 @@ from semiosc import (
     state_effective_frequency,
 )
 from conftest import quick_config
+from oracles import run_adaptive, run_fixed
 
 
 def _rates(state, params):
@@ -579,11 +580,11 @@ def _failing_after(n, value):
 
 
 def test_drivers_stop_on_a_singular_step():
-    y, abort = dynamics.run_fixed(_failing_after(2, (1.0,)), (0.0,), 0.5, 4)
+    y, abort = run_fixed(_failing_after(2, (1.0,)), (0.0,), 0.5, 4)
     assert y == (1.0,)
     assert abort == ("aborted-singularity", 1.0,
                      "singular right-hand side evaluation")
-    y, abort = dynamics.run_adaptive(
+    y, abort = run_adaptive(
         _failing_after(1, ((1.0,), (0.0,))), (0.0,), 4.0, 0.5, 1e-9, 1e-9, 1,
         lambda t, y: None, lambda t, y: None)
     assert y == (1.0,)
@@ -601,11 +602,11 @@ def test_drivers_stop_when_a_sample_is_refused():
     def step(t, y, h):
         return (y[0] + h,)
 
-    y, abort = dynamics.run_fixed(step, (0.0,), 0.25, 8, 2, None, on_sample)
+    y, abort = run_fixed(step, (0.0,), 0.25, 8, 2, None, on_sample)
     assert samples == [0.5, 1.0]
     assert y == (1.0,) and abort == ("aborted-stepfail", 1.0, "refused")
     samples.clear()
-    y, abort = dynamics.run_adaptive(
+    y, abort = run_adaptive(
         lambda t, y, h: (step(t, y, h), (0.0,)), (0.0,), 4.0, 0.25, 1e-9, 1e-9,
         1, lambda t, y: None, on_sample)
     # an exact step grows the next fivefold: t = 0.25, then 1.5
@@ -624,8 +625,8 @@ def test_adaptive_loop_rejects_a_non_finite_step(y5, err):
         hs.append(h)
         return y5, err
 
-    y, abort = dynamics.run_adaptive(step, (0.0,), 1.0, 0.1, 1e-9, 1e-9, 1,
-                                     lambda t, y: None, lambda t, y: None)
+    y, abort = run_adaptive(step, (0.0,), 1.0, 0.1, 1e-9, 1e-9, 1,
+                            lambda t, y: None, lambda t, y: None)
     assert y == (0.0,)
     assert abort == ("aborted-stepfail", 0.0, "step size underflow at t=0.0")
     assert len(hs) == 19

@@ -10,8 +10,10 @@ sample it hands over.  The run tests finiteness only at its checkpoints,
 so examples whose first bad step (a non-finite state, a stage that raises,
 the floor) lies strictly inside a block of sample_every steps hold its
 retake of the block to the oracle's abort, also in the single block of
-benettin_lyapunov's sample_every == n.  As the run and the guard share LAYOUTS' floor, the guard's own
-literal oracle is in test_dynamics.  Each generated adaptive run must so
+benettin_lyapunov's sample_every == n.  Both oracle loops, run_fixed and
+run_adaptive, live in tests/oracles.py: the program steps only the
+generated runs.  As the run and the guard share LAYOUTS' floor, the
+guard's own literal oracle is in test_dynamics.  Each generated adaptive run must so
 reproduce run_adaptive on partial(rkf45_step, make_rhs) and make_guard,
 under any attempt bound, and every generated loop must jump back
 unconditionally, so that CPython 3.11 specializes it within its first
@@ -62,10 +64,9 @@ from semiosc.dynamics import (
     make_row_writer,
     rk4_step,
     rkf45_step,
-    run_adaptive,
-    run_fixed,
     state_from_flat,
 )
+from oracles import run_adaptive, run_fixed
 
 WIDTHS = {"pinney": 4, "mode": 6, "moments": 5, "augmented": 7}
 # the components each layout's width-floor test reads

@@ -144,8 +144,14 @@ OUT_OF_RANGE = "a derived quantity is outside double range"
     # check names
     ("simulate", _explicit(1e300),
      START.format("1e+300", "<p^2> must be positive, got 0.0")),
+    # at A0 = 0, omegaddot0 = e^2 Adot0^2 = 9, so Omega0 = 1 - 9/4 < 0
+    ("simulate", {"quantum_init": "adiabatic", "A0": 0, "Adot0": 3},
+     "m = 1.0, e = 1.0, hbar = 1.0, A0 = 0.0, Adot0 = 3.0: the initial state "
+     "is not representable (adiabatic start left the domain (Omega0 <= 0); "
+     "the scenario is not slowly driven)"),
 ], ids=["dt-zero", "rtol-zero", "atol-zero", "rho0-1e-300-simulate",
-        "rho0-1e-300-diagnose", "rho0-1e-120", "rho0-1e300"])
+        "rho0-1e-300-diagnose", "rho0-1e-120", "rho0-1e300",
+        "adiabatic-omega0-negative"])
 def test_config_or_start_exits_2_with_its_detail(command, keys, detail,
                                                  tmp_path):
     cfg = _config(tmp_path, "c.cfg", t_end=2.0, **keys)
