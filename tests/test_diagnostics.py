@@ -39,7 +39,15 @@ from semiosc import (
 from semiosc import diagnostics
 from semiosc.core import SemiquantumError
 from semiosc.diagnostics import LyapunovEstimate, power_law_fit
-from semiosc.dynamics import COLUMNS, Records, ignore_sample, rk4_step
+from semiosc.dynamics import (
+    COLUMNS,
+    Records,
+    fixed_grid,
+    flat_from_state,
+    initial_state,
+    make_rk4_run,
+    rk4_step,
+)
 from conftest import quick_config
 from oracles import run_fixed
 
@@ -110,14 +118,6 @@ def test_lyapunov_harmonic_self_test():
     est = benettin_lyapunov(_run(rhs), (1.0, 0.0), dt=1e-2, horizon=100.0)
     assert not est.failed
     assert abs(est.value) <= 1e-3
-    # past its last segment end a shorter reference is stepped on
-    y, ends = (1.0, 0.0), []
-    for k in range(3):
-        y, _ = _run(rhs)(y, 0.01, 100, sample_every=100,
-                         on_sample=ignore_sample, i0=100 * k)
-        ends.append(y)
-    assert benettin_lyapunov(_run(rhs), (1.0, 0.0), dt=1e-2, horizon=100.0,
-                             reference=ends) == est
 
 
 def test_lyapunov_integrable_scenario():
@@ -330,7 +330,8 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     # the first example shares the Benettin grid (1.0 / 100 == 3.0 / 300),
     # the second does not (1.0 / 33 != 3.0 / 100); in the third the run's
     # last row (step 52, sampled off the stride of 10) is no segment's end;
-    # in the fourth the run holds four segment ends
+    # in the fourth the run holds four segment ends, and at t_end / 2 the
+    # estimate uses two
     try:
         cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
                              A0=A0, Adot0=Adot0, t_end=t_end, dt=dt,
@@ -340,6 +341,20 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     main = integrate(cfg)
     assert (lyapunov_max(cfg, main=main).to_dict()
             == lyapunov_max(cfg).to_dict())
+    # main's segment ends, as lyapunov_max reads them, as the reference of
+    # another horizon: past the run the reference is stepped on; short of
+    # its end the run holds more segment ends than the estimate uses
+    n, h_main = fixed_grid(t_end, dt)
+    n_sub, h = fixed_grid(diagnostics.RENORM_INTERVAL, dt)
+    rows = diagnostics._main_rows(cfg, main, n_sub)
+    if h == h_main and rows:
+        run = make_rk4_run("pinney", cfg.params, rho_min)
+        y0 = flat_from_state(initial_state(cfg))
+        for horizon in (t_end + 2.0, t_end / 2.0):
+            ests = [benettin_lyapunov(run, y0, dt=dt, horizon=horizon,
+                                      reference=reference).to_dict()
+                    for reference in (rows[1:n // n_sub + 1], ())]
+            assert ests[0] == ests[1]
     outcomes = []
     for reused in (main, None):
         try:
