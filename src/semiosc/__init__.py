@@ -55,12 +55,10 @@ from .dynamics import (
     scenario_with,
 )
 from .diagnostics import (
-    DiscrepancyScaling,
     LyapunovEstimate,
     adiabatic_invariant_drift,
     benettin_lyapunov,
     convergence_order,
-    discrepancy_scaling,
     energy_drift,
     linear_test_order,
     lyapunov_max,

@@ -39,7 +39,6 @@ from .dynamics import (
 
 __all__ = [
     "LyapunovEstimate",
-    "DiscrepancyScaling",
     "energy_drift",
     "benettin_lyapunov",
     "lyapunov_max",
@@ -47,7 +46,6 @@ __all__ = [
     "linear_test_order",
     "structure_count",
     "power_law_fit",
-    "discrepancy_scaling",
     "max_abs_discrepancy",
     "max_abs_remainder",
     "adiabatic_invariant_drift",
@@ -67,16 +65,6 @@ class LyapunovEstimate(namedtuple("LyapunovEstimate",
         return {"value": value, "n_segments": self.n_segments,
                 "window": list(self.window), "failed": self.failed,
                 "note": self.note}
-
-
-class DiscrepancyScaling(namedtuple(
-        "DiscrepancyScaling",
-        "power couplings amplitudes remainders zero_signal note",
-        defaults=(False, ""))):
-    """Power-law fit of max|N_ours - N_cdms| against the coupling (power is
-    None without a fit; the other three are tuples over the couplings)."""
-
-    __slots__ = ()
 
 
 def _sum(values) -> float:
@@ -194,11 +182,17 @@ def _main_rows(config: ScenarioConfig, main, steps: int):
     2 * steps, ... and at its last step; None unless `main` is a completed
     rk4 integrate(config) whose sample_every divides `steps`.  Such a run
     samples every sample_every-th step and the last: these are every
-    (steps / sample_every)-th row before the last, and the last.
+    (steps / sample_every)-th row before the last, and the last.  A `main`
+    without that run's row count, or not ending at its last time n * h,
+    is another config's run and is not read.
     """
     every = config.sample_every
     if (main is None or not main.completed or config.method != "rk4"
             or steps % every):
+        return None
+    n, h = fixed_grid(config.t_end, config.dt)
+    t = main.columns["t"]
+    if len(t) != 1 + n // every + (n % every > 0) or t[-1] != n * h:
         return None
     k = steps // every
     return list(zip(*(main.columns[c][:-1:k] + main.columns[c][-1:]
@@ -367,9 +361,6 @@ def max_abs_remainder(records: Records) -> float:
                             cols["dN_leading"])))
 
 
-_ZERO_SIGNAL = "zero signal: no measurable discrepancy, fit rejected"
-
-
 def power_law_fit(xs, ys) -> tuple[float | None, str]:
     """Least-squares power p of y ~ x^p: (p, "") or (None, why not).
 
@@ -380,7 +371,7 @@ def power_law_fit(xs, ys) -> tuple[float | None, str]:
     if len(xs) < 3:
         return None, "insufficient legs for a power fit (need at least 3 completed)"
     if all(y == 0.0 for y in ys):
-        return None, _ZERO_SIGNAL
+        return None, "zero signal: no measurable discrepancy, fit rejected"
     if not all(v > 0.0 for v in (*xs, *ys)):
         return None, "mixed zero/nonzero discrepancy amplitudes; fit rejected"
     if len(set(xs)) < 2:
@@ -390,57 +381,6 @@ def power_law_fit(xs, ys) -> tuple[float | None, str]:
     sxy = math.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
     sxx = math.fsum((a - mx) * (a - mx) for a in lx)
     return sxy / sxx, ""
-
-
-def discrepancy_scaling(base_config: ScenarioConfig, e_list) -> DiscrepancyScaling:
-    """Fit max|N_ours - N_cdms| against the coupling over a scenario family.
-
-    Couplings must form a geometric progression (all zero is allowed and
-    reported as a zero-signal result) and every leg must start inside the
-    weak-coupling regime e^2 A0^2 / m^2 < 1.  Also returns, per coupling, the
-    worst deviation of the measured discrepancy from its leading-order law,
-    for the next-order remainder check.
-    """
-    e_list = tuple(float(e) for e in e_list)
-    if len(e_list) < 3:
-        raise UsageError("discrepancy scaling needs at least three couplings")
-    if any(e < 0.0 for e in e_list):
-        raise UsageError("couplings must be nonnegative")
-    if all(e == 0.0 for e in e_list):
-        # every leg is the same decoupled run: integrate it once
-        records = integrate(scenario_with(base_config, e=0.0)).records
-        n = len(e_list)
-        return DiscrepancyScaling(power=None, couplings=e_list,
-                                  amplitudes=(max_abs_discrepancy(records),) * n,
-                                  remainders=(max_abs_remainder(records),) * n,
-                                  zero_signal=True,
-                                  note="zero signal: all couplings are zero")
-    if any(e == 0.0 for e in e_list):
-        raise UsageError("couplings must be all zero or a geometric progression "
-                         "of positive values")
-    ratios = [a / b for a, b in zip(e_list, e_list[1:])]
-    if any(not math.isclose(r, ratios[0], rel_tol=1e-9) for r in ratios):
-        raise UsageError(f"couplings must form a geometric progression, got {e_list}")
-    m = base_config.params.m
-    for e in e_list:
-        if (e * base_config.A0 / m) ** 2 >= 1.0:
-            raise UsageError(
-                f"coupling e={e} puts the start outside the weak regime "
-                f"e^2 A0^2/m^2 < 1")
-    amps = []
-    rems = []
-    for e in e_list:
-        traj = integrate(scenario_with(base_config, e=e))
-        if not traj.completed:
-            raise DiagnosticError(f"scaling leg e={e} aborted: {traj.abort_reason}")
-        amps.append(max_abs_discrepancy(traj.records))
-        rems.append(max_abs_remainder(traj.records))
-    power, note = power_law_fit(e_list, amps)
-    if power is None and note != _ZERO_SIGNAL:
-        raise DiagnosticError(note)
-    return DiscrepancyScaling(power=power, couplings=e_list,
-                              amplitudes=tuple(amps), remainders=tuple(rems),
-                              zero_signal=power is None, note=note)
 
 
 # ---------------------------------------------------------------------------

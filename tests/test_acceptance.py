@@ -5,6 +5,7 @@ criterion.  Each test measures its own wall-clock time against the stated
 budget; all numerical tolerances are pinned here, not configurable.
 """
 
+import json
 import math
 import time
 
@@ -16,7 +17,6 @@ from semiosc import (
     ScenarioConfig,
     adiabatic_invariant_drift,
     bogoliubov_coefficients,
-    discrepancy_scaling,
     energy_drift,
     init_vacuum,
     integrate,
@@ -31,6 +31,7 @@ from semiosc import (
     shearless_basis,
     vacuum_moments,
 )
+from semiosc.cli import run_sweep
 
 
 def _criterion(num, desc, ok, detail=""):
@@ -126,18 +127,28 @@ def test_criterion_06_exact_discrepancy_identity():
                worst <= 1e-10, f"worst abs dev {worst:.2e}")
 
 
-def test_criterion_07_leading_order_law():
+def test_criterion_07_leading_order_law(tmp_path):
+    # the sweep command's coupling study: its fitted power, and each leg's
+    # remainder read back from the report it wrote
     start = time.perf_counter()
-    res = discrepancy_scaling(load_scenario("adiabatic"), [0.2, 0.1, 0.05])
-    ratios = [res.remainders[i] / res.remainders[i + 1] for i in range(2)]
+    sweep = tmp_path / "coupling.sweep"
+    sweep.write_text("base = adiabatic\naxis = e\nvalues = 0.2, 0.1, 0.05\n")
+    manifest = run_sweep(str(sweep), str(tmp_path / "sw"))
+    power = manifest["outputs"]["discrepancy_power"]
+    remainders = []
+    for leg in manifest["outputs"]["legs"]:
+        with open(leg["diagnostics_json"], encoding="utf-8") as fh:
+            remainders.append(json.load(fh)["max_abs_remainder"])
+    ratios = [remainders[i] / remainders[i + 1] for i in range(2)]
     elapsed = time.perf_counter() - start
-    power_ok = res.power is not None and 3.7 <= res.power <= 4.3
+    power_ok = power is not None and 3.7 <= power <= 4.3
     # remainder after subtracting the leading term scales like the next
     # order, e^6: a factor 64 per coupling octave, within a factor 5
     rem_ok = all(64.0 / 5.0 <= r <= 64.0 * 5.0 for r in ratios)
-    ok = power_ok and rem_ok and elapsed < 120.0
+    ok = (power_ok and rem_ok and manifest["warnings"] == []
+          and elapsed < 120.0)
     _criterion(7, "discrepancy scales as e^4; remainder consistent with e^6",
-               ok, f"power {res.power:.3f}, remainder ratios "
+               ok, f"power {power:.3f}, remainder ratios "
                    f"{ratios[0]:.1f}/{ratios[1]:.1f} per octave, {elapsed:.1f}s")
 
 

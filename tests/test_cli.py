@@ -476,15 +476,30 @@ def test_sweep_zero_leg_rejects_the_fit_as_mixed(tmp_path, capsys):
     assert "warning: mixed" in capsys.readouterr().err
 
 
-def test_sweep_bad_value_exits_2_before_any_leg(tmp_path, capsys):
+def test_sweep_all_zero_family_warns_zero_signal(tmp_path, capsys):
     sweep = tmp_path / "sweep.cfg"
-    sweep.write_text("base = adiabatic\naxis = e\nvalues = 0.1, nan\n")
+    sweep.write_text("base = adiabatic\naxis = e\nvalues = 0, 0, 0\n")
     out = tmp_path / "sw"
-    assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_CONFIG
-    detail = json.loads(capsys.readouterr().err.strip())["detail"]
-    assert str(sweep) in detail and "'values'" in detail
-    assert not out.exists()
+    assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_OK
+    rows = list(csv.DictReader(
+        (out / "aggregate.csv").read_text().splitlines()))
+    assert [row["status"] for row in rows] == ["completed"] * 3
+    manifest = _manifest(out)
+    assert manifest["outputs"]["discrepancy_power"] is None
+    assert any(w.startswith("zero signal") for w in manifest["warnings"])
+    assert "warning: zero signal" in capsys.readouterr().err
 
+
+def test_sweep_bad_value_exits_2_before_any_leg(tmp_path, capsys):
+    # a non-finite and a negative coupling: the model refuses both
+    for i, values in enumerate(("0.1, nan", "0.2, -0.1, 0.05")):
+        sweep = tmp_path / f"sweep{i}.cfg"
+        sweep.write_text(f"base = adiabatic\naxis = e\nvalues = {values}\n")
+        out = tmp_path / f"sw{i}"
+        assert main(["sweep", str(sweep), "-o", str(out)]) == EXIT_CONFIG
+        detail = json.loads(capsys.readouterr().err.strip())["detail"]
+        assert str(sweep) in detail and "'values'" in detail
+        assert not out.exists()
 
 
 def test_sweep_leg_that_cannot_start_exits_2_before_any_leg(tmp_path, capsys):

@@ -25,7 +25,6 @@ from semiosc import (
     adiabatic_invariant_drift,
     benettin_lyapunov,
     convergence_order,
-    discrepancy_scaling,
     energy_drift,
     integrate,
     linear_test_order,
@@ -364,6 +363,22 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     assert outcomes[0] == outcomes[1]
 
 
+@pytest.mark.parametrize("t_end, foreign", [
+    (4.6, {"t_end": 2.6}),   # main ends at 2.6
+    (2.6, {"dt": 0.005}),    # main steps 0.005 where the config steps 0.01
+], ids=["t_end", "dt"])
+def test_studies_do_not_read_another_configs_run(t_end, foreign):
+    # a completed rk4 run of another config is not read as the main run:
+    # each study returns what it returns without one
+    cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0), A0=1.0,
+                         Adot0=1.0, t_end=t_end, dt=0.01, sample_every=10)
+    main = integrate(scenario_with(cfg, **foreign))
+    assert main.completed
+    assert convergence_order(cfg, main) == convergence_order(cfg)
+    assert (lyapunov_max(cfg, main=main).to_dict()
+            == lyapunov_max(cfg).to_dict())
+
+
 _ABORT_NOTE = re.compile(r"(singular evaluation|trajectory aborted: .*) "
                          r"at t=(\S+)")
 
@@ -511,53 +526,6 @@ def test_structure_baseline_vacuum_kick():
 # discrepancy scaling
 # ---------------------------------------------------------------------------
 
-def test_discrepancy_scaling_usage_errors():
-    base = load_scenario("adiabatic")
-    with pytest.raises(UsageError):
-        discrepancy_scaling(base, [0.2, 0.1])
-    with pytest.raises(UsageError):
-        discrepancy_scaling(base, [0.2, 0.1, 0.07])  # not geometric
-    with pytest.raises(UsageError):
-        discrepancy_scaling(base, [0.2, 0.0, 0.05])  # mixed zero
-    with pytest.raises(UsageError):
-        discrepancy_scaling(base, [4.0, 2.0, 1.0])  # outside weak regime
-    with pytest.raises(UsageError, match="nonnegative"):
-        discrepancy_scaling(base, [0.2, -0.1, 0.05])
-
-
-def test_discrepancy_scaling_zero_signal():
-    base = scenario_with(load_scenario("adiabatic"), t_end=0.5)
-    res = discrepancy_scaling(base, [0.0, 0.0, 0.0])
-    assert res.zero_signal
-    assert res.power is None
-    assert all(a == 0.0 for a in res.amplitudes)
-    assert "zero signal" in res.note
-
-
-def test_discrepancy_scaling_zero_signal_integrates_once(monkeypatch):
-    import semiosc.diagnostics as diagnostics
-    calls = []
-
-    def counting(config):
-        calls.append(config)
-        return integrate(config)
-
-    monkeypatch.setattr(diagnostics, "integrate", counting)
-    base = scenario_with(load_scenario("adiabatic"), t_end=0.5)
-    res = discrepancy_scaling(base, [0.0, 0.0, 0.0])
-    assert len(calls) == 1
-    assert len(res.amplitudes) == len(res.remainders) == 3
-
-
-def test_discrepancy_scaling_short_family():
-    base = scenario_with(load_scenario("adiabatic"), t_end=1.0)
-    res = discrepancy_scaling(base, [0.2, 0.1, 0.05])
-    assert res.power is not None
-    assert 3.5 <= res.power <= 4.5
-    assert len(res.amplitudes) == len(res.remainders) == 3
-    assert all(a > 0 for a in res.amplitudes)
-
-
 _XS = (0.2, 0.1, 0.05, 0.025)
 
 
@@ -578,22 +546,6 @@ def test_power_law_fit(xs, ys, power, note):
     else:
         assert got_note == ""
         assert abs(got - power) <= 1e-12
-
-
-def test_discrepancy_scaling_rejects_coinciding_couplings():
-    base = scenario_with(load_scenario("adiabatic"), t_end=0.5)
-    with pytest.raises(DiagnosticError, match="coincide"):
-        discrepancy_scaling(base, [0.1, 0.1, 0.1])
-
-
-def test_discrepancy_scaling_rejects_an_aborted_leg(unit_params):
-    # A stays at rest, so at every coupling the width falls to its floor
-    base = ScenarioConfig(params=unit_params, A0=0.0, Adot0=0.0, t_end=5.0,
-                          dt=1e-3, sample_every=1, quantum_init="explicit",
-                          rho0=0.6, rhodot0=-2.0, rho_min=0.5)
-    with pytest.raises(DiagnosticError, match=r"^scaling leg e=0\.2 aborted: "
-                                              r"rho = .* fell to the floor"):
-        discrepancy_scaling(base, [0.2, 0.1, 0.05])
 
 
 def test_fitted_amplitude_bounded_by_remainder():

@@ -106,15 +106,29 @@ def test_python_m_semiosc_runs_the_cli(tmp_path):
     assert (proc.stdout, proc.stderr) == ("semiosc 0.1.0\n", "")
 
 
-@pytest.mark.parametrize("argv", [
-    ["run_bundled_scenarios.py", "scenarios"],
-    ["discrepancy_sweep.py", "dsweep"],
-    ["chaos_probe.py", "free", "vacuum-kick"],
-], ids=lambda argv: argv[0])
-def test_experiment_script_exits_0(argv, tmp_path):
+# the discrepancy script's power and remainder ratios, as README shows them
+DISCREPANCY_LINES = (
+    "fitted power of max|dN| vs e: 3.8867  (leading order: 4)",
+    "remainder ratio 0.2 -> 0.1:   57.1  (e^6 law: 64)",
+    "remainder ratio 0.1 -> 0.05:   62.1  (e^6 law: 64)",
+    "remainder ratio 0.05 -> 0.025:   63.5  (e^6 law: 64)",
+)
+
+
+@pytest.mark.parametrize("argv, out, command, lines", [
+    pytest.param(["run_bundled_scenarios.py", "scenarios"], ".", "simulate",
+                 (), id="run_bundled_scenarios.py"),
+    pytest.param(["discrepancy_sweep.py", "dsweep"], "dsweep", "sweep",
+                 DISCREPANCY_LINES, id="discrepancy_sweep.py"),
+    pytest.param(["chaos_probe.py", "free", "vacuum-kick"], ".", "simulate",
+                 (), id="chaos_probe.py"),
+])
+def test_experiment_script_exits_0(argv, out, command, lines, tmp_path):
     proc = run_python([os.path.join(SCRIPTS, argv[0]), *argv[1:]], tmp_path)
     assert (proc.returncode, proc.stderr) == (0, "")
-    _check_outputs(tmp_path, "simulate")
+    _check_outputs(tmp_path / out, command)
+    stdout = proc.stdout.splitlines()
+    assert all(line in stdout for line in lines), proc.stdout
 
 
 # ---------------------------------------------------------------------------
