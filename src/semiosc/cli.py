@@ -182,11 +182,11 @@ def _series_metrics(traj: Trajectory) -> dict:
     }
 
 
-def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
-             source: str, outdir: str, command: str, heavy: dict | None = None,
+def _run_one(traj: Trajectory, start: float, source: str, outdir: str,
+             command: str, heavy: dict | None = None,
              extra_warnings=()) -> tuple[dict, dict]:
     """Write one run's CSV, diagnostics.json, overlay and manifest from its
-    trajectory `traj` = integrate(config); return the manifest and the
+    trajectory `traj` = integrate(traj.config); return the manifest and the
     diagnostics report.  The manifest's duration counts from `start`, taken
     before simulate or diagnose reads its config, or before a sweep leg is
     integrated.  `heavy` sets `lyapunov` and diagnose's `convergence_order`;
@@ -196,7 +196,7 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     write_timeseries_csv(traj.records, csv_path)
     report = {
         "version": __version__,
-        "scenario": _config_dict(config),
+        "scenario": _config_dict(traj.config),
         "status": traj.status,
         "abort_time": traj.abort_time,
         "abort_reason": traj.abort_reason,
@@ -216,7 +216,7 @@ def _run_one(config: ScenarioConfig, traj: Trajectory, start: float,
     aborted = [] if traj.completed else [
         f"run aborted at t={traj.abort_time}: {traj.abort_reason}"]
     manifest = _write_manifest(
-        outputs, command=command, source=source, config=_config_dict(config),
+        outputs, command=command, source=source, config=report["scenario"],
         status=traj.status, start=start, warnings=[*aborted, *extra_warnings],
         abort_time=traj.abort_time, abort_reason=traj.abort_reason)
     return manifest, report
@@ -227,8 +227,8 @@ def run_scenario(config_ref: str, output_dir: str) -> dict:
     start = time.perf_counter()
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
-    manifest, _ = _run_one(config, integrate(config), start, source,
-                           output_dir, "simulate")
+    manifest, _ = _run_one(integrate(config), start, source, output_dir,
+                           "simulate")
     return manifest
 
 
@@ -236,8 +236,9 @@ def run_diagnose(config_ref: str, output_dir: str) -> dict:
     """diagnose: like simulate plus Lyapunov and observed convergence order.
 
     The main run is integrated once; both studies read its rows, through
-    diagnostics._main_rows, where it is one of their own runs (see
-    lyapunov_max and convergence_order)."""
+    diagnostics._main_rows, where they would make that run themselves: it
+    names its config (traj.config), which is theirs (see lyapunov_max and
+    convergence_order)."""
     start = time.perf_counter()
     text, source = read_config_text(config_ref)
     config = parse_scenario_text(text, source=source)
@@ -249,8 +250,8 @@ def run_diagnose(config_ref: str, output_dir: str) -> dict:
         heavy["convergence_order"] = convergence_order(config, main=traj)
     except SemiquantumError as exc:
         warnings.append(f"convergence order failed: {exc}")
-    manifest, _ = _run_one(config, traj, start, source, output_dir,
-                           "diagnose", heavy, warnings)
+    manifest, _ = _run_one(traj, start, source, output_dir, "diagnose",
+                           heavy, warnings)
     return manifest
 
 
@@ -291,7 +292,7 @@ def run_sweep(sweep_path: str, output_dir: str) -> dict:
         if traj.completed:
             heavy = {"lyapunov": lyapunov_max(config, main=traj).to_dict()}
         manifest, report = _run_one(
-            config, traj, leg_start, f"{sweep_path}[{spec.axis}={value}]",
+            traj, leg_start, f"{sweep_path}[{spec.axis}={value}]",
             os.path.join(output_dir, f"leg{i:02d}"), "sweep-leg", heavy)
         leg_outputs.append(manifest["outputs"])
         if traj.completed:

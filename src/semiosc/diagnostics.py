@@ -180,26 +180,22 @@ _FLOW = ("A", "Adot", "rho", "rhodot")  # the pinney state, as CSV columns
 def _main_rows(config: ScenarioConfig, main, steps: int):
     """`main`'s (A, Adot, rho, rhodot) rows at grid steps 0, steps,
     2 * steps, ... and at its last step; None unless `main` is a completed
-    rk4 integrate(config) whose sample_every divides `steps`.  Such a run
-    samples every sample_every-th step and the last: these are every
-    (steps / sample_every)-th row before the last, and the last.  A `main`
-    without that run's row count, or not ending at its last time n * h,
-    is another config's run and is not read.
+    rk4 run of this config (main.config == config: integrate() is
+    deterministic, so it holds integrate(config)'s rows) whose
+    sample_every divides `steps`.  Such a run samples every
+    sample_every-th step and the last: these are every
+    (steps / sample_every)-th row before the last, and the last.
     """
     every = config.sample_every
-    if (main is None or not main.completed or config.method != "rk4"
-            or steps % every):
-        return None
-    n, h = fixed_grid(config.t_end, config.dt)
-    t = main.columns["t"]
-    if len(t) != 1 + n // every + (n % every > 0) or t[-1] != n * h:
+    if (main is None or main.config != config or not main.completed
+            or config.method != "rk4" or steps % every):
         return None
     k = steps // every
     return list(zip(*(main.columns[c][:-1:k] + main.columns[c][-1:]
                       for c in _FLOW)))
 
 
-def lyapunov_max(config: ScenarioConfig, main=None) -> LyapunovEstimate:
+def lyapunov_max(config: ScenarioConfig, *, main=None) -> LyapunovEstimate:
     """Largest Lyapunov exponent of the scenario's (A, Adot, rho, rhodot)
     flow over the horizon config.t_end.
 
@@ -278,7 +274,7 @@ def _rms_distance(a, b) -> float:
     return math.sqrt(_sum(sq) / len(sq))
 
 
-def convergence_order(config: ScenarioConfig, main=None) -> float:
+def convergence_order(config: ScenarioConfig, *, main=None) -> float:
     """Observed order from self-convergence over the legs' shared samples.
 
     Integrates the scenario with rk4 on each leg of _order_legs(config),

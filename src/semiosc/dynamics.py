@@ -207,11 +207,11 @@ def columns_from_rows(flat) -> dict:
 
 
 class Trajectory(namedtuple("Trajectory",
-                            "columns status abort_time abort_reason",
+                            "config columns status abort_time abort_reason",
                             defaults=(None, None))):
-    """Result of integrate(): sampled observables as columns (name -> array of
-    float64, in COLUMNS order) plus how the run ended (abort_time and
-    abort_reason are None unless it aborted)."""
+    """Result of integrate(config): the config it ran, sampled observables
+    as columns (name -> array of float64, in COLUMNS order) and how the run
+    ended (abort_time and abort_reason are None unless it aborted)."""
 
     __slots__ = ()
 
@@ -896,7 +896,8 @@ def integrate(config: ScenarioConfig) -> Trajectory:
         run = make_adaptive_run(rep, params, config.rho_min)
         _, abort = run(y, config.t_end, config.dt_init, config.rtol,
                        config.atol, config.sample_every, sample)
-    return Trajectory(columns_from_rows(rows), *(abort or (STATUS_COMPLETED,)))
+    return Trajectory(config, columns_from_rows(rows),
+                      *(abort or (STATUS_COMPLETED,)))
 
 
 def scenario_with(config: ScenarioConfig, **changes) -> ScenarioConfig:

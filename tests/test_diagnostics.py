@@ -273,7 +273,8 @@ def test_lyapunov_note_names_the_earlier_failing_step(fails_ref, fails_cmp):
 def test_lyapunov_steps_only_the_companion_on_the_main_runs_grid(
         unit_params, monkeypatch, changes, copies):
     cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 1e-3, **changes})
-    main = integrate(cfg)
+    main = integrate(scenario_with(cfg))  # an equal config, not cfg itself
+    assert main.config == cfg and main.config is not cfg
     calls = []
     make = diagnostics.make_rk4_run
 
@@ -309,7 +310,7 @@ def test_convergence_order_reads_the_dt_leg_off_a_completed_rk4_run(
         cfg = quick_config(unit_params, **{"t_end": 2.0, "dt": 2e-3, **changes})
         main = run(cfg)
         legs.clear()
-        assert convergence_order(cfg, main) == convergence_order(cfg)
+        assert convergence_order(cfg, main=main) == convergence_order(cfg)
         with_main = [leg for leg in ladder if not reused or leg[0] != 2e-3]
         assert legs == with_main + ladder
 
@@ -357,7 +358,7 @@ def test_studies_reading_the_main_run_match_their_own_runs(
     outcomes = []
     for reused in (main, None):
         try:
-            outcomes.append(convergence_order(cfg, reused))
+            outcomes.append(convergence_order(cfg, main=reused))
         except SemiquantumError as exc:
             outcomes.append((type(exc), str(exc)))
     assert outcomes[0] == outcomes[1]
@@ -366,15 +367,17 @@ def test_studies_reading_the_main_run_match_their_own_runs(
 @pytest.mark.parametrize("t_end, foreign", [
     (4.6, {"t_end": 2.6}),   # main ends at 2.6
     (2.6, {"dt": 0.005}),    # main steps 0.005 where the config steps 0.01
-], ids=["t_end", "dt"])
+    (2.6, {"A0": 0.9}),      # the config's grid, rows and last time, but
+    (2.6, {"e": 0.9}),       # another start or coupling
+], ids=["t_end", "dt", "A0", "e"])
 def test_studies_do_not_read_another_configs_run(t_end, foreign):
-    # a completed rk4 run of another config is not read as the main run:
-    # each study returns what it returns without one
+    # a completed rk4 run that names another config is not read as the
+    # main run: each study returns what it returns without one
     cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0), A0=1.0,
                          Adot0=1.0, t_end=t_end, dt=0.01, sample_every=10)
     main = integrate(scenario_with(cfg, **foreign))
     assert main.completed
-    assert convergence_order(cfg, main) == convergence_order(cfg)
+    assert convergence_order(cfg, main=main) == convergence_order(cfg)
     assert (lyapunov_max(cfg, main=main).to_dict()
             == lyapunov_max(cfg).to_dict())
 
@@ -472,7 +475,7 @@ def test_convergence_order_of_a_drawn_benchmark_start():
     cfg = ScenarioConfig(params=ModelParams(m=1.0, e=1.0, hbar=1.0),
                          A0=1.0646114763002787, Adot0=1.004937486718678,
                          t_end=30.0, dt=2e-3, sample_every=100)
-    assert 3.6 <= convergence_order(cfg, integrate(cfg)) <= 4.4
+    assert 3.6 <= convergence_order(cfg, main=integrate(cfg)) <= 4.4
 
 
 def test_convergence_rejects_aborted_runs(unit_params):

@@ -524,4 +524,4 @@ def test_convergence_order_matches_full_integrate_runs():
                   for a, b in zip(legs, legs[1:])]
         expected = math.log2(errors[0] / errors[1])
         assert convergence_order(config) == expected
-        assert convergence_order(config, integrate(config)) == expected
+        assert convergence_order(config, main=integrate(config)) == expected

@@ -28,3 +28,21 @@ def test_perfbench_finds_every_name_it_reads(monkeypatch):
         [(initial_state(config), config.params)], config.dt)
     assert len(metrics) == 14
     assert all(math.isfinite(v) and v > 0 for v in metrics.values()), metrics
+
+
+def test_trace_counts_are_the_csv_rows(monkeypatch, tmp_path):
+    # the dynamics.integrate span's samples (len(traj.records)) and the
+    # cli.csv_write span's rows (len(records)) are the rows simulate writes
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    with tracing.installed(tracer) as main:
+        assert main(["simulate", "free", "-o", str(tmp_path)]) == 0
+    spans = {}
+    for name, _, _, _, attributes in tracer.spans:
+        spans.setdefault(name, []).append(attributes)
+    with open(tmp_path / "timeseries.csv", encoding="utf-8") as fh:
+        rows = len(fh.read().splitlines()) - 1
+    assert rows == 1001
+    assert [a["samples"] for a in spans["dynamics.integrate"]] == [rows]
+    assert [a["rows"] for a in spans["cli.csv_write"]] == [rows]
