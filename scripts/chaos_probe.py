@@ -21,9 +21,9 @@ def main() -> int:
             print(f"{name:>12s}  aborted: {traj.abort_reason}")
             continue
         est = lyapunov_max(cfg, main=traj)
-        drift = energy_drift(traj.records)
-        n_ours = [r.N_ours for r in traj.records]
-        n_cdms = [r.N_cdms for r in traj.records]
+        cols = traj.columns
+        drift = energy_drift(cols)
+        n_ours, n_cdms = cols["N_ours"], cols["N_cdms"]
         fine = f"{structure_count(n_ours)}/{structure_count(n_cdms)}"
         coarse = f"{structure_count(n_ours, 1e-6)}/{structure_count(n_cdms, 1e-6)}"
         print(f"{name:>12s} {est.value:12.4e} {drift:10.2e} {fine:>24s} {coarse:>12s}")

@@ -130,7 +130,7 @@ def emit_plot(records: Records, kind: str, path: str) -> None:
         title, xlabel, ylabel = "Total energy", "t", "Etot"
         if len(etot) >= 2 and etot[0] != 0.0:
             annotations.append(
-                f"relative Etot drift = {_fmt(energy_drift(records))}")
+                f"relative Etot drift = {_fmt(energy_drift(cols))}")
     else:  # phase-A
         curves = [("trajectory", cols["A"], cols["Adot"])]
         title, xlabel, ylabel = "Classical phase portrait", "A", "dA/dt"
@@ -167,18 +167,17 @@ def _write_manifest(outputs: dict, *, command: str, source: str, config: dict,
     return manifest
 
 
-def _series_metrics(traj: Trajectory) -> dict:
-    """The light per-run metrics, read off the trajectory's columns; None
-    where the series is too short for one."""
-    recs, cols = traj.records, traj.columns
-    n = len(recs)
+def _series_metrics(cols: dict) -> dict:
+    """The light per-run metrics, read off a run's columns; None where the
+    series is too short for one."""
+    n = len(cols["t"])
     return {
-        "energy_drift": (energy_drift(recs)
+        "energy_drift": (energy_drift(cols)
                          if n >= 2 and cols["Etot"][0] != 0.0 else None),
         "extrema_ours": structure_count(cols["N_ours"]) if n >= 3 else None,
         "extrema_cdms": structure_count(cols["N_cdms"]) if n >= 3 else None,
-        "max_abs_discrepancy": max_abs_discrepancy(recs),
-        "max_abs_remainder": max_abs_remainder(recs),
+        "max_abs_discrepancy": max_abs_discrepancy(cols),
+        "max_abs_remainder": max_abs_remainder(cols),
     }
 
 
@@ -200,10 +199,9 @@ def _run_one(traj: Trajectory, start: float, source: str, outdir: str,
         "status": traj.status,
         "abort_time": traj.abort_time,
         "abort_reason": traj.abort_reason,
-        **_series_metrics(traj),
+        **_series_metrics(traj.columns),
         "lyapunov": None,
         "convergence_order": None,
-        "discrepancy_power": None,
         **(heavy or {}),
     }
     report_path = os.path.join(outdir, "diagnostics.json")

@@ -25,7 +25,6 @@ from .core import (
 from .dynamics import (
     MAX_RK4_STEPS,
     SINGULAR_STEP,
-    Records,
     ScenarioConfig,
     convert,
     fixed_grid,
@@ -75,9 +74,10 @@ def _sum(values) -> float:
     return total
 
 
-def energy_drift(records: Records) -> float:
-    """Max over the series of |Etot(t) - Etot(0)| / |Etot(0)|."""
-    etot = records.columns["Etot"]
+def energy_drift(cols) -> float:
+    """Max over the series of |Etot(t) - Etot(0)| / |Etot(0)|, from the
+    column mapping cols (name -> sequence of floats)."""
+    etot = cols["Etot"]
     if len(etot) < 2:
         raise UsageError("energy_drift needs at least two records")
     e0 = etot[0]
@@ -344,15 +344,13 @@ def structure_count(series, floor: float = 1e-9) -> int:
     return count
 
 
-def max_abs_discrepancy(records: Records) -> float:
+def max_abs_discrepancy(cols) -> float:
     """max over the series of |N_ours - N_cdms|."""
-    cols = records.columns
     return max(map(abs, map(sub, cols["N_ours"], cols["N_cdms"])))
 
 
-def max_abs_remainder(records: Records) -> float:
+def max_abs_remainder(cols) -> float:
     """max over the series of |(N_ours - N_cdms) - dN_leading|."""
-    cols = records.columns
     return max(map(abs, map(sub, map(sub, cols["N_ours"], cols["N_cdms"]),
                             cols["dN_leading"])))
 

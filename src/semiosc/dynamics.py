@@ -83,9 +83,12 @@ OUT_OF_RANGE = "a derived quantity is outside double range"
 # Work bounds (cf. ODEPACK's MXSTEP): rk4 configs with more steps are
 # rejected, an adaptive run stops after this many step attempts.  Both are
 # over 100x the largest run of any bundled scenario, test or benchmark
-# (400,000 rk4 steps, about 2,000 attempts).
+# (400,000 rk4 steps, about 2,000 attempts).  Every PROGRESS_WINDOW attempts
+# an adaptive run also stops if its progress in t over that window, kept up
+# for the attempts left, falls short of t_end.
 MAX_RK4_STEPS = 10 ** 8
 MAX_STEP_ATTEMPTS = 10 ** 7
+PROGRESS_WINDOW = 2 ** 16
 
 # ScenarioConfig's float fields, which must be finite (None where optional);
 # with ModelParams' m, e and hbar these are the float config keys
@@ -557,15 +560,18 @@ _ADAPTIVE_RUN = _GUARD + """\
     sqrt, inf = math.sqrt, math.inf
     def run(y, t_end, h0, rtol, atol, sample_every, on_sample):
         {state} = y
-        max_attempts, width = MAX_STEP_ATTEMPTS, len(y)
-        t = last_sampled_t = 0.0
+        max_attempts, window, width = MAX_STEP_ATTEMPTS, PROGRESS_WINDOW, len(y)
+        t = last_sampled_t = t_mark = 0.0
         h, accepted, attempts = min(h0, t_end), 0, 0
+        check_at = min(window, max_attempts)
         while True:  # not `while t < t_end`, which CPython 3.11 does not specialize
             if not t < t_end:
                 break
-            if attempts == max_attempts:
-                return ({state}), (STATUS_STEPFAIL, t, f"{{attempts}} step "
-                    f"attempts did not reach t_end = {{t_end}}")
+            if attempts == check_at:  # with no attempts left, always stops
+                if (t - t_mark) * (max_attempts - attempts) < (t_end - t) * window:
+                    return ({state}), (STATUS_STEPFAIL, t, f"{{attempts}} step "
+                        f"attempts did not reach t_end = {{t_end}}")
+                t_mark, check_at = t, min(attempts + window, max_attempts)
             attempts += 1
             clamped = h >= t_end - t
             if clamped:
@@ -798,9 +804,11 @@ def make_adaptive_run(representation: str, params: ModelParams,
     on_sample works as in make_rk4_run's run, counting accepted steps; a
     time is sampled at most once.  A step that raises stops the run as a
     singularity; a step below 1e-14 * max(1, |t|), or MAX_STEP_ATTEMPTS
-    accepted and rejected steps short of t_end, as a step failure.
-    Bit-identical to run_adaptive (tests/oracles.py) on
-    partial(rkf45_step, make_rhs) with make_guard."""
+    accepted and rejected steps short of t_end, as a step failure; so is a
+    run whose last PROGRESS_WINDOW attempts, at their rate over the attempts
+    left, cannot reach t_end (checked after each window).  Bit-identical to
+    run_adaptive (tests/oracles.py) on partial(rkf45_step, make_rhs) with
+    make_guard."""
     return _compiled("adaptive", representation)(params, rho_min)
 
 

@@ -54,20 +54,29 @@ def run_adaptive(step, y, t_end, h0, rtol, atol, sample_every, guard,
     time is sampled at most once.  A step that raises stops the run as a
     singularity; a step below 1e-14 * max(1, |t|), or
     dynamics.MAX_STEP_ATTEMPTS accepted and rejected steps short of t_end,
-    as a step failure; the bound is read from the package as the run goes,
-    so a test that patches it there bounds both runs.  Returns (y, abort)
-    as run_fixed does, the abort as one (status, t, reason).
+    as a step failure.  So does a run whose progress in t over the last
+    dynamics.PROGRESS_WINDOW attempts, kept up for the attempts left,
+    falls short of t_end, checked after every window of attempts.  Both
+    constants are read from the package when the run starts, so a test
+    that patches them there bounds both runs.  Returns (y, abort) as
+    run_fixed does, the abort as one (status, t, reason).
     """
     isfinite, sqrt, inf = math.isfinite, math.sqrt, math.inf
+    max_attempts, window = dynamics.MAX_STEP_ATTEMPTS, dynamics.PROGRESS_WINDOW
     width = len(y)
-    t = 0.0
+    t = t_mark = 0.0
     h = min(h0, t_end)
     accepted = attempts = 0
     last_sampled_t = 0.0
+    check_at = min(window, max_attempts)
     while t < t_end:
-        if attempts == dynamics.MAX_STEP_ATTEMPTS:
-            return y, (STATUS_STEPFAIL, t, f"{attempts} step attempts did not "
-                       f"reach t_end = {t_end}")
+        if attempts == check_at:
+            # the window's progress, kept up over the attempts left, is
+            # short of t_end - t; with no attempts left, always
+            if (t - t_mark) * (max_attempts - attempts) < (t_end - t) * window:
+                return y, (STATUS_STEPFAIL, t, f"{attempts} step attempts "
+                           f"did not reach t_end = {t_end}")
+            t_mark, check_at = t, min(attempts + window, max_attempts)
         attempts += 1
         clamped = h >= t_end - t
         if clamped:

@@ -76,8 +76,8 @@ def test_criterion_02_vacuum_kick_spot_values():
 def test_criterion_03_energy_conservation():
     start = time.perf_counter()
     cfg = load_scenario("vacuum-kick")  # rk4, dt = 1e-3, t_end = 100
-    drift = energy_drift(integrate(cfg).records)
-    drift_half = energy_drift(integrate(scenario_with(cfg, dt=5e-4)).records)
+    drift = energy_drift(integrate(cfg).columns)
+    drift_half = energy_drift(integrate(scenario_with(cfg, dt=5e-4)).columns)
     ratio = drift / drift_half
     elapsed = time.perf_counter() - start
     ok = drift <= 1e-7 and 10.0 <= ratio <= 22.0 and elapsed < 30.0

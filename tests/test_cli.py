@@ -107,6 +107,7 @@ def test_simulate_produces_all_artifacts(small_cfg, tmp_path):
     jsonschema.validate(report, _schema())
     assert report["energy_drift"] >= 0.0
     assert report["lyapunov"] is None
+    assert "discrepancy_power" not in report  # the sweep manifest's alone
 
 
 def test_simulate_csv_schema_and_values(small_cfg, tmp_path):
@@ -270,6 +271,26 @@ def test_simulate_step_attempt_bound_exits_3_with_partial_csv(
     assert records[-1].t < 3.0
 
 
+def test_simulate_stalled_adaptive_run_exits_3_after_one_window(tmp_path,
+                                                                capsys):
+    # m = 1e10 keeps the steps near 2.5e-11: reaching t_end = 0.01 would take
+    # about 4e8 attempts, which the first PROGRESS_WINDOW = 2^16 show, long
+    # before the 10^7 attempt bound
+    keys = {**TINY, "m": "1e10", "representation": "pinney",
+            "method": "adaptive", "quantum_init": "vacuum"}
+    cfg = tmp_path / "stalled.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in keys.items()))
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "-o", str(out)]) == EXIT_ABORT
+    assert json.loads(capsys.readouterr().err)["error"] == "runtime-abort"
+    manifest = _manifest(out)
+    assert manifest["status"] == "aborted-stepfail"
+    assert manifest["abort_reason"] == \
+        "65536 step attempts did not reach t_end = 0.01"
+    assert manifest["abort_time"] == 1.6368180742710218e-06
+    assert len(read_timeseries_csv(str(out / "timeseries.csv"))) == 24781
+
+
 # ---------------------------------------------------------------------------
 # plots
 # ---------------------------------------------------------------------------
@@ -344,7 +365,7 @@ def test_energy_plot_annotation_matches_drift(small_cfg, tmp_path):
     marker = "relative Etot drift = "
     start = body.index(marker) + len(marker)
     annotated = float(body[start:body.index("<", start)])
-    assert annotated == pytest.approx(energy_drift(records), abs=1e-12)
+    assert annotated == pytest.approx(energy_drift(records.columns), abs=1e-12)
 
 
 def test_plot_usage_errors(tmp_path):
@@ -574,7 +595,7 @@ def test_sweep_computes_each_legs_metrics_once(tmp_path, monkeypatch):
     calls = []
     drift = cli.energy_drift
     monkeypatch.setattr(cli, "energy_drift",
-                        lambda records: calls.append(1) or drift(records))
+                        lambda cols: calls.append(1) or drift(cols))
     (tmp_path / "local.cfg").write_text(SMALL)
     sweep = tmp_path / "sweep.cfg"
     sweep.write_text("base = local.cfg\naxis = Adot0\nvalues = 0.5, 1.0\n")
@@ -605,6 +626,7 @@ def test_diagnose_full_report(small_cfg, tmp_path):
     assert report["lyapunov"] is not None
     assert not report["lyapunov"]["failed"]
     assert 3.5 <= report["convergence_order"] <= 4.5
+    assert "discrepancy_power" not in report
 
 
 def test_run_scenario_api_returns_manifest(small_cfg, tmp_path):

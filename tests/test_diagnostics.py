@@ -20,7 +20,6 @@ from semiosc import (
     DiagnosticError,
     ModelParams,
     ScenarioConfig,
-    TimeSeriesRecord,
     UsageError,
     adiabatic_invariant_drift,
     benettin_lyapunov,
@@ -39,8 +38,6 @@ from semiosc import diagnostics
 from semiosc.core import SemiquantumError
 from semiosc.diagnostics import LyapunovEstimate, power_law_fit
 from semiosc.dynamics import (
-    COLUMNS,
-    Records,
     fixed_grid,
     flat_from_state,
     initial_state,
@@ -49,19 +46,6 @@ from semiosc.dynamics import (
 )
 from conftest import quick_config
 from oracles import run_fixed
-
-
-def _rec(t=0.0, Etot=1.0, N_ours=0.0, N_cdms=0.0, dN_leading=0.0):
-    zeros = dict.fromkeys(
-        ("A", "Adot", "rho", "rhodot", "Omega", "Omegadot", "omega", "omegadot",
-         "x2", "p2", "c", "Hx", "corr"), 0.0)
-    return TimeSeriesRecord(t=t, Etot=Etot, N_ours=N_ours, N_cdms=N_cdms,
-                            dN_leading=dN_leading, **zeros)
-
-
-def _records(*recs):
-    """The Records view of the given rows."""
-    return Records({k: [getattr(r, k) for r in recs] for k in COLUMNS})
 
 
 def _run(rhs):
@@ -73,27 +57,29 @@ def _run(rhs):
 # energy drift
 # ---------------------------------------------------------------------------
 
+# the series metrics read a plain {name: list} mapping holding only their
+# columns, as they read a run's array("d") columns
 def test_energy_drift_constant_series():
-    recs = _records(*(_rec(t=float(i)) for i in range(5)))
-    assert energy_drift(recs) == 0.0
+    assert energy_drift({"Etot": [1.0] * 5}) == 0.0
+    assert energy_drift({"Etot": array("d", [1.0] * 5)}) == 0.0
 
 
 def test_energy_drift_direct_value():
-    recs = _records(_rec(Etot=1.0), _rec(t=1.0, Etot=1.0 + 1e-8))
-    assert energy_drift(recs) == pytest.approx(1e-8, rel=1e-9)
+    for etot in ([1.0, 1.0 + 1e-8], array("d", [1.0, 1.0 + 1e-8])):
+        assert energy_drift({"Etot": etot}) == pytest.approx(1e-8, rel=1e-9)
 
 
 def test_energy_drift_usage_errors():
     with pytest.raises(UsageError):
-        energy_drift(_records(_rec()))
+        energy_drift({"Etot": [1.0]})
     with pytest.raises(UsageError):
-        energy_drift(_records(_rec(Etot=0.0), _rec(t=1.0, Etot=0.0)))
+        energy_drift({"Etot": [0.0, 0.0]})
 
 
 def test_energy_drift_halving_ratio(unit_params):
     cfg = quick_config(unit_params, t_end=20.0, dt=2e-3)
-    d1 = energy_drift(integrate(cfg).records)
-    d2 = energy_drift(integrate(scenario_with(cfg, dt=1e-3)).records)
+    d1 = energy_drift(integrate(cfg).columns)
+    d2 = energy_drift(integrate(scenario_with(cfg, dt=1e-3)).columns)
     assert d1 / d2 == pytest.approx(16.0, abs=6.0)  # rk4 order
 
 
@@ -558,19 +544,20 @@ def test_fitted_amplitude_bounded_by_remainder():
     import semiosc
     base = scenario_with(load_scenario("adiabatic"), t_end=1.5)
     for e in (0.2, 0.1, 0.05):
-        traj = integrate(semiosc.scenario_with(base, e=e))
-        amp = max_abs_discrepancy(traj.records)
-        leading_max = max(r.dN_leading for r in traj.records)
-        rem = max_abs_remainder(traj.records)
+        cols = integrate(semiosc.scenario_with(base, e=e)).columns
+        amp = max_abs_discrepancy(cols)
+        leading_max = max(cols["dN_leading"])
+        rem = max_abs_remainder(cols)
         assert abs(amp - leading_max) <= rem + 1e-18
 
 
 def test_max_metrics():
-    recs = _records(_rec(N_ours=0.0, N_cdms=0.0, dN_leading=0.0),
-                    _rec(t=1.0, N_ours=3.0, N_cdms=1.0, dN_leading=1.5),
-                    _rec(t=2.0, N_ours=1.0, N_cdms=2.0, dN_leading=0.0))
-    assert max_abs_discrepancy(recs) == 2.0
-    assert max_abs_remainder(recs) == 1.0
+    cols = {"N_ours": [0.0, 3.0, 1.0], "N_cdms": [0.0, 1.0, 2.0],
+            "dN_leading": [0.0, 1.5, 0.0]}
+    arrays = {name: array("d", column) for name, column in cols.items()}
+    for series in (cols, arrays):
+        assert max_abs_discrepancy(series) == 2.0
+        assert max_abs_remainder(series) == 1.0
 
 
 # the series metrics as generator expressions: their specification
@@ -610,12 +597,11 @@ series_value = st.one_of(
 def test_series_metrics_match_their_generator_expressions(rows):
     cols = dict(zip(("Etot", "N_ours", "N_cdms", "dN_leading"),
                     (array("d", column) for column in zip(*rows))))
-    recs = Records(cols)
     for metric, oracle in [(max_abs_discrepancy, _max_abs_discrepancy_oracle),
                            (max_abs_remainder, _max_abs_remainder_oracle)]:
-        assert _metric_outcome(metric, recs) == _metric_outcome(oracle, cols)
+        assert _metric_outcome(metric, cols) == _metric_outcome(oracle, cols)
     if cols["Etot"][0] != 0.0:
-        assert _metric_outcome(energy_drift, recs) == \
+        assert _metric_outcome(energy_drift, cols) == \
             _metric_outcome(_energy_drift_oracle, cols)
 
 

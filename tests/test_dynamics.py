@@ -77,9 +77,9 @@ def test_init_adiabatic_suppresses_startup_transient():
     params = ModelParams(m=1.0, e=0.05, hbar=0.01)
     base = ScenarioConfig(params=params, A0=1.0, Adot0=0.25, t_end=2.0,
                           dt=1e-3, sample_every=1, quantum_init="adiabatic")
-    rem_adiabatic = max_abs_remainder(integrate(base).records)
+    rem_adiabatic = max_abs_remainder(integrate(base).columns)
     rem_vacuum = max_abs_remainder(
-        integrate(scenario_with(base, quantum_init="vacuum")).records)
+        integrate(scenario_with(base, quantum_init="vacuum")).columns)
     assert rem_adiabatic * 5.0 < rem_vacuum
 
 
@@ -245,7 +245,7 @@ def test_record_columns_are_coherent(unit_params):
 def test_energy_conservation_smoke(unit_params):
     from semiosc import energy_drift
     traj = integrate(quick_config(unit_params, t_end=20.0))
-    assert energy_drift(traj.records) <= 1e-9
+    assert energy_drift(traj.columns) <= 1e-9
 
 
 def test_mode_wronskian_conserved(unit_params):
@@ -308,8 +308,8 @@ def test_adaptive_agrees_with_fixed_step(unit_params):
 def test_rk4_halving_shrinks_energy_drift(unit_params):
     from semiosc import energy_drift
     cfg = quick_config(unit_params, t_end=20.0, dt=2e-3)
-    d1 = energy_drift(integrate(cfg).records)
-    d2 = energy_drift(integrate(scenario_with(cfg, dt=1e-3)).records)
+    d1 = energy_drift(integrate(cfg).columns)
+    d2 = energy_drift(integrate(scenario_with(cfg, dt=1e-3)).columns)
     assert 10.0 <= d1 / d2 <= 22.0
 
 

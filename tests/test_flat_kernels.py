@@ -239,7 +239,8 @@ def _adaptive_example(**changes):
     return example(**{"params": UNIT, "y": (1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 0.0),
                       "w": (1.0, 1.0), "t_end": 1.0, "h0": 0.1, "rtol": 1e-8,
                       "atol": 1e-8, "sample_every": 3, "refuse": 0,
-                      "rho_min": 1e-8, "max_attempts": 10 ** 7, **changes})
+                      "rho_min": 1e-8, "max_attempts": 10 ** 7,
+                      "window": 2 ** 16, **changes})
 
 
 @pytest.mark.parametrize("representation", list(WIDTHS))
@@ -250,7 +251,8 @@ def _adaptive_example(**changes):
        rtol=st.floats(1e-9, 1e-3), atol=st.floats(1e-9, 1e-3),
        sample_every=st.integers(1, 30),
        refuse=st.integers(0, 12), rho_min=st.floats(1e-8, 1.0),
-       max_attempts=st.one_of(st.just(10 ** 7), st.integers(1, 60)))
+       max_attempts=st.one_of(st.just(10 ** 7), st.integers(1, 60)),
+       window=st.one_of(st.just(2 ** 16), st.integers(1, 20)))
 @_adaptive_example(h0=1.0, rtol=1e-10, atol=1e-10)  # rejected steps
 @_adaptive_example(t_end=0.05, h0=0.5, rtol=1e-3, atol=1e-3)  # clamped at once
 @_adaptive_example(sample_every=1, refuse=2)  # a refused sample
@@ -262,20 +264,24 @@ def _adaptive_example(**changes):
 # a width whose cube underflows: the first stage raises (pinney, augmented)
 @_adaptive_example(w=(1e-110, 1e-110))
 @_adaptive_example(max_attempts=10)  # the attempt bound
+# the progress window: its checks at 16 and 32 attempts pass on pinney, the
+# one at 48 stops the run; the other layouts stop at 16
+@_adaptive_example(rtol=1e-10, atol=1e-10, max_attempts=60, window=16)
 # the width reaches the floor mid-run
 @_adaptive_example(y=(0.0, 0.0, 0.0, -2.0, 0.5, 0.0, -2.0), w=(0.6, 0.6),
                    t_end=2.0, rho_min=0.5)
 @settings(max_examples=60, deadline=None)
 def test_generated_adaptive_run_matches_run_adaptive(
         representation, params, y, w, t_end, h0, rtol, atol, sample_every,
-        refuse, rho_min, max_attempts):
+        refuse, rho_min, max_attempts, window):
     y = _state(representation, y, w)
     run = make_adaptive_run(representation, params, rho_min)
     step = partial(rkf45_step, make_rhs(representation, params))
     guard = make_guard(representation, params, rho_min)
     with pytest.MonkeyPatch.context() as patch:
-        # both read the bound when they run
+        # both read the bound and the window when they run
         patch.setattr(dynamics, "MAX_STEP_ATTEMPTS", max_attempts)
+        patch.setattr(dynamics, "PROGRESS_WINDOW", window)
         outcome = _run_outcome(partial(run, y, t_end, h0, rtol, atol,
                                        sample_every), refuse)
         assert outcome == _run_outcome(

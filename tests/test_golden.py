@@ -15,6 +15,7 @@ import hashlib
 
 import pytest
 
+from semiosc import dynamics
 from semiosc.cli import EXIT_ABORT, EXIT_OK, main
 from semiosc.svgplot import render_line_plot
 
@@ -86,6 +87,15 @@ def test_simulate_output_digests(case, tmp_path):
             _sha256(out / "number_overlay.svg")) == PINS[case]
 
 
+@pytest.mark.parametrize("case", [c for c in sorted(PINS)
+                                  if c.endswith("-adaptive")])
+def test_adaptive_digests_hold_with_a_short_progress_window(case, tmp_path,
+                                                           monkeypatch):
+    # each run makes 148-216 attempts: checked every 64, none may stop it
+    monkeypatch.setattr(dynamics, "PROGRESS_WINDOW", 64)
+    test_simulate_output_digests(case, tmp_path)
+
+
 def _short_config(tmp_path, case, **changes):
     """VACUUM_KICK_SHORT in pinney rk4 with `changes` set, as a file path."""
     keys = dict(ln.split(" = ") for ln in VACUUM_KICK_SHORT.format(
@@ -107,25 +117,25 @@ def _short_config(tmp_path, case, **changes):
 DIAGNOSE_PINS = {
     "vacuum-kick-pinney-rk4": (
         {}, EXIT_OK,
-        "cbd1d8a29e5199e407b2da7aa4aead945d13bea70f4db19fdebdb6ddb699af55"),
+        "526d2468065981f675cb896e6a60fe29b989f573925ff6675175e122763508b8"),
     "vacuum-kick-mode-rk4": (
         {"representation": "mode"}, EXIT_OK,
-        "8300d4ec1ebb6db5287f93a686e66d23d24778627a09d0a19f5d729e7d5cc3e9"),
+        "22cc82674de3114fc8b6d6dcc711a733d48ee4fab76b0564179a4ead47b16558"),
     "vacuum-kick-pinney-adaptive": (
         {"method": "adaptive"}, EXIT_OK,
-        "1bcd5a7979e8ad2defaf0243cb23df9f3302f950c760a101a542a565bf8ab363"),
+        "18e1a049e836418831966186ee240ca23a37064319c3035335e5202ea0219e8f"),
     "vacuum-kick-t_end-2.6": (
         {"t_end": "2.6"}, EXIT_OK,
-        "2e2ca62d08437c5e6b5cc972f4bd8fafc9d64f8ddc5e8813650ee1fcbdc55a0a"),
+        "a64228322b2de9340a42d1de5c2623b0ef452d2e11aac3caea98fdae313e239f"),
     "vacuum-kick-dt-0.003": (
         {"dt": "0.003", "t_end": "3.0"}, EXIT_OK,
-        "4f17c78baa3d84a4942d9c3b227e6d06276d8b8ddb4830ee13dfa19e118fb6f8"),
+        "e9303ea27b231e0ee43814d4fd401d944b1b863865f0d5fc1efed1f878a59853"),
     "vacuum-kick-sample_every-7": (
         {"sample_every": "7"}, EXIT_OK,
-        "7df35a5700a70f387e53a7e320ea4ec93a4b28009bd6ba47b3e1add8eeaf23e4"),
+        "503d216169fb97fa83c675c5425e8b9e714c139db63dd72c27219da3e2932e8b"),
     "vacuum-kick-rho_min-0.9": (
         {"rho_min": "0.9"}, EXIT_ABORT,
-        "f710ba929e7f6f3e4eac529d998f3ba8c5f87d6f1e7d3e15d3b74bb9624c41d7"),
+        "514828f01c70139a7f24dd18df738221ed79e8521e721e2174fa22629ba4c93c"),
 }
 
 
